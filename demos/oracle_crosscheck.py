@@ -22,7 +22,7 @@ from diracpairs import (NumericsParams, WindowParams, build_basis,
                         extract_g_blocks, figure_configs,
                         multi_pair_amplitude, pair_amplitudes, propagate,
                         propagate_vacuum, read_amplitude,
-                        sector_probabilities, sector_probabilities_exact,
+                        sector_observables, sector_probabilities_exact,
                         vacuum_amplitude, vacuum_overlap)
 
 config, _ = figure_configs()["fig2"]
@@ -54,9 +54,9 @@ for n in (1, 2):
 print(f"\nchecked {checked} amplitudes with N <= 2: "
       f"max |difference| = {worst:.2e}")
 
-rep = sector_probabilities(pairs, vac, basis, config.numerics)
+rep = sector_observables(pairs, vac, basis, config.numerics)
 exact = sector_probabilities_exact(state)
 print("\npair-number probabilities, both routes:")
 for n in range(7):
-    print(f"  c_{n}: determinant {rep.c[n]:.12e}   Fock {exact[n]:.12e}")
-print(f"sum over sectors (determinant path): {rep.c.sum():.12f}")
+    print(f"  c_{n}: closed form {rep.c[n]:.12e}   Fock {exact[n]:.12e}")
+print(f"sum over sectors (closed form): {rep.c.sum():.12f}")

@@ -47,7 +47,7 @@ for n in range(report.n_sector_max + 1):
         continue
     print(row + f" {report.s_plus[n]:>10.2e} {report.s_minus[n]:>10.2e}"
                 f" {report.h_plus[n]:>10.4f} {report.h_minus[n]:>10.4f}")
-print(f"\nprobability mass outside the enumeration: "
+print(f"\nprobability of more than {report.n_sector_max} pairs: "
       f"{report.discarded_mass_bound:.2e}")
 print("same-helicity beams: averaged spin vanishes, helicities are equal "
       "for electrons and positrons")

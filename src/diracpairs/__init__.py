@@ -11,8 +11,7 @@ multi-pair combinatorics.
 
 from .errors import (ValidationError, FockDimensionError,
                      NumericalToleranceError, UnitarityError,
-                     IllConditionedError, NormDriftError,
-                     EnumerationBudgetError)
+                     IllConditionedError, NormDriftError)
 from .physconfig import (E_SCHWINGER_V_PER_M, HelicityRelation, FieldParams,
                          WindowParams, NumericsParams, RunConfig, xi,
                          field_from_si, e_peak_to_si, validate,
@@ -33,8 +32,7 @@ from .dynamics import (Propagator, GBlocks, assemble_hamiltonian, propagate,
 from .multipair import (PairAmplitudes, VacuumAmplitude, MultiPairAmplitude,
                         SectorReport, pair_amplitudes, vacuum_amplitude,
                         multi_pair_amplitude, retained_support,
-                        single_pair_list, sector_probabilities,
-                        sector_observables)
+                        single_pair_list, sector_observables)
 from .fockoracle import (FockBasis, ManyBodyState, second_quantize,
                          propagate_vacuum, read_amplitude, vacuum_overlap,
                          sector_probabilities_exact, amplitude_table)

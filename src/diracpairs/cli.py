@@ -2,8 +2,9 @@
 
 Results go out as one CSV per sweep (plot-ready time series, column set a
 function of n_sector_max only) plus one JSON with full per-point detail.
-Sweep points are content-addressed by config hash under
-``<outputs>/points/`` so a rerun reuses finished points byte-identically.
+Sweep points are content-addressed by config hash, readout scheme version
+and emit flags under ``<outputs>/points/`` so a rerun reuses finished
+points byte-identically.
 The ``DIRACPAIRS_OUTDIR`` environment variable overrides the output
 directory.
 
@@ -30,6 +31,10 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          config_hash, field_from_si, validate, with_plateau)
 
 TOP_PAIRS_IN_ROW = 8
+# Part of every sweep point's cache key; bump whenever the readout of an
+# unchanged config changes, so points cached by an older scheme are redone.
+SCHEME_VERSION = 2
+DEFAULT_EMIT = {"sectors": True, "pairs": True, "gdump": False}
 
 
 @dataclass
@@ -60,8 +65,7 @@ class SweepSpec:
     sweep_axis: str              # plateau_cycles | alpha_plus | k0_z
     values: list
     outputs: str
-    emit: dict = field(default_factory=lambda: {
-        "sectors": True, "pairs": True, "gdump": False})
+    emit: dict = field(default_factory=lambda: dict(DEFAULT_EMIT))
 
 
 def _label_str(basis: ModeBasis, band: Band, half_index: int) -> str:
@@ -258,15 +262,17 @@ def run_sweep(spec: SweepSpec) -> dict:
     outdir = _outdir(spec)
     points_dir = os.path.join(outdir, "points")
     os.makedirs(points_dir, exist_ok=True)
-    with_sectors = bool(spec.emit.get("sectors", True))
+    emit = {k: bool(v) for k, v in {**DEFAULT_EMIT, **spec.emit}.items()}
+    with_sectors, with_pairs = emit["sectors"], emit["pairs"]
+    flags = "".join(k[0] for k in DEFAULT_EMIT if emit[k])
+    key_suffix = f"-v{SCHEME_VERSION}-{flags}"
 
     segments = None
     basis = build_basis(spec.base.numerics, spec.base.field)
-    with_pairs = bool(spec.emit.get("pairs", True))
     rows = []
     for value in spec.values:
         config = _point_config(spec, value)
-        tag = config_hash(config) + ("-s" if with_sectors else "")
+        tag = config_hash(config) + key_suffix
         cache = os.path.join(points_dir, f"{tag}.json")
         if os.path.exists(cache):
             with open(cache) as fh:
@@ -279,7 +285,7 @@ def run_sweep(spec: SweepSpec) -> dict:
                 u = dynamics.cycle_compose(*segments, int(value))
                 row = _readout(config, basis, u, float(value), with_sectors,
                                with_pairs)
-                if spec.emit.get("gdump"):
+                if emit["gdump"]:
                     g = dynamics.extract_g_blocks(u, basis, config)
                     for name, matrix in (("u", u.matrix), ("gpm", g.g_pm),
                                          ("gmm", g.g_mm)):
@@ -325,8 +331,7 @@ def sweep_spec_to_dict(spec: SweepSpec) -> dict:
 
 
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
-    emit = {"sectors": True, "pairs": True, "gdump": False}
-    emit.update(d.get("emit", {}))
+    emit = {**DEFAULT_EMIT, **d.get("emit", {})}
     return SweepSpec(base=config_from_dict(d["base"]),
                      sweep_axis=d["sweep_axis"], values=list(d["values"]),
                      outputs=d.get("outputs", "out"), emit=emit)

@@ -123,8 +123,11 @@ def propagate(config: RunConfig, basis: ModeBasis,
     defect = unitarity_defect(u)
     if defect > unitarity_tol:
         raise UnitarityError(
-            f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e}; "
-            f"retry with steps_per_cycle={2 * config.numerics.steps_per_cycle}")
+            f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e} after "
+            f"{n_steps} steps at steps_per_cycle="
+            f"{config.numerics.steps_per_cycle}; each step is unitary to "
+            "roundoff, so more steps cannot restore it: H was non-finite or "
+            "non-Hermitian, or roundoff accumulated")
     return Propagator(matrix=u, t_span_cycles=(0.0, float(total)),
                       steps=n_steps, unitarity_defect=defect,
                       config_tag=config_hash(config))
@@ -163,10 +166,12 @@ def propagator_segments(config: RunConfig, basis: ModeBasis,
 
 def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,
                   j: int) -> Propagator:
-    """u_off (u_cycle)^j u_on via binary exponentiation."""
+    """u_off (u_cycle)^j u_on via binary exponentiation of the polar factor
+    (nearest unitary) of u_cycle, so its roundoff defect is not j-fold."""
     if j < 0:
         raise ValidationError("cycle_compose: plateau cycle count j must be >= 0")
-    powered = np.linalg.matrix_power(u_cycle.matrix, j)
+    w, _, vh = np.linalg.svd(u_cycle.matrix)
+    powered = np.linalg.matrix_power(w @ vh, j)
     matrix = u_off.matrix @ powered @ u_on.matrix
     ramp = u_on.t_span_cycles[1]
     total = 2 * ramp + j

@@ -34,7 +34,3 @@ class IllConditionedError(NumericalToleranceError):
 
 class NormDriftError(NumericalToleranceError):
     """Many-body state norm drifted during propagation."""
-
-
-class EnumerationBudgetError(NumericalToleranceError):
-    """Multi-pair subset enumeration exceeded its work budget."""

@@ -1,4 +1,4 @@
-"""Windowed vector potential of the two counterpropagating beams.
+r"""Windowed vector potential of the two counterpropagating beams.
 
 Each beam is parametrized in the circular Jones basis
 ``l = (e_x + i e_y)/sqrt(2)``, ``r = (e_x - i e_y)/sqrt(2)``.  The electric

@@ -10,29 +10,26 @@ ascending) is C_v times the determinant of the corresponding omega
 submatrix; non-canonical orderings pick up the product of the two
 permutation parities, and any repeated label gives exactly zero (Pauli).
 
-Sector probabilities c_N are sums of |amplitude|^2 over canonical subset
-pairs drawn from the retained single-pair support; enumeration is
-explicit and vectorized, with a hard work budget.  Electron/positron
-labels are half-basis indices (band plus / band minus, momentum ascending,
-spin up before down).
+By Cauchy-Binet the N-pair sector probability (|amplitude|^2 summed over
+all canonical N-pair states) is c_N = |C_v|^2 e_N(eig omega^dag omega),
+e_N the elementary symmetric polynomial, and sector means of spin and
+helicity are its Hellmann-Feynman derivatives: O(d^3) in all.
+Electron/positron labels are half-basis indices (band plus / band minus,
+momentum ascending, spin up before down).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, IllConditionedError
+from .errors import IllConditionedError
 from .dynamics import GBlocks
 from .modebasis import ModeBasis
 from .physconfig import NumericsParams
 
 DEFAULT_COND_CAP = 1e12
-DEFAULT_DET_BUDGET = 5_000_000
-# chunk size for batched determinant evaluation
-_CHUNK = 200_000
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,9 @@ class SectorReport:
 
     ``c[N]`` is the probability of exactly N pairs (c[0] the vacuum);
     observables are dicts keyed by N and omitted where c_N vanishes.
-    ``discarded_mass_bound`` is 1 - sum(c), the exact probability mass not
-    captured by the enumeration (pruned labels plus N > n_sector_max).
+    ``discarded_mass_bound`` is the exact tail sum_{N > n_sector_max} c_N.
+    The retained labels and pair count describe the single-pair support
+    above the prune threshold only.
     """
 
     n_sector_max: int
@@ -78,7 +76,6 @@ class SectorReport:
     h_plus: dict = field(default_factory=dict)
     h_minus: dict = field(default_factory=dict)
     discarded_mass_bound: float = 0.0
-    pruning_flags: dict = field(default_factory=dict)
     retained_electrons: tuple = ()
     retained_positrons: tuple = ()
     n_retained_pairs: int = 0
@@ -167,91 +164,80 @@ def single_pair_list(pairs: PairAmplitudes, vac: VacuumAmplitude,
     return out if top is None else out[:top]
 
 
-def _sector_pass(pairs: PairAmplitudes, vac: VacuumAmplitude, basis: ModeBasis,
-                 numerics: NumericsParams, budget: int,
-                 with_observables: bool) -> SectorReport:
-    electrons, positrons, n_pairs = retained_support(pairs, numerics)
-    k_max = numerics.n_sector_max
-    report = SectorReport(n_sector_max=k_max, c=np.zeros(k_max + 1),
-                          retained_electrons=electrons,
-                          retained_positrons=positrons,
-                          n_retained_pairs=n_pairs)
-    report.c[0] = vac.probability
-
-    total_work = 0
-    e_arr = np.array(electrons, dtype=int)
-    p_arr = np.array(positrons, dtype=int)
-    cv2 = vac.probability
-
-    spin_e = basis.spin_z_plus
-    spin_p = basis.spin_z_minus
-    hel_e = basis.helicity_plus
-    hel_p = basis.helicity_minus
-
-    for n in range(1, k_max + 1):
-        if n > len(e_arr) or n > len(p_arr):
-            break
-        e_subsets = np.array(list(combinations(e_arr, n)), dtype=int)
-        p_subsets = np.array(list(combinations(p_arr, n)), dtype=int)
-        work = len(e_subsets) * len(p_subsets)
-        total_work += work
-        if total_work > budget:
-            raise EnumerationBudgetError(
-                f"sector enumeration needs > {budget} determinants at N={n}; "
-                "raise prune_threshold or lower n_sector_max")
-
-        se = spin_e[e_subsets].sum(axis=1)
-        he = hel_e[e_subsets].sum(axis=1)
-        sp = spin_p[p_subsets].sum(axis=1)
-        hp = hel_p[p_subsets].sum(axis=1)
-
-        c_n = 0.0
-        acc = np.zeros(4)  # sums of prob * (se, he, sp, hp)
-        rows_per_chunk = max(1, _CHUNK // max(1, len(p_subsets)))
-        for i0 in range(0, len(e_subsets), rows_per_chunk):
-            e_chunk = e_subsets[i0:i0 + rows_per_chunk]
-            sub = pairs.omega[e_chunk[:, None, :, None], p_subsets[None, :, None, :]]
-            dets = np.linalg.det(sub)
-            probs = cv2 * np.abs(dets) ** 2
-            c_n += float(probs.sum())
-            if with_observables:
-                row_mass = probs.sum(axis=1)
-                col_mass = probs.sum(axis=0)
-                acc[0] += float(se[i0:i0 + rows_per_chunk] @ row_mass)
-                acc[1] += float(he[i0:i0 + rows_per_chunk] @ row_mass)
-                acc[2] += float(sp @ col_mass)
-                acc[3] += float(hp @ col_mass)
-
-        report.c[n] = c_n
-        if with_observables and c_n > 0.0:
-            report.s_plus[n] = float(acc[0] / c_n)
-            report.h_plus[n] = float(acc[1] / c_n)
-            report.s_minus[n] = float(acc[2] / c_n)
-            report.h_minus[n] = float(acc[3] / c_n)
-
-    report.discarded_mass_bound = float(max(0.0, 1.0 - report.c.sum()))
-    for n in range(1, k_max + 1):
-        report.pruning_flags[n] = bool(
-            report.discarded_mass_bound > 0.01 * max(report.c[n], 1e-300))
-    return report
+def _elementary(lam: np.ndarray) -> np.ndarray:
+    """e_0..e_d of non-negative ``lam`` by the all-positive recurrence."""
+    e = np.zeros(len(lam) + 1)
+    e[0] = 1.0
+    for x in lam:
+        e[1:] += x * e[:-1]
+    return e
 
 
-def sector_probabilities(pairs: PairAmplitudes, vac: VacuumAmplitude,
-                         basis: ModeBasis, numerics: NumericsParams,
-                         budget: int = DEFAULT_DET_BUDGET) -> SectorReport:
-    """c_N for N up to n_sector_max by subset enumeration."""
-    return _sector_pass(pairs, vac, basis, numerics, budget,
-                        with_observables=False)
+def _leave_one_out(lam: np.ndarray, k: int) -> np.ndarray:
+    """Row i holds e_0..e_k of ``lam`` with entry i left out."""
+    d = len(lam)
+    e = np.zeros((d, k + 1))
+    e[:, 0] = 1.0
+    for j, x in enumerate(lam):
+        step = np.full(d, x)
+        step[j] = 0.0
+        e[:, 1:] += step[:, None] * e[:, :-1]
+    return e
+
+
+def _occupations(lam, vecs, e, sectors) -> np.ndarray:
+    """Mean occupation of each mode (row) in each listed sector (column).
+
+    d/dx_k e_N(eig(e^{X/2} M e^{X/2})) at X = diag(x) = 0 is
+    sum_i e_{N-1}(lam without lam_i) lam_i |v_ki|^2 (Hellmann-Feynman), the
+    weight of the N-particle states occupying mode k; it is invariant under
+    rotations within a degenerate eigenspace.
+    """
+    loo = _leave_one_out(lam, max(sectors, default=1) - 1)
+    cols = [n - 1 for n in sectors]
+    return (np.abs(vecs) ** 2) @ (loo[:, cols] * lam[:, None]) / e[sectors]
 
 
 def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
-                       basis: ModeBasis, numerics: NumericsParams,
-                       budget: int = DEFAULT_DET_BUDGET) -> SectorReport:
-    """Full report: c_N plus averaged spin and helicity per sector.
+                       basis: ModeBasis, numerics: NumericsParams) -> SectorReport:
+    """c_N and per-sector mean spin_z/helicity of electrons and positrons.
 
-    Per-mode spin_z/helicity expectations are taken from the mode table for
-    electron and positron labels alike; sectors with zero probability have
-    their observables omitted.
+    Closed form over the full omega.  A sector mean of S is the derivative
+    at x = 0 of the z^N coefficient of det(1 + z omega^dag e^{xS} omega)
+    (electrons; omega e^{xS} omega^dag for positrons) over e_N, i.e. the
+    per-mode values of S dotted into the mean mode occupations, taken from
+    omega omega^dag (electrons) and omega^dag omega (positrons).  The prune
+    threshold only selects the reported retained support.  Sectors with
+    c_N = 0 have their observables omitted.
     """
-    return _sector_pass(pairs, vac, basis, numerics, budget,
-                        with_observables=True)
+    electrons, positrons, n_pairs = retained_support(pairs, numerics)
+    k_max = numerics.n_sector_max
+    omega = pairs.omega
+    cv2 = vac.probability
+
+    lam_p, vec_p = np.linalg.eigh(omega.conj().T @ omega)
+    lam_e, vec_e = np.linalg.eigh(omega @ omega.conj().T)
+    lam_p, lam_e = np.clip(lam_p, 0.0, None), np.clip(lam_e, 0.0, None)
+    e_p = _elementary(lam_p)
+    e_e = _elementary(lam_e)
+
+    n_top = min(k_max, len(lam_p))
+    c = np.zeros(k_max + 1)
+    c[0] = cv2
+    c[1:n_top + 1] = cv2 * e_p[1:n_top + 1]
+    sectors = [n for n in range(1, n_top + 1) if e_p[n] > 0.0 and e_e[n] > 0.0]
+    occ_e = _occupations(lam_e, vec_e, e_e, sectors)
+    occ_p = _occupations(lam_p, vec_p, e_p, sectors)
+
+    def means(mode_values, occ):
+        return {n: float(x) for n, x in zip(sectors, mode_values @ occ)}
+
+    return SectorReport(
+        n_sector_max=k_max, c=c,
+        s_plus=means(basis.spin_z_plus, occ_e),
+        h_plus=means(basis.helicity_plus, occ_e),
+        s_minus=means(basis.spin_z_minus, occ_p),
+        h_minus=means(basis.helicity_minus, occ_p),
+        discarded_mass_bound=float(cv2 * e_p[k_max + 1:].sum()),
+        retained_electrons=electrons, retained_positrons=positrons,
+        n_retained_pairs=n_pairs)

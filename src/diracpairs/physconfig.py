@@ -77,8 +77,8 @@ class NumericsParams:
     n_cut: int                                  # momentum modes n in [-n_cut, n_cut]
     steps_per_cycle: int = 1024
     k0_offset: tuple = (0.0, 0.0, 0.0)          # subspace momentum origin, units of m0
-    prune_threshold: float = 1e-6               # minimum |omega_mn|^2 kept in readout
-    n_sector_max: int = 4                       # largest enumerated pair number
+    prune_threshold: float = 1e-6               # minimum |omega_mn|^2 in the pair list
+    n_sector_max: int = 4                       # largest reported pair number
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,10 @@ def validation_errors(config: RunConfig) -> list:
         bad.append("numerics.k0_offset: must be a 3-vector")
     if not 0.0 <= n.prune_threshold < 1.0:
         bad.append("numerics.prune_threshold: must be in [0, 1)")
-    if not 1 <= n.n_sector_max <= 8:
-        bad.append("numerics.n_sector_max: must be in [1, 8]")
+    n_electron_modes = 2 * (2 * n.n_cut + 1)
+    if not 1 <= n.n_sector_max <= n_electron_modes:
+        bad.append(f"numerics.n_sector_max: must be in [1, {n_electron_modes}]"
+                   " (the electron mode count 2(2 n_cut + 1))")
     return bad
 
 

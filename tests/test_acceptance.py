@@ -19,8 +19,7 @@ from diracpairs import (FieldParams, HelicityRelation,
                         cycle_compose, extract_g_blocks,
                         figure_configs, multi_pair_amplitude, pair_amplitudes,
                         propagate, propagator_segments, propagate_vacuum,
-                        read_amplitude, sector_observables,
-                        sector_probabilities, unitarity_defect,
+                        read_amplitude, sector_observables, unitarity_defect,
                         vacuum_amplitude, vacuum_overlap, with_plateau)
 from diracpairs.multipair import PairAmplitudes, VacuumAmplitude
 
@@ -89,7 +88,7 @@ def test_criterion_1_free_field_identity():
                                                prune_threshold=0.0,
                                                n_sector_max=4))
     basis, u, g, pairs, vac = readout(config)
-    rep = sector_probabilities(pairs, vac, basis, config.numerics)
+    rep = sector_observables(pairs, vac, basis, config.numerics)
     elapsed = time.perf_counter() - t0
     # c_0 is |C_v|^2 identically; "c_0 = 1" shares the stated 1e-12 window
     # (bitwise unity is unattainable for any propagation that actually runs)
@@ -135,9 +134,9 @@ def test_criterion_3_oracle_equivalence(oracle_run):
 
 
 def test_criterion_4_normalization(oracle_run):
-    rep = sector_probabilities(oracle_run["pairs"], oracle_run["vac"],
-                               oracle_run["basis"],
-                               oracle_run["config"].numerics)
+    rep = sector_observables(oracle_run["pairs"], oracle_run["vac"],
+                             oracle_run["basis"],
+                             oracle_run["config"].numerics)
     total = float(rep.c.sum())
     ok = abs(total - 1.0) < 1e-8
     report(4, ok, f"pruning disabled: sum_N c_N = {total!r} (tol 1e-8)")
@@ -269,11 +268,8 @@ def test_criterion_9_symmetry_selection_rules(fig2_run10):
                 max(abs(v) for v in rep2.s_minus.values()))
     h_split = max(abs(rep2.h_plus[n] - rep2.h_minus[n]) for n in rep2.h_plus)
 
-    # opposite helicity: averaged helicity vanishes (desk scale: prune at
-    # 1e-5 to keep the enumeration within budget)
+    # opposite helicity: averaged helicity vanishes (fig4 preset as is)
     config4, _ = figure_configs()["fig4"]
-    config4 = replace(config4, numerics=replace(config4.numerics,
-                                                prune_threshold=1e-5))
     basis4, _, _, pairs4, vac4 = readout(config4)
     rep4 = sector_observables(pairs4, vac4, basis4, config4.numerics)
     h_max = max(max(abs(v) for v in rep4.h_plus.values()),

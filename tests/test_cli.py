@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,6 @@ class TestFigureConfigs:
 
 class TestRunOnce:
     def test_zero_field_row(self):
-        from dataclasses import replace
         config = desk_config()
         config = replace(config, field=replace(config.field, e_peak=0.0))
         row = run_once(config)
@@ -111,6 +111,42 @@ class TestSweep:
         assert first == second
         for p in points:
             assert os.path.getmtime(tmp_path / "points" / p) == stamps[p]
+
+    def test_cache_key_has_scheme_version_and_emit_flags(self, tmp_path,
+                                                         monkeypatch):
+        import diracpairs.cli as cli_mod
+
+        def sweep_rows(spec):
+            with open(run_sweep(spec)["json"]) as fh:
+                return [row_from_dict(r) for r in json.load(fh)["rows"]]
+
+        def poison_points(outdir):
+            # stand-in for rows an older readout or other emit flags left
+            for path in (outdir / "points").iterdir():
+                row = json.loads(path.read_text())
+                row.update(c=[], pair_list=[], error="stale cached row")
+                path.write_text(json.dumps(row))
+
+        def spec_in(outdir, **emit):
+            return SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                             values=[0, 1], outputs=str(outdir),
+                             emit={"sectors": True, "pairs": True,
+                                   "gdump": False, **emit})
+
+        old_scheme = tmp_path / "old_scheme"
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod, "SCHEME_VERSION", cli_mod.SCHEME_VERSION - 1)
+            sweep_rows(spec_in(old_scheme))
+        poison_points(old_scheme)
+        rows = sweep_rows(spec_in(old_scheme))
+        assert all(r.error == "" and r.pair_list for r in rows)
+
+        no_pairs = tmp_path / "no_pairs"
+        assert all(r.pair_list == []
+                   for r in sweep_rows(spec_in(no_pairs, pairs=False)))
+        poison_points(no_pairs)
+        rows = sweep_rows(spec_in(no_pairs))
+        assert all(r.error == "" and r.pair_list for r in rows)
 
     def test_alpha_sweep_spin_selection(self, tmp_path):
         # opposite helicity: zero average spin exactly at linear polarization,

@@ -10,7 +10,7 @@ from diracpairs import (FockBasis, FockDimensionError, HelicityRelation,
                         extract_g_blocks, field_from_si, multi_pair_amplitude,
                         pair_amplitudes, propagate, propagate_vacuum,
                         read_amplitude, second_quantize,
-                        sector_probabilities, sector_probabilities_exact,
+                        sector_observables, sector_probabilities_exact,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
 from diracpairs.fockoracle import ManyBodyState, _TermTable, _ket_sign
 
@@ -285,6 +285,6 @@ class TestCrossPathEquivalence:
         assert worst < 1e-8
 
         numerics = NumericsParams(n_cut=1, prune_threshold=0.0, n_sector_max=6)
-        rep = sector_probabilities(pa, vac, basis, numerics)
+        rep = sector_observables(pa, vac, basis, numerics)
         exact = sector_probabilities_exact(state)
         assert np.max(np.abs(rep.c - exact)) < 1e-8

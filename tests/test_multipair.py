@@ -1,31 +1,87 @@
 import math
-from itertools import permutations
+from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diracpairs import (EnumerationBudgetError, GBlocks, HelicityRelation,
-                        IllConditionedError, NumericsParams, build_basis,
-                        field_from_si, multi_pair_amplitude, pair_amplitudes,
+from diracpairs import (GBlocks, HelicityRelation, IllConditionedError,
+                        NumericsParams, build_basis, field_from_si,
+                        multi_pair_amplitude, pair_amplitudes,
                         retained_support, sector_observables,
-                        sector_probabilities, single_pair_list,
-                        vacuum_amplitude)
+                        single_pair_list, vacuum_amplitude)
 from diracpairs.multipair import PairAmplitudes, VacuumAmplitude
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
+
+
+def haar_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_unitary_gblocks(rng, m_plus, m_minus):
     """GBlocks carved out of a Haar-ish random unitary, so the usual
     column-unitarity constraints hold exactly."""
     dim = m_plus + m_minus
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    u = haar_unitary(rng, dim)
     plus = np.arange(m_plus)
     minus = np.arange(m_plus, dim)
     return GBlocks(g_pm=u[np.ix_(plus, minus)], g_mm=u[np.ix_(minus, minus)],
                    g_pp=u[np.ix_(plus, plus)], g_mp=u[np.ix_(minus, plus)])
+
+
+def cs_unitary_gblocks(rng, angles):
+    """GBlocks of the unitary diag(A, C) [[cos, sin], [-sin, cos]] diag(D, B)^dag
+    with Haar A, B, C, D: omega = -A tan(angles) C^dag, so the spectrum of
+    omega^dag omega is tan(angles)^2, degeneracies included."""
+    m = len(angles)
+    a, b, c, d = (haar_unitary(rng, m) for _ in range(4))
+    cos, sin = np.diag(np.cos(angles)), np.diag(np.sin(angles))
+    return GBlocks(g_pm=a @ sin @ b.conj().T, g_mm=c @ cos @ b.conj().T,
+                   g_pp=a @ cos @ d.conj().T, g_mp=-c @ sin @ d.conj().T)
+
+
+def brute_force_sectors(omega, cv2, electron_values, positron_values):
+    """Reference readout by explicit subset enumeration (omega up to 6x6).
+
+    Returns c_N for every N and, per N with c_N > 0, the probability-weighted
+    mean over canonical states of each additive observable summed over the
+    occupied electron (positron) labels.
+    """
+    m_e, m_p = omega.shape
+    assert max(m_e, m_p) <= 6
+    n_max = min(m_e, m_p)
+    c = np.zeros(n_max + 1)
+    c[0] = cv2
+    means_e = [{} for _ in electron_values]
+    means_p = [{} for _ in positron_values]
+    for n in range(1, n_max + 1):
+        acc_e = np.zeros(len(electron_values))
+        acc_p = np.zeros(len(positron_values))
+        for es in combinations(range(m_e), n):
+            for ps in combinations(range(m_p), n):
+                prob = cv2 * abs(np.linalg.det(omega[np.ix_(es, ps)])) ** 2
+                c[n] += prob
+                acc_e += prob * np.array([v[list(es)].sum()
+                                          for v in electron_values])
+                acc_p += prob * np.array([v[list(ps)].sum()
+                                          for v in positron_values])
+        if c[n] > 0.0:
+            for means, acc in ((means_e, acc_e), (means_p, acc_p)):
+                for mean, total in zip(means, acc):
+                    mean[n] = total / c[n]
+    return c, means_e, means_p
+
+
+def mode_table(rng, m):
+    """Stand-in for ModeBasis: spin_z = +-1/2 and arbitrary helicities."""
+    return SimpleNamespace(spin_z_plus=rng.choice([-0.5, 0.5], size=m),
+                           spin_z_minus=rng.choice([-0.5, 0.5], size=m),
+                           helicity_plus=rng.uniform(-0.5, 0.5, size=m),
+                           helicity_minus=rng.uniform(-0.5, 0.5, size=m))
 
 
 def zero_field_gblocks(m):
@@ -171,7 +227,7 @@ class TestSectorProbabilities:
 
     def test_zero_omega_pure_vacuum(self):
         pa, vac = synthetic_state(np.zeros((6, 6)))
-        rep = sector_probabilities(pa, vac, self.basis(), self.numerics())
+        rep = sector_observables(pa, vac, self.basis(), self.numerics())
         assert rep.c[0] == 1.0
         assert np.all(rep.c[1:] == 0.0)
 
@@ -179,7 +235,7 @@ class TestSectorProbabilities:
         omega = np.zeros((6, 6), dtype=complex)
         omega[2, 3] = 0.7 - 0.2j
         pa, vac = synthetic_state(omega)
-        rep = sector_probabilities(pa, vac, self.basis(), self.numerics())
+        rep = sector_observables(pa, vac, self.basis(), self.numerics())
         assert rep.c[1] == pytest.approx(abs(vac.c_v * omega[2, 3]) ** 2, rel=1e-12)
         assert np.all(rep.c[2:] == 0.0)
         assert rep.c.sum() == pytest.approx(1.0, abs=1e-12)
@@ -190,7 +246,7 @@ class TestSectorProbabilities:
         omega[0, 1] = w1
         omega[4, 2] = w2
         pa, vac = synthetic_state(omega)
-        rep = sector_probabilities(pa, vac, self.basis(), self.numerics())
+        rep = sector_observables(pa, vac, self.basis(), self.numerics())
         cv2 = vac.probability
         assert rep.c[1] == pytest.approx(cv2 * (abs(w1) ** 2 + abs(w2) ** 2),
                                          rel=1e-12)
@@ -204,8 +260,8 @@ class TestSectorProbabilities:
             g = random_unitary_gblocks(rng, 6, 6)
             pa = pair_amplitudes(g)
             vac = vacuum_amplitude(g)
-            rep = sector_probabilities(pa, vac, basis,
-                                       self.numerics(n_sector_max=6))
+            rep = sector_observables(pa, vac, basis,
+                                     self.numerics(n_sector_max=6))
             assert rep.c.sum() == pytest.approx(1.0, abs=1e-8)
             assert rep.discarded_mass_bound < 1e-8
 
@@ -215,8 +271,8 @@ class TestSectorProbabilities:
         g = random_unitary_gblocks(rng, 6, 6)
         pa = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
-        rep = sector_probabilities(pa, vac, self.basis(),
-                                   self.numerics(n_sector_max=6))
+        rep = sector_observables(pa, vac, self.basis(),
+                                 self.numerics(n_sector_max=6))
         lam = np.linalg.eigvalsh(pa.omega.conj().T @ pa.omega)
         poly = np.poly(lam)  # [1, -e1, +e2, ...]
         for n in range(0, 7):
@@ -233,32 +289,44 @@ class TestSectorProbabilities:
         a1 = multi_pair_amplitude(pa, vac, [0], [0]).amplitude
         a2 = multi_pair_amplitude(pa, vac, [0, 1], [0, 1]).amplitude
         assert abs(a2) > abs(a1)
-        rep = sector_probabilities(pa, vac, self.basis(), self.numerics())
+        rep = sector_observables(pa, vac, self.basis(), self.numerics())
         assert rep.c[2] > rep.c[1]
         assert rep.c.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_budget_guard(self):
+    def test_fig4_size_omega_at_prune_zero(self):
+        # 18x18 labels all retained: 324 single pairs, as in the fig4 preset
         rng = np.random.default_rng(14)
-        g = random_unitary_gblocks(rng, 6, 6)
+        g = random_unitary_gblocks(rng, 18, 18)
         pa = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
-        with pytest.raises(EnumerationBudgetError, match="prune_threshold"):
-            sector_probabilities(pa, vac, self.basis(),
-                                 self.numerics(n_sector_max=4), budget=10)
+        numerics = NumericsParams(n_cut=4, prune_threshold=0.0, n_sector_max=4)
+        basis = build_basis(numerics, FIELD)
+        rep = sector_observables(pa, vac, basis, numerics)
+        assert rep.n_retained_pairs == 18 * 18
+        assert rep.discarded_mass_bound > 0.0
+        assert abs(rep.c.sum() + rep.discarded_mass_bound - 1.0) <= 1e-10
+        assert sorted(rep.s_plus) == [1, 2, 3, 4]
 
-    def test_pruning_reports_discarded_mass(self):
+    def test_prune_threshold_only_trims_pair_list(self):
         rng = np.random.default_rng(15)
         g = random_unitary_gblocks(rng, 6, 6)
         pa = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
-        full = sector_probabilities(pa, vac, self.basis(),
-                                    self.numerics(n_sector_max=6))
-        pruned = sector_probabilities(
-            pa, vac, self.basis(),
-            self.numerics(n_sector_max=6, prune_threshold=0.05))
-        assert pruned.discarded_mass_bound >= full.discarded_mass_bound
-        assert pruned.discarded_mass_bound == pytest.approx(
-            1.0 - pruned.c.sum(), abs=1e-14)
+        basis = self.basis()
+        full = sector_observables(pa, vac, basis, self.numerics(n_sector_max=3))
+        pruned_numerics = self.numerics(n_sector_max=3, prune_threshold=0.05)
+        pruned = sector_observables(pa, vac, basis, pruned_numerics)
+        assert full.n_retained_pairs == 36
+        assert pruned.n_retained_pairs < full.n_retained_pairs
+        assert len(single_pair_list(pa, vac, pruned_numerics)) == \
+            pruned.n_retained_pairs
+        assert np.array_equal(pruned.c, full.c)
+        for name in ("s_plus", "s_minus", "h_plus", "h_minus"):
+            assert getattr(pruned, name) == getattr(full, name)
+        assert pruned.discarded_mass_bound == full.discarded_mass_bound
+        c_ref, _, _ = brute_force_sectors(pa.omega, vac.probability, [], [])
+        assert pruned.discarded_mass_bound == pytest.approx(c_ref[4:].sum(),
+                                                            abs=1e-12)
 
     def test_retained_support_threshold(self):
         omega = np.zeros((4, 4), dtype=complex)
@@ -341,3 +409,41 @@ class TestSinglePairList:
         top = single_pair_list(pa, vac, numerics, top=2)
         assert len(top) == 2
         assert abs(top[0].amplitude) >= abs(top[1].amplitude)
+
+
+angle = st.one_of(st.just(0.0), st.floats(0.1, 1.2))
+
+
+class TestClosedFormAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           angles=st.lists(angle, min_size=1, max_size=6),
+           four_fold=st.booleans(), data=st.data())
+    def test_matches_brute_force(self, seed, angles, four_fold, data):
+        # tan(angle)^2 is the spectrum of omega^dag omega; the four-fold case
+        # makes four of its eigenvalues equal
+        if four_fold and len(angles) >= 4:
+            angles[1:4] = [angles[0]] * 3
+        k_max = data.draw(st.integers(1, len(angles)), label="n_sector_max")
+        rng = np.random.default_rng(seed)
+        g = cs_unitary_gblocks(rng, np.array(angles))
+        pa = pair_amplitudes(g)
+        vac = vacuum_amplitude(g)
+        modes = mode_table(rng, len(angles))
+        rep = sector_observables(pa, vac, modes,
+                                 NumericsParams(n_cut=1, prune_threshold=0.0,
+                                                n_sector_max=k_max))
+        c_ref, (s_e, h_e), (s_p, h_p) = brute_force_sectors(
+            pa.omega, vac.probability,
+            [modes.spin_z_plus, modes.helicity_plus],
+            [modes.spin_z_minus, modes.helicity_minus])
+
+        assert rep.c[0] == vac.probability
+        assert np.max(np.abs(rep.c - c_ref[:k_max + 1])) <= 1e-12
+        assert abs(rep.discarded_mass_bound - c_ref[k_max + 1:].sum()) <= 1e-12
+        # sectors past the rank of omega hold roundoff only
+        rank = sum(a > 0.0 for a in angles)
+        for got, ref in ((rep.s_plus, s_e), (rep.h_plus, h_e),
+                         (rep.s_minus, s_p), (rep.h_minus, h_p)):
+            for n in range(1, min(k_max, rank) + 1):
+                assert abs(got[n] - ref[n]) <= 1e-12

@@ -108,6 +108,17 @@ class TestValidate:
         errors = validation_errors(make_config(field=field))
         assert any("helicity_relation" in e for e in errors)
 
+    def test_sector_cap_is_electron_mode_count(self):
+        # n_cut = 4: 18 electron modes, so every sector up to 18 is allowed
+        assert validate(make_config(numerics=NumericsParams(
+            n_cut=4, n_sector_max=18)))
+        errors = validation_errors(make_config(numerics=NumericsParams(
+            n_cut=1, n_sector_max=7)))
+        assert errors == ["numerics.n_sector_max: must be in [1, 6] "
+                          "(the electron mode count 2(2 n_cut + 1))"]
+        assert not validation_errors(make_config(numerics=NumericsParams(
+            n_cut=1, n_sector_max=6)))
+
     def test_violations_aggregate_with_paths(self):
         config = make_config(
             window=WindowParams(ramp_cycles=0, plateau_cycles=-1),

@@ -33,8 +33,8 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 TOP_PAIRS_IN_ROW = 8
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config changes, so points cached by an older scheme are redone.
-SCHEME_VERSION = 2
-DEFAULT_EMIT = {"sectors": True, "pairs": True, "gdump": False}
+SCHEME_VERSION = 3
+DEFAULT_EMIT = {"pairs": True, "gdump": False}
 
 
 @dataclass
@@ -76,21 +76,12 @@ def _label_str(basis: ModeBasis, band: Band, half_index: int) -> str:
 
 
 def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
-             sweep_value, with_sectors: bool = True,
+             g: dynamics.GBlocks, sweep_value=None,
              with_pairs: bool = True) -> ResultRow:
-    g = dynamics.extract_g_blocks(u, basis, config)
     pairs = multipair.pair_amplitudes(g)
     vac = multipair.vacuum_amplitude(g)
     retained = multipair.single_pair_list(pairs, vac, config.numerics)
-    if with_sectors:
-        report = multipair.sector_observables(pairs, vac, basis, config.numerics)
-    else:
-        report = multipair.SectorReport(
-            n_sector_max=config.numerics.n_sector_max,
-            c=np.full(config.numerics.n_sector_max + 1, np.nan),
-            discarded_mass_bound=float("nan"),
-            n_retained_pairs=len(retained))
-        report.c[0] = vac.probability
+    report = multipair.sector_observables(pairs, vac, basis, config.numerics)
     top_pairs = [(_label_str(basis, Band.PLUS, a.electrons[0]),
                   _label_str(basis, Band.MINUS, a.positrons[0]),
                   float(abs(a.amplitude) ** 2))
@@ -116,13 +107,13 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
     )
 
 
-def run_once(config: RunConfig, sweep_value=None, with_sectors: bool = True,
-             with_pairs: bool = True) -> ResultRow:
+def run_once(config: RunConfig) -> ResultRow:
     """Propagate one configuration and read out the full pair content."""
     validate(config)
     basis = build_basis(config.numerics, config.field)
     u = dynamics.propagate(config, basis)
-    return _readout(config, basis, u, sweep_value, with_sectors, with_pairs)
+    g = dynamics.extract_g_blocks(u, basis, config)
+    return _readout(config, basis, u, g)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +243,10 @@ def _outdir(spec: SweepSpec) -> str:
 def run_sweep(spec: SweepSpec) -> dict:
     """Run all sweep points; returns {"csv": path, "json": path}.
 
-    Plateau sweeps reuse the ramp and one-cycle propagators across points.
-    Failed points are recorded with their error string and the sweep
-    continues.
+    Every point composes its plateau from the turn-on, one-cycle and
+    turn-off propagators, which are integrated again only when a point
+    differs from the previous one in more than its plateau length.  Failed
+    points are recorded with their error string and the sweep continues.
     """
     if not spec.values:
         raise ValidationError("sweep: values must be non-empty")
@@ -263,12 +255,10 @@ def run_sweep(spec: SweepSpec) -> dict:
     points_dir = os.path.join(outdir, "points")
     os.makedirs(points_dir, exist_ok=True)
     emit = {k: bool(v) for k, v in {**DEFAULT_EMIT, **spec.emit}.items()}
-    with_sectors, with_pairs = emit["sectors"], emit["pairs"]
     flags = "".join(k[0] for k in DEFAULT_EMIT if emit[k])
     key_suffix = f"-v{SCHEME_VERSION}-{flags}"
 
-    segments = None
-    basis = build_basis(spec.base.numerics, spec.base.field)
+    segments_for = None
     rows = []
     for value in spec.values:
         config = _point_config(spec, value)
@@ -279,23 +269,20 @@ def run_sweep(spec: SweepSpec) -> dict:
                 rows.append(row_from_dict(json.load(fh)))
             continue
         try:
-            if spec.sweep_axis == "plateau_cycles":
-                if segments is None:
-                    segments = dynamics.propagator_segments(spec.base, basis)
-                u = dynamics.cycle_compose(*segments, int(value))
-                row = _readout(config, basis, u, float(value), with_sectors,
-                               with_pairs)
-                if emit["gdump"]:
-                    g = dynamics.extract_g_blocks(u, basis, config)
-                    for name, matrix in (("u", u.matrix), ("gpm", g.g_pm),
-                                         ("gmm", g.g_mm)):
-                        dynamics.dump_complex_matrix(
-                            os.path.join(points_dir, f"{tag}-{name}.bin"),
-                            matrix)
-            else:
-                row = run_once(config, sweep_value=float(value),
-                               with_sectors=with_sectors,
-                               with_pairs=with_pairs)
+            validate(config)
+            bare = with_plateau(config, 0)
+            if bare != segments_for:
+                basis = build_basis(config.numerics, config.field)
+                segments = dynamics.propagator_segments(bare, basis)
+                segments_for = bare
+            u = dynamics.cycle_compose(*segments, config.window.plateau_cycles)
+            g = dynamics.extract_g_blocks(u, basis, config)
+            row = _readout(config, basis, u, g, float(value), emit["pairs"])
+            if emit["gdump"]:
+                for name, matrix in (("u", u.matrix), ("gpm", g.g_pm),
+                                     ("gmm", g.g_mm)):
+                    dynamics.dump_complex_matrix(
+                        os.path.join(points_dir, f"{tag}-{name}.bin"), matrix)
         except (ValidationError, NumericalToleranceError) as exc:
             row = ResultRow(sweep_value=float(value),
                             plateau_cycles=config.window.plateau_cycles,

@@ -8,9 +8,12 @@ of the vector potential (charge sign folded into the m0/e units of A).
 
 Propagation uses the exponential midpoint rule, with each substep
 exponential evaluated by eigendecomposition of the Hermitian H(t_mid), so
-every step is unitary to roundoff.  A plateau of j whole cycles can be
-covered by binary powering of the one-cycle propagator, since the carrier
-phase repeats exactly on integer-cycle boundaries.
+every step is unitary to roundoff.  Every propagator of the window is
+composed from three integrated segments, turn-on, one plateau cycle and
+turn-off: since the carrier phase repeats exactly on integer-cycle
+boundaries, a plateau of j whole cycles is the one-cycle propagator raised
+to the j-th power by binary exponentiation.  A run therefore integrates
+2*ramp + 1 cycles whatever its plateau length.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     """Time-ordered midpoint product over [t0, t1] in cycles.
 
     Supports t1 < t0 (reversed stepping).  Returns (matrix, n_steps).
+    Over the whole window of ``config`` (the default) it is the direct
+    reference that composed propagators are tested against.
     """
     field = config.field
     window = config.window if window is None else window
@@ -118,19 +123,8 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
 def propagate(config: RunConfig, basis: ModeBasis,
               unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> Propagator:
     """Full propagator over [0, 2*ramp + plateau] cycles."""
-    total = config.window.total_cycles
-    u, n_steps = _integrate(basis, config, 0.0, float(total))
-    defect = unitarity_defect(u)
-    if defect > unitarity_tol:
-        raise UnitarityError(
-            f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e} after "
-            f"{n_steps} steps at steps_per_cycle="
-            f"{config.numerics.steps_per_cycle}; each step is unitary to "
-            "roundoff, so more steps cannot restore it: H was non-finite or "
-            "non-Hermitian, or roundoff accumulated")
-    return Propagator(matrix=u, t_span_cycles=(0.0, float(total)),
-                      steps=n_steps, unitarity_defect=defect,
-                      config_tag=config_hash(config))
+    return cycle_compose(*propagator_segments(config, basis, unitarity_tol),
+                         config.window.plateau_cycles)
 
 
 def propagator_segments(config: RunConfig, basis: ModeBasis,
@@ -142,7 +136,7 @@ def propagator_segments(config: RunConfig, basis: ModeBasis,
     exactly one period starting at the plateau phase.
     """
     ramp = config.window.ramp_cycles
-    window_one = replace(config.window, plateau_cycles=max(config.window.plateau_cycles, 1))
+    window_one = replace(config.window, plateau_cycles=1)
     window_zero = replace(config.window, plateau_cycles=0)
 
     tag = config_hash(config)
@@ -155,7 +149,10 @@ def propagator_segments(config: RunConfig, basis: ModeBasis,
         if defect > unitarity_tol:
             raise UnitarityError(
                 f"{part} segment unitarity defect {defect:.3e} exceeds "
-                f"{unitarity_tol:.1e}")
+                f"{unitarity_tol:.1e} after {steps} steps at steps_per_cycle="
+                f"{config.numerics.steps_per_cycle}; each step is unitary to "
+                "roundoff, so more steps cannot restore it: H was non-finite "
+                "or non-Hermitian, or roundoff accumulated")
         return Propagator(matrix=m, t_span_cycles=span, steps=steps,
                           unitarity_defect=defect, config_tag=f"{tag}:{part}")
 

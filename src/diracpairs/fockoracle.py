@@ -233,8 +233,10 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis,
                      norm_tol: float = NORM_TOL) -> ManyBodyState:
     """Evolve |0> over the full window with the midpoint rule.
 
-    Mirrors the time grid of dynamics.propagate step for step, so the
-    comparison with the determinant path is free of discretization error.
+    Steps directly through all 2*ramp + plateau cycles on the midpoint grid
+    of the single-particle segments (1/steps_per_cycle cycles), so it is an
+    independent reference for the composed propagator and the comparison
+    is free of discretization error.
     """
     _check_dim(basis)
     fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)

@@ -21,6 +21,7 @@ from diracpairs import (FieldParams, HelicityRelation,
                         propagate, propagator_segments, propagate_vacuum,
                         read_amplitude, sector_observables, unitarity_defect,
                         vacuum_amplitude, vacuum_overlap, with_plateau)
+from diracpairs.dynamics import _integrate
 from diracpairs.multipair import PairAmplitudes, VacuumAmplitude
 
 
@@ -200,12 +201,13 @@ def test_criterion_7_cycle_composition():
     segments = propagator_segments(config, basis)
     worst = 0.0
     for j in (1, 7, 32):
-        direct = propagate(with_plateau(config, j), basis)
+        plateau_j = with_plateau(config, j)
+        direct, _ = _integrate(basis, plateau_j, 0.0,
+                               float(plateau_j.window.total_cycles))
         composed = cycle_compose(*segments, j)
-        worst = max(worst, float(np.max(np.abs(direct.matrix
-                                               - composed.matrix))))
+        worst = max(worst, float(np.max(np.abs(direct - composed.matrix))))
     ok = worst < 1e-9
-    report(7, ok, f"composed vs direct for j in (1, 7, 32): "
+    report(7, ok, f"composed vs direct integration for j in (1, 7, 32): "
                   f"max |diff| {worst:.2e} (tol 1e-9)")
 
     # speedup benchmark (report only, not a gate): same integrator cost
@@ -218,9 +220,11 @@ def test_criterion_7_cycle_composition():
     for j in range(0, 401):
         cycle_compose(*bench_segments, j)
     composed_time = time.perf_counter() - t0
+    bench_20 = with_plateau(bench, 20)
+    total = bench_20.window.total_cycles
     t0 = time.perf_counter()
-    propagate(with_plateau(bench, 20), bench_basis)
-    per_cycle = (time.perf_counter() - t0) / (20 + 2 * bench.window.ramp_cycles)
+    _integrate(bench_basis, bench_20, 0.0, float(total))
+    per_cycle = (time.perf_counter() - t0) / total
     direct_estimate = sum(per_cycle * (j + 2 * bench.window.ramp_cycles)
                           for j in range(0, 401))
     print(f"\nACCEPTANCE 7 (benchmark report): composed sweep j<=400 took "

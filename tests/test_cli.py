@@ -70,6 +70,23 @@ class TestRunOnce:
         r2 = csv_row(run_once(config), k)
         assert r1 == r2
 
+    def test_run_integrates_ramps_and_one_cycle(self, monkeypatch):
+        # the plateau is composed from one integrated cycle, so the step
+        # count does not grow with plateau_cycles
+        import diracpairs.dynamics as dynamics_mod
+        real = dynamics_mod.assemble_hamiltonian
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(dynamics_mod, "assemble_hamiltonian", counted)
+        config = desk_config(plateau=3)
+        run_once(config)
+        assert len(calls) == ((2 * config.window.ramp_cycles + 1)
+                              * config.numerics.steps_per_cycle)
+
     def test_row_round_trip(self):
         row = run_once(desk_config())
         again = row_from_dict(json.loads(json.dumps(row_to_dict(row))))
@@ -92,7 +109,7 @@ class TestSweep:
         with open(paths["json"]) as fh:
             data = json.load(fh)
         row = row_from_dict(data["rows"][0])
-        direct = run_once(with_plateau(config, 0), sweep_value=0.0)
+        direct = run_once(with_plateau(config, 0))
         assert row.cv_abs2 == pytest.approx(direct.cv_abs2, abs=1e-12)
         assert np.allclose(row.c, direct.c, atol=1e-12)
 
@@ -180,13 +197,18 @@ class TestSweep:
     def test_k0_sweep_changes_subspace(self, tmp_path):
         config = desk_config(plateau=1)
         spec = SweepSpec(base=config, sweep_axis="k0_z", values=[0.0, 0.1],
-                         outputs=str(tmp_path))
+                         outputs=str(tmp_path), emit={"gdump": True})
         paths = run_sweep(spec)
         with open(paths["json"]) as fh:
             rows = [row_from_dict(r) for r in json.load(fh)["rows"]]
         assert all(r.error == "" for r in rows)
         # moving the subspace origin changes the pair content
         assert rows[0].cv_abs2 != rows[1].cv_abs2
+        # gdump holds on every sweep axis, not only plateau_cycles
+        dumped = [f for f in os.listdir(tmp_path / "points")
+                  if f.endswith(".bin")]
+        assert sorted(f.rsplit("-", 1)[1] for f in dumped) == \
+            ["gmm.bin", "gmm.bin", "gpm.bin", "gpm.bin", "u.bin", "u.bin"]
 
     def test_emit_flags_control_outputs(self, tmp_path):
         config = desk_config(plateau=1)
@@ -197,7 +219,8 @@ class TestSweep:
         with open(paths["json"]) as fh:
             row = json.load(fh)["rows"][0]
         assert row["pair_list"] == []
-        assert row["c"][1] is None  # sectors skipped -> NaN -> null
+        # "sectors" is no longer a flag: unknown keys are ignored
+        assert len(row["c"]) == 3 and all(x is not None for x in row["c"])
         dumped = [f for f in os.listdir(tmp_path / "points")
                   if f.endswith(".bin")]
         assert {f.rsplit("-", 1)[1] for f in dumped} == \
@@ -256,7 +279,7 @@ class TestCommandLine:
         cfg_path = self.write_config(tmp_path, desk_config())
         import diracpairs.cli as cli_mod
 
-        def boom(config, sweep_value=None, with_sectors=True):
+        def boom(config):
             raise UnitarityError("synthetic defect")
 
         monkeypatch.setattr(cli_mod, "run_once", boom)

@@ -140,18 +140,23 @@ class TestCycleCompose:
         self.basis = build_basis(self.config.numerics, self.config.field)
         self.segments = propagator_segments(self.config, self.basis)
 
+    def direct(self, j):
+        """Step-by-step integration over the whole window of plateau j."""
+        config = with_plateau(self.config, j)
+        u, _ = _integrate(self.basis, config, 0.0,
+                          float(config.window.total_cycles))
+        return u
+
     def test_zero_plateau_is_off_times_on(self):
         u_on, _, u_off = self.segments
         composed = cycle_compose(*self.segments, 0)
         assert np.array_equal(composed.matrix, u_off.matrix @ u_on.matrix)
-        direct = propagate(with_plateau(self.config, 0), self.basis)
-        assert np.max(np.abs(composed.matrix - direct.matrix)) < 1e-12
+        assert np.max(np.abs(composed.matrix - self.direct(0))) < 1e-12
 
     @pytest.mark.parametrize("j", [1, 7, 32])
     def test_matches_direct_propagation(self, j):
         composed = cycle_compose(*self.segments, j)
-        direct = propagate(with_plateau(self.config, j), self.basis)
-        assert np.max(np.abs(composed.matrix - direct.matrix)) < 1e-10
+        assert np.max(np.abs(composed.matrix - self.direct(j))) < 1e-10
         assert composed.unitarity_defect < 1e-10
 
     def test_long_powering_stays_unitary(self):

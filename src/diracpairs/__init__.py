@@ -14,9 +14,8 @@ from .errors import (ValidationError, FockDimensionError,
                      IllConditionedError, NormDriftError)
 from .physconfig import (E_SCHWINGER_V_PER_M, HelicityRelation, FieldParams,
                          WindowParams, NumericsParams, RunConfig, xi,
-                         field_from_si, e_peak_to_si, validate,
-                         validation_errors, config_to_dict, config_from_dict,
-                         config_to_json, config_from_json, config_hash,
+                         field_from_si, validate, validation_errors,
+                         config_to_dict, config_from_dict, config_hash,
                          with_plateau)
 from .fieldmodel import (JonesAmplitude, FourierPotential, envelope,
                          envelope_derivative, beam_jones, potential_at,
@@ -24,7 +23,7 @@ from .fieldmodel import (JonesAmplitude, FourierPotential, envelope,
                          electric_field_at, JONES_LEFT, JONES_RIGHT)
 from .modebasis import (Band, Spin, ModeLabel, FreeMode, ModeBasis,
                         build_basis, free_modes_at, free_hamiltonian,
-                        free_phase, ALPHA, BETA, SIGMA_BIG)
+                        ALPHA, BETA, SIGMA_BIG)
 from .dynamics import (Propagator, GBlocks, assemble_hamiltonian, propagate,
                        propagator_segments, cycle_compose, extract_g_blocks,
                        unitarity_defect, dump_complex_matrix,

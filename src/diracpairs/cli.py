@@ -28,34 +28,36 @@ from .fieldmodel import electric_field_at, potential_vector_at
 from .modebasis import Band, ModeBasis, Spin, build_basis
 from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          HelicityRelation, config_from_dict, config_to_dict,
-                         config_hash, field_from_si, validate, with_plateau)
+                         config_hash, field_from_si, paired_alpha, validate,
+                         with_plateau, _parse, _plain)
 
 TOP_PAIRS_IN_ROW = 8
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config changes, so points cached by an older scheme are redone.
-SCHEME_VERSION = 3
-DEFAULT_EMIT = {"pairs": True, "gdump": False}
+SCHEME_VERSION = 4
+
+Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
 
 @dataclass
 class ResultRow:
-    """Flat readout of one run, mirroring the sector report."""
+    """Flat readout of one run; a failed sweep point keeps the NaN defaults."""
 
-    sweep_value: float | None
+    sweep_value: float           # NaN outside a sweep
     plateau_cycles: int
     total_cycles: int
-    cv_abs2: float
-    c: list
-    s_plus: dict
-    s_minus: dict
-    h_plus: dict
-    h_minus: dict
-    top_pairs: list              # (electron label str, positron label str, prob)
-    unitarity_defect: float
-    cond_gmm: float
-    discarded_mass: float
-    n_retained_pairs: int
-    pair_list: list = field(default_factory=list)  # full retained set (JSON only)
+    cv_abs2: float = math.nan
+    c: list[float] = field(default_factory=list)
+    s_plus: dict[int, float] = field(default_factory=dict)
+    s_minus: dict[int, float] = field(default_factory=dict)
+    h_plus: dict[int, float] = field(default_factory=dict)
+    h_minus: dict[int, float] = field(default_factory=dict)
+    top_pairs: list[Pair] = field(default_factory=list)
+    unitarity_defect: float = math.nan
+    cond_gmm: float = math.nan
+    discarded_mass: float = math.nan
+    n_retained_pairs: int = 0
+    pair_list: list[Pair] = field(default_factory=list)  # all retained (JSON only)
     error: str = ""
 
 
@@ -63,9 +65,9 @@ class ResultRow:
 class SweepSpec:
     base: RunConfig
     sweep_axis: str              # plateau_cycles | alpha_plus | k0_z
-    values: list
-    outputs: str
-    emit: dict = field(default_factory=lambda: dict(DEFAULT_EMIT))
+    values: list[float]
+    outputs: str = "out"
+    emit: dict[str, bool] = field(default_factory=dict)  # gdump; other keys ignored
 
 
 def _label_str(basis: ModeBasis, band: Band, half_index: int) -> str:
@@ -76,29 +78,23 @@ def _label_str(basis: ModeBasis, band: Band, half_index: int) -> str:
 
 
 def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
-             g: dynamics.GBlocks, sweep_value=None,
-             with_pairs: bool = True) -> ResultRow:
+             g: dynamics.GBlocks, sweep_value=math.nan) -> ResultRow:
     pairs = multipair.pair_amplitudes(g)
     vac = multipair.vacuum_amplitude(g)
     retained = multipair.single_pair_list(pairs, vac, config.numerics)
     report = multipair.sector_observables(pairs, vac, basis, config.numerics)
-    top_pairs = [(_label_str(basis, Band.PLUS, a.electrons[0]),
+    pair_list = [(_label_str(basis, Band.PLUS, a.electrons[0]),
                   _label_str(basis, Band.MINUS, a.positrons[0]),
-                  float(abs(a.amplitude) ** 2))
-                 for a in retained[:TOP_PAIRS_IN_ROW]]
-    pair_list = [list(t) for t in (
-        (_label_str(basis, Band.PLUS, a.electrons[0]),
-         _label_str(basis, Band.MINUS, a.positrons[0]),
-         float(abs(a.amplitude) ** 2)) for a in retained)] if with_pairs else []
+                  float(abs(a.amplitude) ** 2)) for a in retained]
     return ResultRow(
         sweep_value=sweep_value,
         plateau_cycles=config.window.plateau_cycles,
         total_cycles=config.window.total_cycles,
         cv_abs2=vac.probability,
         c=[float(x) for x in report.c],
-        s_plus=dict(report.s_plus), s_minus=dict(report.s_minus),
-        h_plus=dict(report.h_plus), h_minus=dict(report.h_minus),
-        top_pairs=top_pairs,
+        s_plus=report.s_plus, s_minus=report.s_minus,
+        h_plus=report.h_plus, h_minus=report.h_minus,
+        top_pairs=pair_list[:TOP_PAIRS_IN_ROW],
         unitarity_defect=u.unitarity_defect,
         cond_gmm=pairs.cond_mm,
         discarded_mass=report.discarded_mass_bound,
@@ -120,15 +116,25 @@ def run_once(config: RunConfig) -> ResultRow:
 # CSV / JSON serialization
 # ---------------------------------------------------------------------------
 
+def _csv_cells(row: ResultRow, n_sector_max: int) -> dict:
+    """CSV column -> value; the columns depend on n_sector_max only."""
+    sectors = range(1, n_sector_max + 1)
+    c = list(row.c) + [math.nan] * (n_sector_max + 1)
+    e_lbl, p_lbl, prob = row.top_pairs[0] if row.top_pairs else ("", "", None)
+    cells = {"sweep_value": row.sweep_value, "plateau_cycles": row.plateau_cycles,
+             "total_cycles": row.total_cycles, "cv_abs2": row.cv_abs2}
+    cells.update((f"c_{n}", c[n]) for n in sectors)
+    for name in ("s_plus", "s_minus", "h_plus", "h_minus"):
+        cells.update((f"{name}_{n}", getattr(row, name).get(n)) for n in sectors)
+    cells.update(top_pair_prob=prob, top_pair_electron=e_lbl,
+                 top_pair_positron=p_lbl, unitarity_defect=row.unitarity_defect,
+                 cond_gmm=row.cond_gmm, discarded_mass=row.discarded_mass,
+                 n_retained_pairs=row.n_retained_pairs, error=row.error)
+    return cells
+
+
 def csv_header(n_sector_max: int) -> str:
-    cols = ["sweep_value", "plateau_cycles", "total_cycles", "cv_abs2"]
-    cols += [f"c_{n}" for n in range(1, n_sector_max + 1)]
-    for prefix in ("s_plus", "s_minus", "h_plus", "h_minus"):
-        cols += [f"{prefix}_{n}" for n in range(1, n_sector_max + 1)]
-    cols += ["top_pair_prob", "top_pair_electron", "top_pair_positron",
-             "unitarity_defect", "cond_gmm", "discarded_mass",
-             "n_retained_pairs", "error"]
-    return ",".join(cols)
+    return ",".join(_csv_cells(ResultRow(math.nan, 0, 0), n_sector_max))
 
 
 def _fmt(x) -> str:
@@ -143,74 +149,15 @@ def _fmt(x) -> str:
 
 
 def csv_row(row: ResultRow, n_sector_max: int) -> str:
-    vals = [_fmt(row.sweep_value), _fmt(row.plateau_cycles),
-            _fmt(row.total_cycles), _fmt(row.cv_abs2)]
-    c = list(row.c) + [float("nan")] * (n_sector_max + 1)
-    vals += [_fmt(float(c[n])) for n in range(1, n_sector_max + 1)]
-    for obs in (row.s_plus, row.s_minus, row.h_plus, row.h_minus):
-        vals += [_fmt(obs.get(n)) for n in range(1, n_sector_max + 1)]
-    if row.top_pairs:
-        e_lbl, p_lbl, prob = row.top_pairs[0]
-        vals += [_fmt(prob), e_lbl, p_lbl]
-    else:
-        vals += ["", "", ""]
-    vals += [_fmt(row.unitarity_defect), _fmt(row.cond_gmm),
-             _fmt(row.discarded_mass), _fmt(row.n_retained_pairs), row.error]
-    return ",".join(vals)
-
-
-def _jsonable(x):
-    """NaN -> null so the emitted JSON stays standards-compliant."""
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        return None if math.isnan(x) else x
-    return x
+    return ",".join(map(_fmt, _csv_cells(row, n_sector_max).values()))
 
 
 def row_to_dict(row: ResultRow) -> dict:
-    return {
-        "sweep_value": row.sweep_value,
-        "plateau_cycles": row.plateau_cycles,
-        "total_cycles": row.total_cycles,
-        "cv_abs2": _jsonable(row.cv_abs2),
-        "c": [_jsonable(x) for x in row.c],
-        "s_plus": {str(k): v for k, v in row.s_plus.items()},
-        "s_minus": {str(k): v for k, v in row.s_minus.items()},
-        "h_plus": {str(k): v for k, v in row.h_plus.items()},
-        "h_minus": {str(k): v for k, v in row.h_minus.items()},
-        "top_pairs": [list(t) for t in row.top_pairs],
-        "unitarity_defect": _jsonable(row.unitarity_defect),
-        "cond_gmm": _jsonable(row.cond_gmm),
-        "discarded_mass": _jsonable(row.discarded_mass),
-        "n_retained_pairs": row.n_retained_pairs,
-        "pair_list": [list(t) for t in row.pair_list],
-        "error": row.error,
-    }
-
-
-def _unjson(x):
-    return float("nan") if x is None else x
+    return _plain(row)
 
 
 def row_from_dict(d: dict) -> ResultRow:
-    return ResultRow(
-        sweep_value=d["sweep_value"],
-        plateau_cycles=d["plateau_cycles"],
-        total_cycles=d["total_cycles"],
-        cv_abs2=_unjson(d["cv_abs2"]),
-        c=[_unjson(x) for x in d["c"]],
-        s_plus={int(k): v for k, v in d["s_plus"].items()},
-        s_minus={int(k): v for k, v in d["s_minus"].items()},
-        h_plus={int(k): v for k, v in d["h_plus"].items()},
-        h_minus={int(k): v for k, v in d["h_minus"].items()},
-        top_pairs=[tuple(t) for t in d["top_pairs"]],
-        unitarity_defect=_unjson(d["unitarity_defect"]),
-        cond_gmm=_unjson(d["cond_gmm"]),
-        discarded_mass=_unjson(d["discarded_mass"]),
-        n_retained_pairs=d["n_retained_pairs"],
-        pair_list=[tuple(t) for t in d.get("pair_list", [])],
-        error=d.get("error", ""),
-    )
+    return _parse(ResultRow, d, "row")
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +167,20 @@ def row_from_dict(d: dict) -> ResultRow:
 def _point_config(spec: SweepSpec, value) -> RunConfig:
     base = spec.base
     if spec.sweep_axis == "plateau_cycles":
+        if not float(value).is_integer():
+            raise ValidationError(f"spec.values: plateau_cycles value "
+                                  f"{value!r} is not an integer")
         return with_plateau(base, int(value))
     if spec.sweep_axis == "alpha_plus":
         alpha_plus = float(value)
-        if base.field.helicity_relation is HelicityRelation.SAME:
-            alpha_minus = math.pi / 2.0 - alpha_plus
-        else:
-            alpha_minus = alpha_plus
+        alpha_minus = paired_alpha(alpha_plus, base.field.helicity_relation)
         return replace(base, field=replace(base.field, alpha_plus=alpha_plus,
                                            alpha_minus=alpha_minus))
     if spec.sweep_axis == "k0_z":
         k0 = (base.numerics.k0_offset[0], base.numerics.k0_offset[1],
               float(value))
         return replace(base, numerics=replace(base.numerics, k0_offset=k0))
-    raise ValidationError(f"sweep_axis: unknown axis {spec.sweep_axis!r}")
+    raise ValidationError(f"spec.sweep_axis: unknown axis {spec.sweep_axis!r}")
 
 
 def _outdir(spec: SweepSpec) -> str:
@@ -249,19 +196,18 @@ def run_sweep(spec: SweepSpec) -> dict:
     points are recorded with their error string and the sweep continues.
     """
     if not spec.values:
-        raise ValidationError("sweep: values must be non-empty")
+        raise ValidationError("spec.values: must be non-empty")
     validate(spec.base)
+    configs = [_point_config(spec, value) for value in spec.values]
     outdir = _outdir(spec)
     points_dir = os.path.join(outdir, "points")
     os.makedirs(points_dir, exist_ok=True)
-    emit = {k: bool(v) for k, v in {**DEFAULT_EMIT, **spec.emit}.items()}
-    flags = "".join(k[0] for k in DEFAULT_EMIT if emit[k])
-    key_suffix = f"-v{SCHEME_VERSION}-{flags}"
+    gdump = bool(spec.emit.get("gdump", False))
+    key_suffix = f"-v{SCHEME_VERSION}-{'g' if gdump else ''}"
 
     segments_for = None
     rows = []
-    for value in spec.values:
-        config = _point_config(spec, value)
+    for value, config in zip(spec.values, configs):
         tag = config_hash(config) + key_suffix
         cache = os.path.join(points_dir, f"{tag}.json")
         if os.path.exists(cache):
@@ -277,8 +223,8 @@ def run_sweep(spec: SweepSpec) -> dict:
                 segments_for = bare
             u = dynamics.cycle_compose(*segments, config.window.plateau_cycles)
             g = dynamics.extract_g_blocks(u, basis, config)
-            row = _readout(config, basis, u, g, float(value), emit["pairs"])
-            if emit["gdump"]:
+            row = _readout(config, basis, u, g, float(value))
+            if gdump:
                 for name, matrix in (("u", u.matrix), ("gpm", g.g_pm),
                                      ("gmm", g.g_mm)):
                     dynamics.dump_complex_matrix(
@@ -287,11 +233,6 @@ def run_sweep(spec: SweepSpec) -> dict:
             row = ResultRow(sweep_value=float(value),
                             plateau_cycles=config.window.plateau_cycles,
                             total_cycles=config.window.total_cycles,
-                            cv_abs2=float("nan"), c=[],
-                            s_plus={}, s_minus={}, h_plus={}, h_minus={},
-                            top_pairs=[], unitarity_defect=float("nan"),
-                            cond_gmm=float("nan"), discarded_mass=float("nan"),
-                            n_retained_pairs=0,
                             error=f"{type(exc).__name__}: {exc}")
         with open(cache, "w") as fh:
             json.dump(row_to_dict(row), fh, sort_keys=True)
@@ -312,16 +253,11 @@ def run_sweep(spec: SweepSpec) -> dict:
 
 
 def sweep_spec_to_dict(spec: SweepSpec) -> dict:
-    return {"base": config_to_dict(spec.base), "sweep_axis": spec.sweep_axis,
-            "values": list(spec.values), "outputs": spec.outputs,
-            "emit": dict(spec.emit)}
+    return _plain(spec)
 
 
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
-    emit = {**DEFAULT_EMIT, **d.get("emit", {})}
-    return SweepSpec(base=config_from_dict(d["base"]),
-                     sweep_axis=d["sweep_axis"], values=list(d["values"]),
-                     outputs=d.get("outputs", "out"), emit=emit)
+    return _parse(SweepSpec, d, "spec")
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +301,16 @@ def figure_configs() -> dict:
 # Command line
 # ---------------------------------------------------------------------------
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{path}: cannot read JSON ({exc})") from exc
+
+
 def _load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        return validate(config_from_dict(json.load(fh)))
+    return validate(config_from_dict(_read_json(path)))
 
 
 def _cmd_run(args) -> int:
@@ -390,8 +333,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.spec) as fh:
-        spec = sweep_spec_from_dict(json.load(fh))
+    spec = sweep_spec_from_dict(_read_json(args.spec))
     paths = run_sweep(spec)
     print(f"wrote {paths['csv']} and {paths['json']}")
     return 0

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import UnitarityError, ValidationError
 from .fieldmodel import envelope, potential_at, FourierPotential
 from .modebasis import ALPHA, ModeBasis
-from .physconfig import RunConfig, config_hash
+from .physconfig import RunConfig
 
 DEFAULT_UNITARITY_TOL = 1e-10
 
@@ -40,7 +40,6 @@ class Propagator:
     t_span_cycles: tuple
     steps: int
     unitarity_defect: float
-    config_tag: str = ""
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,6 @@ class GBlocks:
 
     g_pm: np.ndarray   # band plus  <- band minus
     g_mm: np.ndarray   # band minus <- band minus
-    g_pp: np.ndarray   # diagnostics
-    g_mp: np.ndarray   # diagnostics
     column_defect: float = 0.0
 
 
@@ -139,7 +136,6 @@ def propagator_segments(config: RunConfig, basis: ModeBasis,
     window_one = replace(config.window, plateau_cycles=1)
     window_zero = replace(config.window, plateau_cycles=0)
 
-    tag = config_hash(config)
     m_on, s_on = _integrate(basis, config, 0.0, float(ramp), window=window_one)
     m_cyc, s_cyc = _integrate(basis, config, float(ramp), float(ramp + 1), window=window_one)
     m_off, s_off = _integrate(basis, config, float(ramp), float(2 * ramp), window=window_zero)
@@ -154,7 +150,7 @@ def propagator_segments(config: RunConfig, basis: ModeBasis,
                 "roundoff, so more steps cannot restore it: H was non-finite "
                 "or non-Hermitian, or roundoff accumulated")
         return Propagator(matrix=m, t_span_cycles=span, steps=steps,
-                          unitarity_defect=defect, config_tag=f"{tag}:{part}")
+                          unitarity_defect=defect)
 
     return (wrap(m_on, s_on, (0.0, float(ramp)), "on"),
             wrap(m_cyc, s_cyc, (float(ramp), float(ramp + 1)), "cycle"),
@@ -174,8 +170,7 @@ def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,
     total = 2 * ramp + j
     steps = u_on.steps + j * u_cycle.steps + u_off.steps
     return Propagator(matrix=matrix, t_span_cycles=(0.0, total), steps=steps,
-                      unitarity_defect=unitarity_defect(matrix),
-                      config_tag=u_on.config_tag.replace(":on", f":composed-{j}"))
+                      unitarity_defect=unitarity_defect(matrix))
 
 
 def extract_g_blocks(u: Propagator, basis: ModeBasis, config: RunConfig = None) -> GBlocks:
@@ -194,10 +189,8 @@ def extract_g_blocks(u: Propagator, basis: ModeBasis, config: RunConfig = None) 
     plus, minus = basis.plus_indices, basis.minus_indices
     g_pm = m[np.ix_(plus, minus)]
     g_mm = m[np.ix_(minus, minus)]
-    g_pp = m[np.ix_(plus, plus)]
-    g_mp = m[np.ix_(minus, plus)]
     col_sums = np.sum(np.abs(g_pm) ** 2, axis=0) + np.sum(np.abs(g_mm) ** 2, axis=0)
-    return GBlocks(g_pm=g_pm, g_mm=g_mm, g_pp=g_pp, g_mp=g_mp,
+    return GBlocks(g_pm=g_pm, g_mm=g_mm,
                    column_defect=float(np.max(np.abs(col_sums - 1.0))))
 
 

@@ -32,7 +32,7 @@ from .dynamics import assemble_hamiltonian
 from .errors import FockDimensionError, NormDriftError
 from .fieldmodel import potential_at
 from .modebasis import ModeBasis
-from .physconfig import RunConfig, config_hash
+from .physconfig import RunConfig
 
 MAX_SINGLE_PARTICLE_DIM = 16
 NORM_TOL = 1e-8
@@ -202,7 +202,6 @@ class ManyBodyState:
     amplitudes: np.ndarray
     fock: FockBasis
     norm_drift: float = 0.0
-    config_tag: str = ""
 
 
 def _check_dim(basis: ModeBasis):
@@ -262,8 +261,7 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis,
     if drift > norm_tol:
         raise NormDriftError(
             f"fockoracle: norm drift {drift:.3e} exceeds {norm_tol:.1e}")
-    return ManyBodyState(amplitudes=psi, fock=fock, norm_drift=drift,
-                         config_tag=config_hash(config))
+    return ManyBodyState(amplitudes=psi, fock=fock, norm_drift=drift)
 
 
 def _ket_sign(electrons, positrons):

@@ -207,8 +207,3 @@ def build_basis(numerics: NumericsParams, field: FieldParams) -> ModeBasis:
     """Basis over momenta n*k*e_z + k0 for n in [-n_cut, n_cut]."""
     return ModeBasis(n_cut=numerics.n_cut, k=field.wavenumber,
                      k0=numerics.k0_offset)
-
-
-def free_phase(mode: FreeMode, duration: float) -> complex:
-    """Free-evolution phase factor e^{-i E t}."""
-    return complex(np.exp(-1.0j * mode.energy * duration))

@@ -65,8 +65,8 @@ class SectorReport:
     ``c[N]`` is the probability of exactly N pairs (c[0] the vacuum);
     observables are dicts keyed by N and omitted where c_N vanishes.
     ``discarded_mass_bound`` is the exact tail sum_{N > n_sector_max} c_N.
-    The retained labels and pair count describe the single-pair support
-    above the prune threshold only.
+    The retained pair count covers the single-pair support above the prune
+    threshold only.
     """
 
     n_sector_max: int
@@ -76,8 +76,6 @@ class SectorReport:
     h_plus: dict = field(default_factory=dict)
     h_minus: dict = field(default_factory=dict)
     discarded_mass_bound: float = 0.0
-    retained_electrons: tuple = ()
-    retained_positrons: tuple = ()
     n_retained_pairs: int = 0
 
 
@@ -210,7 +208,6 @@ def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
     threshold only selects the reported retained support.  Sectors with
     c_N = 0 have their observables omitted.
     """
-    electrons, positrons, n_pairs = retained_support(pairs, numerics)
     k_max = numerics.n_sector_max
     omega = pairs.omega
     cv2 = vac.probability
@@ -239,5 +236,4 @@ def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
         s_minus=means(basis.spin_z_minus, occ_p),
         h_minus=means(basis.helicity_minus, occ_p),
         discarded_mass_bound=float(cv2 * e_p[k_max + 1:].sum()),
-        retained_electrons=electrons, retained_positrons=positrons,
-        n_retained_pairs=n_pairs)
+        n_retained_pairs=retained_support(pairs, numerics)[2])

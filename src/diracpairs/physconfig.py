@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ValidationError
 
@@ -76,7 +78,7 @@ class NumericsParams:
 
     n_cut: int                                  # momentum modes n in [-n_cut, n_cut]
     steps_per_cycle: int = 1024
-    k0_offset: tuple = (0.0, 0.0, 0.0)          # subspace momentum origin, units of m0
+    k0_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)  # subspace origin, m0
     prune_threshold: float = 1e-6               # minimum |omega_mn|^2 in the pair list
     n_sector_max: int = 4                       # largest reported pair number
 
@@ -97,6 +99,15 @@ def xi(field: FieldParams) -> float:
     return field.e_peak / field.omega
 
 
+def paired_alpha(alpha: float, relation: HelicityRelation) -> float:
+    """The other beam's polarization angle under ``relation``.
+
+    The map is its own inverse, so it gives alpha_minus from alpha_plus and
+    alpha_plus from alpha_minus alike.
+    """
+    return math.pi / 2.0 - alpha if relation is HelicityRelation.SAME else alpha
+
+
 def field_from_si(e_volts_per_meter: float, omega_in_m0: float,
                   alpha_plus: float,
                   helicity_relation: HelicityRelation) -> FieldParams:
@@ -106,22 +117,13 @@ def field_from_si(e_volts_per_meter: float, omega_in_m0: float,
     if omega_in_m0 <= 0.0:
         raise ValidationError("field.omega: must be > 0")
     relation = HelicityRelation(helicity_relation)
-    if relation is HelicityRelation.SAME:
-        alpha_minus = math.pi / 2.0 - alpha_plus
-    else:
-        alpha_minus = alpha_plus
     return FieldParams(
         omega=omega_in_m0,
         e_peak=e_volts_per_meter / E_SCHWINGER_V_PER_M,
         alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
+        alpha_minus=paired_alpha(alpha_plus, relation),
         helicity_relation=relation,
     )
-
-
-def e_peak_to_si(field: FieldParams) -> float:
-    """Peak field strength back in V/m."""
-    return field.e_peak * E_SCHWINGER_V_PER_M
 
 
 def validation_errors(config: RunConfig) -> list:
@@ -129,17 +131,14 @@ def validation_errors(config: RunConfig) -> list:
     bad = []
     f, w, n = config.field, config.window, config.numerics
 
-    if not f.omega > 0.0:
-        bad.append("field.omega: must be > 0")
-    if not f.e_peak >= 0.0:
-        bad.append("field.e_peak: must be >= 0")
+    if not 0.0 < f.omega < math.inf:
+        bad.append("field.omega: must be finite and > 0")
+    if not 0.0 <= f.e_peak < math.inf:
+        bad.append("field.e_peak: must be finite and >= 0")
     for name, alpha in (("alpha_plus", f.alpha_plus), ("alpha_minus", f.alpha_minus)):
         if not 0.0 <= alpha <= math.pi / 2.0:
             bad.append(f"field.{name}: alpha range is [0, pi/2]")
-    if f.helicity_relation is HelicityRelation.SAME:
-        expected = math.pi / 2.0 - f.alpha_minus
-    else:
-        expected = f.alpha_minus
+    expected = paired_alpha(f.alpha_minus, f.helicity_relation)
     if abs(f.alpha_plus - expected) > ANGLE_TOL:
         bad.append("field.helicity_relation: inconsistent with stored angles")
 
@@ -154,6 +153,8 @@ def validation_errors(config: RunConfig) -> list:
         bad.append("numerics.steps_per_cycle: must be >= 16")
     if len(n.k0_offset) != 3:
         bad.append("numerics.k0_offset: must be a 3-vector")
+    elif not all(map(math.isfinite, n.k0_offset)):
+        bad.append("numerics.k0_offset: entries must be finite")
     if not 0.0 <= n.prune_threshold < 1.0:
         bad.append("numerics.prune_threshold: must be in [0, 1)")
     n_electron_modes = 2 * (2 * n.n_cut + 1)
@@ -175,91 +176,125 @@ def validate(config: RunConfig) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON config files.  Top-level keys "field", "window", "numerics" mirror the
-# dataclasses; keys starting with "_" are ignored (used for preset metadata).
-# The field block accepts either "e_peak" (fraction of E_S) or
-# "e_si_v_per_m"; "alpha_minus" may be omitted and is derived from the
-# helicity relation.
+# JSON forms.  The dataclasses are the schema: ``_plain`` writes them (and the
+# result rows and sweep specs built from them), ``_parse`` reads them back by
+# their field annotations.  Keys starting with "_" are ignored (preset
+# metadata), other unknown keys are errors.  The field block accepts
+# "e_si_v_per_m" in place of "e_peak", "helicity_relation" defaults to
+# "same", and an omitted "alpha_minus" is derived from the relation.
 # ---------------------------------------------------------------------------
 
-def config_to_dict(config: RunConfig) -> dict:
-    f, w, n = config.field, config.window, config.numerics
-    return {
-        "field": {
-            "omega": f.omega,
-            "e_peak": f.e_peak,
-            "alpha_plus": f.alpha_plus,
-            "alpha_minus": f.alpha_minus,
-            "helicity_relation": f.helicity_relation.value,
-        },
-        "window": {
-            "ramp_cycles": w.ramp_cycles,
-            "plateau_cycles": w.plateau_cycles,
-        },
-        "numerics": {
-            "n_cut": n.n_cut,
-            "steps_per_cycle": n.steps_per_cycle,
-            "k0_offset": list(n.k0_offset),
-            "prune_threshold": n.prune_threshold,
-            "n_sector_max": n.n_sector_max,
-        },
-    }
+_KINDS = {int: "an integer", float: "a number", str: "a string",
+          bool: "true or false"}
 
 
-def config_from_dict(data: dict) -> RunConfig:
+@cache
+def _schema(cls) -> dict:
+    """Field name -> (resolved annotation, required) of a dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING
+                     and f.default_factory is MISSING) for f in fields(cls)}
+
+
+def _plain(obj):
+    """JSON value of a dataclass tree: enums by value, tuples as lists, dict
+    keys as strings, NaN as null."""
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else obj
+    if isinstance(obj, (str, int, type(None))):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    return {k: _plain(getattr(obj, k)) for k in _schema(type(obj))}
+
+
+def _field_conveniences(fd: dict, path: str) -> dict:
+    """The field block's shorthands, rewritten to the FieldParams keys."""
+    fd = {"helicity_relation": "same", **fd}
+    if "e_si_v_per_m" in fd:
+        e_si = _parse(float, fd.pop("e_si_v_per_m"), f"{path}.e_si_v_per_m")
+        fd.setdefault("e_peak", e_si / E_SCHWINGER_V_PER_M)
+    if "alpha_plus" in fd and "alpha_minus" not in fd:
+        fd["alpha_minus"] = paired_alpha(
+            _parse(float, fd["alpha_plus"], f"{path}.alpha_plus"),
+            _parse(HelicityRelation, fd["helicity_relation"],
+                   f"{path}.helicity_relation"))
+    return fd
+
+
+def _parse(kind, value, path: str):
+    """Inverse of ``_plain`` for the annotation ``kind``.
+
+    Raises ValidationError naming ``path`` for unknown or missing keys,
+    wrong JSON types (a bool is not a number, an int must be integral) and
+    values outside an enum.  null reads as NaN where a float belongs.
+    """
+    if kind in _KINDS:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind is float and value is None:
+            return math.nan
+        if kind is float and number and (isinstance(value, float)
+                                         or abs(value) < 2 ** 1023):
+            return float(value)
+        if kind is int and number and (isinstance(value, int)
+                                       or value.is_integer()):
+            return int(value)
+        if (kind is str or kind is bool) and isinstance(value, kind):
+            return value
+        raise ValidationError(f"{path}: must be {_KINDS[kind]}")
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path}: must be an object")
+        if kind is FieldParams:
+            value = _field_conveniences(value, path)
+        schema = _schema(kind)
+        bad = [f"{path}.{k}: unknown key" for k in value
+               if k not in schema and not k.startswith("_")]
+        bad += [f"{path}.{k}: missing required key"
+                for k, (_, required) in schema.items()
+                if required and k not in value]
+        if bad:
+            raise ValidationError(bad)
+        return kind(**{k: _parse(t, value[k], f"{path}.{k}")
+                       for k, (t, _) in schema.items() if k in value})
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValidationError(f"{path}: must be one of "
+                                  f"{[m.value for m in kind]}") from None
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list or origin is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{path}: must be a list")
+        if origin is tuple and len(value) != len(args):
+            raise ValidationError(f"{path}: must have {len(args)} entries")
+        kinds = args if origin is tuple else args * len(value)
+        return origin([_parse(t, v, f"{path}[{i}]")
+                       for i, (t, v) in enumerate(zip(kinds, value))])
+    key_kind, item_kind = args       # dict
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: must be an object")
     try:
-        fd = data["field"]
-        wd = data["window"]
-        nd = data["numerics"]
-    except KeyError as exc:
-        raise ValidationError(f"config: missing top-level key {exc}") from exc
-
-    relation = HelicityRelation(fd.get("helicity_relation", "same"))
-    if "e_peak" in fd:
-        e_peak = float(fd["e_peak"])
-    elif "e_si_v_per_m" in fd:
-        e_peak = float(fd["e_si_v_per_m"]) / E_SCHWINGER_V_PER_M
-    else:
-        raise ValidationError("field: need one of e_peak, e_si_v_per_m")
-    alpha_plus = float(fd["alpha_plus"])
-    if "alpha_minus" in fd:
-        alpha_minus = float(fd["alpha_minus"])
-    elif relation is HelicityRelation.SAME:
-        alpha_minus = math.pi / 2.0 - alpha_plus
-    else:
-        alpha_minus = alpha_plus
-
-    field = FieldParams(
-        omega=float(fd["omega"]),
-        e_peak=e_peak,
-        alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
-        helicity_relation=relation,
-    )
-    window = WindowParams(
-        ramp_cycles=int(wd["ramp_cycles"]),
-        plateau_cycles=int(wd["plateau_cycles"]),
-    )
-    defaults = NumericsParams(n_cut=1)
-    numerics = NumericsParams(
-        n_cut=int(nd["n_cut"]),
-        steps_per_cycle=int(nd.get("steps_per_cycle", defaults.steps_per_cycle)),
-        k0_offset=tuple(float(x) for x in nd.get("k0_offset", defaults.k0_offset)),
-        prune_threshold=float(nd.get("prune_threshold", defaults.prune_threshold)),
-        n_sector_max=int(nd.get("n_sector_max", defaults.n_sector_max)),
-    )
-    return RunConfig(field=field, window=window, numerics=numerics)
+        keys = [key_kind(k) for k in value]
+    except ValueError:
+        raise ValidationError(f"{path}: every key must be "
+                              f"{_KINDS[key_kind]}") from None
+    return {key: _parse(item_kind, v, f"{path}.{k}")
+            for key, (k, v) in zip(keys, value.items())}
 
 
-def config_to_json(config: RunConfig, extra: dict | None = None) -> str:
-    data = config_to_dict(config)
-    if extra:
-        data.update(extra)
-    return json.dumps(data, indent=2, sort_keys=True)
+def config_to_dict(config: RunConfig) -> dict:
+    return _plain(config)
 
 
-def config_from_json(text: str) -> RunConfig:
-    return config_from_dict(json.loads(text))
+def config_from_dict(data) -> RunConfig:
+    """RunConfig from its JSON form; see the schema notes above."""
+    return _parse(RunConfig, data, "config")
 
 
 def config_hash(config: RunConfig) -> str:

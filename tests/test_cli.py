@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracpairs import (HelicityRelation, NumericsParams, RunConfig,
+from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
                         SweepSpec, UnitarityError, WindowParams,
                         config_from_dict, config_to_dict, field_from_si,
                         figure_configs, run_once, run_sweep, with_plateau)
@@ -88,9 +88,15 @@ class TestRunOnce:
                               * config.numerics.steps_per_cycle)
 
     def test_row_round_trip(self):
-        row = run_once(desk_config())
-        again = row_from_dict(json.loads(json.dumps(row_to_dict(row))))
-        assert csv_row(again, 2) == csv_row(row, 2)
+        # a finished row, and a failed one whose NaN fields are written as null
+        failed = ResultRow(sweep_value=2.0, plateau_cycles=2, total_cycles=4,
+                           error="ValidationError: synthetic")
+        for row in (run_once(desk_config()), failed):
+            text = json.dumps(row_to_dict(row))
+            assert "NaN" not in text
+            again = row_from_dict(json.loads(text))
+            assert csv_row(again, 2) == csv_row(row, 2)
+            assert json.dumps(row_to_dict(again)) == text
 
     def test_csv_schema_depends_only_on_sector_max(self):
         header = csv_header(3)
@@ -158,12 +164,14 @@ class TestSweep:
         rows = sweep_rows(spec_in(old_scheme))
         assert all(r.error == "" and r.pair_list for r in rows)
 
-        no_pairs = tmp_path / "no_pairs"
-        assert all(r.pair_list == []
-                   for r in sweep_rows(spec_in(no_pairs, pairs=False)))
-        poison_points(no_pairs)
-        rows = sweep_rows(spec_in(no_pairs))
+        # "sectors" and "pairs" are ignored keys; gdump is the only flag
+        no_gdump = tmp_path / "no_gdump"
+        sweep_rows(spec_in(no_gdump))
+        poison_points(no_gdump)
+        rows = sweep_rows(spec_in(no_gdump, gdump=True))
         assert all(r.error == "" and r.pair_list for r in rows)
+        assert len([f for f in os.listdir(no_gdump / "points")
+                    if f.endswith(".bin")]) == 6
 
     def test_alpha_sweep_spin_selection(self, tmp_path):
         # opposite helicity: zero average spin exactly at linear polarization,
@@ -218,8 +226,8 @@ class TestSweep:
         paths = run_sweep(spec)
         with open(paths["json"]) as fh:
             row = json.load(fh)["rows"][0]
-        assert row["pair_list"] == []
-        # "sectors" is no longer a flag: unknown keys are ignored
+        # "sectors" and "pairs" are no longer flags: unknown keys are ignored
+        assert row["pair_list"] and row["top_pairs"] == row["pair_list"][:8]
         assert len(row["c"]) == 3 and all(x is not None for x in row["c"])
         dumped = [f for f in os.listdir(tmp_path / "points")
                   if f.endswith(".bin")]
@@ -239,6 +247,38 @@ class TestSweep:
         paths = run_sweep(spec)
         assert str(override) in paths["csv"]
         assert not (tmp_path / "ignored").exists()
+
+
+# Malformed inputs: (command, in-place edit of a valid input or a
+# replacement top level, path the message must name).
+MALFORMED = {
+    "relation_typo": ("run", lambda d: d["field"].update(
+        helicity_relation="sme"), "config.field.helicity_relation"),
+    "missing_omega": ("run", lambda d: d["field"].pop("omega"),
+                      "config.field.omega"),
+    "n_cut_string": ("run", lambda d: d["numerics"].update(n_cut="nan"),
+                     "config.numerics.n_cut"),
+    "k0_string": ("run", lambda d: d["numerics"].update(k0_offset="abc"),
+                  "config.numerics.k0_offset"),
+    "top_level_list": ("run", lambda d: [d], "config:"),
+    "key_typo": ("run", lambda d: d["numerics"].update(steps_per_cyle=64),
+                 "config.numerics.steps_per_cyle"),
+    "n_cut_fraction": ("run", lambda d: d["numerics"].update(n_cut=1.7),
+                       "config.numerics.n_cut"),
+    "n_cut_bool": ("run", lambda d: d["numerics"].update(n_cut=True),
+                   "config.numerics.n_cut"),
+    "e_peak_infinite": ("run", lambda d: d["field"].update(e_peak=math.inf),
+                        "field.e_peak"),
+    "k0_nan": ("run", lambda d: d["numerics"].update(
+        k0_offset=[math.nan, 0, 0]), "numerics.k0_offset"),
+    "emit_string": ("sweep", lambda s: s.update(emit="yes"), "spec.emit"),
+    "value_string": ("sweep", lambda s: s.update(values=["a"]),
+                     "spec.values[0]"),
+    "missing_axis": ("sweep", lambda s: s.pop("sweep_axis"),
+                     "spec.sweep_axis"),
+    "plateau_fraction": ("sweep", lambda s: s.update(values=[2.5]),
+                         "spec.values"),
+}
 
 
 class TestCommandLine:
@@ -274,6 +314,29 @@ class TestCommandLine:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command, mutate, path",
+                             list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_input_exit_2(self, tmp_path, capsys, command, mutate,
+                                    path):
+        data = config_to_dict(desk_config())
+        if command == "sweep":
+            data = {"base": data, "sweep_axis": "plateau_cycles",
+                    "values": [0, 1], "outputs": str(tmp_path / "out")}
+        replaced = mutate(data)  # edits in place, or returns a new top level
+        data = replaced if isinstance(replaced, list) else data
+        in_path = tmp_path / "input.json"
+        in_path.write_text(json.dumps(data))
+        flag = "--config" if command == "run" else "--spec"
+        assert main([command, flag, str(in_path)]) == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_json_exit_2(self, tmp_path, capsys):
+        in_path = tmp_path / "input.json"
+        in_path.write_text('{"field": ')
+        assert main(["run", "--config", str(in_path)]) == 2
+        assert str(in_path) in capsys.readouterr().err
 
     def test_tolerance_failure_exit_3(self, tmp_path, monkeypatch):
         cfg_path = self.write_config(tmp_path, desk_config())

@@ -155,9 +155,7 @@ class TestTwoModeToy:
         plus, minus = self.basis.plus_indices, self.basis.minus_indices
         from diracpairs import GBlocks
         g = GBlocks(g_pm=u_single[np.ix_(plus, minus)],
-                    g_mm=u_single[np.ix_(minus, minus)],
-                    g_pp=u_single[np.ix_(plus, plus)],
-                    g_mp=u_single[np.ix_(minus, plus)])
+                    g_mm=u_single[np.ix_(minus, minus)])
         pa = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
         assert vacuum_overlap(state) == pytest.approx(vac.c_v, abs=1e-12)

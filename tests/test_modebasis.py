@@ -5,7 +5,7 @@ import pytest
 
 from diracpairs import (Band, HelicityRelation, ModeLabel, NumericsParams,
                         Spin, build_basis, field_from_si, free_hamiltonian,
-                        free_modes_at, free_phase)
+                        free_modes_at)
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
 
@@ -126,22 +126,3 @@ class TestSpinHelicity:
             if mode.label.band is Band.PLUS:
                 mirrored = Spin.DOWN if mode.label.spin is Spin.UP else Spin.UP
                 assert (-mode.label.n, Band.MINUS, mirrored) in table
-
-
-class TestFreePhase:
-    def test_zero_duration(self):
-        mode = free_modes_at(np.zeros(3))[0]
-        assert free_phase(mode, 0.0) == 1.0
-
-    def test_full_turn(self):
-        mode = free_modes_at(np.zeros(3))[0]
-        assert mode.energy == 1.0
-        assert free_phase(mode, 2 * math.pi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_energy_direction(self):
-        p = np.array([0.0, 0.0, 0.746])
-        mode = free_modes_at(p)[2]
-        assert mode.energy == pytest.approx(-math.sqrt(1 + 0.746 ** 2))
-        expected = complex(np.exp(1j * abs(mode.energy)))
-        assert free_phase(mode, 1.0) == pytest.approx(expected, abs=1e-12)
-        assert abs(free_phase(mode, 1.0)) == pytest.approx(1.0, rel=1e-12)

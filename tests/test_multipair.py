@@ -29,19 +29,18 @@ def random_unitary_gblocks(rng, m_plus, m_minus):
     u = haar_unitary(rng, dim)
     plus = np.arange(m_plus)
     minus = np.arange(m_plus, dim)
-    return GBlocks(g_pm=u[np.ix_(plus, minus)], g_mm=u[np.ix_(minus, minus)],
-                   g_pp=u[np.ix_(plus, plus)], g_mp=u[np.ix_(minus, plus)])
+    return GBlocks(g_pm=u[np.ix_(plus, minus)], g_mm=u[np.ix_(minus, minus)])
 
 
 def cs_unitary_gblocks(rng, angles):
     """GBlocks of the unitary diag(A, C) [[cos, sin], [-sin, cos]] diag(D, B)^dag
-    with Haar A, B, C, D: omega = -A tan(angles) C^dag, so the spectrum of
-    omega^dag omega is tan(angles)^2, degeneracies included."""
+    with Haar A, B, C (the minus-sector columns do not involve D):
+    omega = -A tan(angles) C^dag, so the spectrum of omega^dag omega is
+    tan(angles)^2, degeneracies included."""
     m = len(angles)
-    a, b, c, d = (haar_unitary(rng, m) for _ in range(4))
+    a, b, c = (haar_unitary(rng, m) for _ in range(3))
     cos, sin = np.diag(np.cos(angles)), np.diag(np.sin(angles))
-    return GBlocks(g_pm=a @ sin @ b.conj().T, g_mm=c @ cos @ b.conj().T,
-                   g_pp=a @ cos @ d.conj().T, g_mp=-c @ sin @ d.conj().T)
+    return GBlocks(g_pm=a @ sin @ b.conj().T, g_mm=c @ cos @ b.conj().T)
 
 
 def brute_force_sectors(omega, cv2, electron_values, positron_values):
@@ -86,8 +85,7 @@ def mode_table(rng, m):
 
 def zero_field_gblocks(m):
     eye = np.eye(m, dtype=complex)
-    return GBlocks(g_pm=np.zeros((m, m), dtype=complex), g_mm=eye,
-                   g_pp=eye.copy(), g_mp=np.zeros((m, m), dtype=complex))
+    return GBlocks(g_pm=np.zeros((m, m), dtype=complex), g_mm=eye)
 
 
 def synthetic_state(omega):
@@ -129,18 +127,14 @@ class TestPairAmplitudes:
     def test_synthetic_closed_form(self):
         a, d1, d2 = 0.3 + 0.1j, 0.9, 0.8
         g = GBlocks(g_pm=np.array([[a, 0.0], [0.0, 0.0]]),
-                    g_mm=np.diag([d1, d2]).astype(complex),
-                    g_pp=np.eye(2, dtype=complex),
-                    g_mp=np.zeros((2, 2), dtype=complex))
+                    g_mm=np.diag([d1, d2]).astype(complex))
         pa = pair_amplitudes(g)
         expected = np.array([[-a / d1, 0.0], [0.0, 0.0]])
         assert np.allclose(pa.omega, expected, atol=1e-15)
 
     def test_ill_conditioned_raises_with_estimate(self):
         g = GBlocks(g_pm=np.eye(2, dtype=complex),
-                    g_mm=np.diag([1.0, 1e-15]).astype(complex),
-                    g_pp=np.eye(2, dtype=complex),
-                    g_mp=np.zeros((2, 2), dtype=complex))
+                    g_mm=np.diag([1.0, 1e-15]).astype(complex))
         with pytest.raises(IllConditionedError, match="condition number"):
             pair_amplitudes(g)
 
@@ -162,8 +156,7 @@ class TestVacuumAmplitude:
 
     def test_phase_retained(self):
         g = zero_field_gblocks(3)
-        g = GBlocks(g_pm=g.g_pm, g_mm=np.diag([1j, 1.0, 1.0]),
-                    g_pp=g.g_pp, g_mp=g.g_mp)
+        g = GBlocks(g_pm=g.g_pm, g_mm=np.diag([1j, 1.0, 1.0]))
         vac = vacuum_amplitude(g)
         assert vac.c_v == pytest.approx(1j, abs=1e-15)
 

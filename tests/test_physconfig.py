@@ -1,13 +1,16 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracpairs import (E_SCHWINGER_V_PER_M, FieldParams, HelicityRelation,
                         NumericsParams, RunConfig, ValidationError,
-                        WindowParams, config_from_json, config_to_json,
-                        config_hash, e_peak_to_si, field_from_si, validate,
-                        validation_errors, xi)
+                        WindowParams, config_from_dict, config_to_dict,
+                        config_hash, field_from_si, figure_configs,
+                        sweep_spec_from_dict, validate, validation_errors, xi)
 
 
 def make_config(**overrides):
@@ -74,7 +77,8 @@ class TestFieldFromSi:
         for _ in range(20):
             e_si = rng.uniform(1e15, 1e19)
             field = field_from_si(e_si, 1.0, 0.2, HelicityRelation.OPPOSITE)
-            assert e_peak_to_si(field) == pytest.approx(e_si, rel=1e-12)
+            assert field.e_peak * E_SCHWINGER_V_PER_M == pytest.approx(
+                e_si, rel=1e-12)
 
     def test_rejects_nonpositive_field(self):
         with pytest.raises(ValidationError):
@@ -131,9 +135,15 @@ class TestValidate:
 class TestJsonConfig:
     def test_round_trip(self):
         config = make_config()
-        again = config_from_json(config_to_json(config))
+        again = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
         assert again == config
         assert config_hash(again) == config_hash(config)
+
+    def test_preset_hashes_are_pinned(self):
+        # cache keys and run_<hash> file names must not drift
+        presets = figure_configs()
+        assert config_hash(presets["fig2"][0]) == "510594e346d9d5de"
+        assert config_hash(presets["fig4"][0]) == "e86ced79f0745edd"
 
     def test_si_field_input(self):
         text = """
@@ -143,12 +153,81 @@ class TestJsonConfig:
          "window": {"ramp_cycles": 2, "plateau_cycles": 4},
          "numerics": {"n_cut": 2}}
         """
-        config = config_from_json(text)
+        config = config_from_dict(json.loads(text))
         assert config.field.e_peak == pytest.approx(4.9e17 / E_SCHWINGER_V_PER_M)
         assert config.field.alpha_minus == pytest.approx(
             math.pi / 2 - 0.15707963267948966)
         validate(config)
 
     def test_missing_key_reports_path(self):
-        with pytest.raises(ValidationError):
-            config_from_json('{"field": {}}')
+        with pytest.raises(ValidationError, match="config.window: missing required key"):
+            config_from_dict({"field": {}})
+
+
+# Arbitrary JSON, including what Python's json module reads beyond the
+# standard (NaN, +-Infinity) and integers past the float range.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
+FIG2 = config_to_dict(figure_configs()["fig2"][0])
+
+
+def _containers(node, path=()):
+    """Paths of every object and list in ``node``, itself included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, path + (key,))
+
+
+@st.composite
+def mutated_fig2(draw):
+    """The fig2 preset with one key dropped or added, or one leaf replaced."""
+    data = copy.deepcopy(FIG2)
+    parent = data
+    for key in draw(st.sampled_from(list(_containers(data)))):
+        parent = parent[key]
+    keys = list(parent) if isinstance(parent, dict) else range(len(parent))
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "add" or not keys:
+        if isinstance(parent, dict):
+            parent[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        else:
+            parent.append(draw(JSON_VALUES))
+    elif action == "drop":
+        del parent[draw(st.sampled_from(list(keys)))]
+    else:
+        parent[draw(st.sampled_from(list(keys)))] = draw(JSON_VALUES)
+    return data
+
+
+class TestStrictInput:
+    """Any JSON input is accepted or refused with a ValidationError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, mutated_fig2()))
+    def test_config_from_any_json(self, data):
+        try:
+            config = validate(config_from_dict(data))
+        except ValidationError as exc:
+            assert all(":" in v for v in exc.violations)
+            return
+        # an accepted config holds no NaN, so it round-trips exactly
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) \
+            == config
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, st.fixed_dictionaries(
+        {"base": mutated_fig2(),
+         "sweep_axis": st.sampled_from(["plateau_cycles", "k0_z"]) | JSON_VALUES,
+         "values": st.lists(st.floats() | st.integers()) | JSON_VALUES},
+        optional={"emit": JSON_VALUES, "outputs": JSON_VALUES})))
+    def test_sweep_spec_from_any_json(self, data):
+        try:
+            sweep_spec_from_dict(data)
+        except ValidationError as exc:
+            assert all(":" in v for v in exc.violations)

@@ -29,7 +29,7 @@ vac = vacuum_amplitude(g)
 print(f"\nvacuum persistence |C_v|^2 = {vac.probability:.6f}")
 
 print("\nstrongest single-pair states (|amplitude|^2, fourfold degenerate):")
-for amp in single_pair_list(pairs, vac, config.numerics, top=8):
+for amp in single_pair_list(pairs, vac, config.numerics)[:8]:
     e = basis.electron_label(amp.electrons[0])
     p = basis.positron_label(amp.positrons[0])
     print(f"  e(n={e.n:+d}, {e.spin.value:4s})  "

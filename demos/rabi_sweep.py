@@ -1,8 +1,9 @@
 """Interaction-time sweep: Rabi-like oscillation of the pair content.
 
-The plateau is time-periodic, so its one-cycle propagator is computed once
-and powered; sweeping hundreds of interaction times then costs a few
-matrix products per point instead of a fresh integration.  The dominant
+The plateau is time-periodic, so its one-cycle propagator is computed and
+brought into Floquet form Q diag(lambda) Q^dag once; a plateau of j cycles
+is then Q diag(lambda^j) Q^dag, and sweeping hundreds of interaction times
+costs two matrix products per point instead of a fresh integration.  The dominant
 single-pair probability rises and falls (transitions back into the sea),
 while the vacuum probability decays and multi-pair sectors take over.
 """

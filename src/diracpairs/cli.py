@@ -34,7 +34,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 TOP_PAIRS_IN_ROW = 8
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config changes, so points cached by an older scheme are redone.
-SCHEME_VERSION = 4
+SCHEME_VERSION = 5
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
@@ -313,6 +313,11 @@ def _load_config(path: str) -> RunConfig:
     return validate(config_from_dict(_read_json(path)))
 
 
+def _check_flag(flag: str, ok: bool, rule: str) -> None:
+    if not ok:
+        raise ValidationError(f"{flag}: must be {rule}")
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     row = run_once(config)
@@ -357,6 +362,9 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    _check_flag("--tol", math.isfinite(args.tol) and args.tol > 0,
+                "finite and > 0")
+    _check_flag("--nmax", args.nmax >= 0, ">= 0")
     config = _load_config(args.config)
     basis = build_basis(config.numerics, config.field)
     u = dynamics.propagate(config, basis)
@@ -403,6 +411,8 @@ def _cmd_dump_basis(args) -> int:
 
 
 def _cmd_dump_field(args) -> int:
+    _check_flag("--per-cycle", args.per_cycle >= 1, ">= 1")
+    _check_flag("--z", math.isfinite(args.z), "finite")
     config = _load_config(args.config)
     field, window = config.field, config.window
     samples_per_cycle = args.per_cycle

@@ -11,18 +11,19 @@ exponential evaluated by eigendecomposition of the Hermitian H(t_mid), so
 every step is unitary to roundoff.  Every propagator of the window is
 composed from three integrated segments, turn-on, one plateau cycle and
 turn-off: since the carrier phase repeats exactly on integer-cycle
-boundaries, a plateau of j whole cycles is the one-cycle propagator raised
-to the j-th power by binary exponentiation.  A run therefore integrates
-2*ramp + 1 cycles whatever its plateau length.
+boundaries, a plateau of j whole cycles is Q diag(lambda^j) Q^dag, read
+from the Floquet form (one complex Schur factorization) of the one-cycle
+propagator.  A run integrates 2*ramp + 1 cycles whatever its plateau length.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import linalg
 
 from .errors import UnitarityError, ValidationError
 from .fieldmodel import envelope, potential_at, FourierPotential
@@ -40,6 +41,15 @@ class Propagator:
     t_span_cycles: tuple
     steps: int
     unitarity_defect: float
+
+    @cached_property
+    def floquet(self) -> tuple:
+        """(Q, lam): matrix = Q diag(lam) Q^dag by the complex Schur form,
+        diagonal for a unitary matrix; |lam| is set to 1 so that powers stay
+        unitary to roundoff whatever the exponent."""
+        t, q = linalg.schur(self.matrix, output="complex")
+        lam = np.diag(t)
+        return q, lam / np.abs(lam)
 
 
 @dataclass(frozen=True)
@@ -117,15 +127,13 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     return u, n_steps
 
 
-def propagate(config: RunConfig, basis: ModeBasis,
-              unitarity_tol: float = DEFAULT_UNITARITY_TOL) -> Propagator:
+def propagate(config: RunConfig, basis: ModeBasis) -> Propagator:
     """Full propagator over [0, 2*ramp + plateau] cycles."""
-    return cycle_compose(*propagator_segments(config, basis, unitarity_tol),
+    return cycle_compose(*propagator_segments(config, basis),
                          config.window.plateau_cycles)
 
 
-def propagator_segments(config: RunConfig, basis: ModeBasis,
-                        unitarity_tol: float = DEFAULT_UNITARITY_TOL):
+def propagator_segments(config: RunConfig, basis: ModeBasis):
     """(u_on, u_cycle, u_off) for plateau composition.
 
     The turn-off segment is integrated from a zero-plateau window so its
@@ -142,13 +150,13 @@ def propagator_segments(config: RunConfig, basis: ModeBasis,
 
     def wrap(m, steps, span, part):
         defect = unitarity_defect(m)
-        if defect > unitarity_tol:
+        if defect > DEFAULT_UNITARITY_TOL:
             raise UnitarityError(
                 f"{part} segment unitarity defect {defect:.3e} exceeds "
-                f"{unitarity_tol:.1e} after {steps} steps at steps_per_cycle="
-                f"{config.numerics.steps_per_cycle}; each step is unitary to "
-                "roundoff, so more steps cannot restore it: H was non-finite "
-                "or non-Hermitian, or roundoff accumulated")
+                f"{DEFAULT_UNITARITY_TOL:.1e} after {steps} steps at "
+                f"steps_per_cycle={config.numerics.steps_per_cycle}; each step "
+                "is unitary to roundoff, so more steps cannot restore it: H was "
+                "non-finite or non-Hermitian, or roundoff accumulated")
         return Propagator(matrix=m, t_span_cycles=span, steps=steps,
                           unitarity_defect=defect)
 
@@ -159,13 +167,16 @@ def propagator_segments(config: RunConfig, basis: ModeBasis,
 
 def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,
                   j: int) -> Propagator:
-    """u_off (u_cycle)^j u_on via binary exponentiation of the polar factor
-    (nearest unitary) of u_cycle, so its roundoff defect is not j-fold."""
+    """u_off (u_cycle)^j u_on from the Floquet form of u_cycle.
+
+    With u_cycle = Q diag(lam) Q^dag, factorized once per segment set, any
+    plateau costs two products, (u_off Q diag(lam^j)) (Q^dag u_on); since
+    |lam| = 1 the roundoff defect of u_cycle is not raised to the j-th power.
+    """
     if j < 0:
         raise ValidationError("cycle_compose: plateau cycle count j must be >= 0")
-    w, _, vh = np.linalg.svd(u_cycle.matrix)
-    powered = np.linalg.matrix_power(w @ vh, j)
-    matrix = u_off.matrix @ powered @ u_on.matrix
+    q, lam = u_cycle.floquet
+    matrix = (u_off.matrix @ q * lam ** j) @ (q.conj().T @ u_on.matrix)
     ramp = u_on.t_span_cycles[1]
     total = 2 * ramp + j
     steps = u_on.steps + j * u_cycle.steps + u_off.steps

@@ -228,8 +228,7 @@ def _structural_mask(basis: ModeBasis) -> np.ndarray:
     return np.abs(sites[:, None] - sites[None, :]) <= 1
 
 
-def propagate_vacuum(config: RunConfig, basis: ModeBasis,
-                     norm_tol: float = NORM_TOL) -> ManyBodyState:
+def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     """Evolve |0> over the full window with the midpoint rule.
 
     Steps directly through all 2*ramp + plateau cycles on the midpoint grid
@@ -258,9 +257,9 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis,
         psi = expm_multiply(-1.0j * dt * h_many, psi)
 
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    if drift > norm_tol:
+    if drift > NORM_TOL:
         raise NormDriftError(
-            f"fockoracle: norm drift {drift:.3e} exceeds {norm_tol:.1e}")
+            f"fockoracle: norm drift {drift:.3e} exceeds {NORM_TOL:.1e}")
     return ManyBodyState(amplitudes=psi, fock=fock, norm_drift=drift)
 
 

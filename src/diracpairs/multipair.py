@@ -11,9 +11,10 @@ submatrix; non-canonical orderings pick up the product of the two
 permutation parities, and any repeated label gives exactly zero (Pauli).
 
 By Cauchy-Binet the N-pair sector probability (|amplitude|^2 summed over
-all canonical N-pair states) is c_N = |C_v|^2 e_N(eig omega^dag omega),
-e_N the elementary symmetric polynomial, and sector means of spin and
-helicity are its Hellmann-Feynman derivatives: O(d^3) in all.
+all canonical N-pair states) is c_N = |C_v|^2 e_N(sigma^2), e_N the
+elementary symmetric polynomial and sigma the singular values of omega;
+sector means of spin and helicity are its Hellmann-Feynman derivatives,
+read from the same SVD: O(d^3) in all.
 Electron/positron labels are half-basis indices (band plus / band minus,
 momentum ascending, spin up before down).
 """
@@ -79,12 +80,13 @@ class SectorReport:
     n_retained_pairs: int = 0
 
 
-def pair_amplitudes(g: GBlocks, cond_cap: float = DEFAULT_COND_CAP) -> PairAmplitudes:
-    """omega = -G_pm G_mm^{-1} with a conditioning guard on the inverse."""
+def pair_amplitudes(g: GBlocks) -> PairAmplitudes:
+    """omega = -G_pm G_mm^{-1}; cond(G_mm) must not exceed DEFAULT_COND_CAP."""
     cond = float(np.linalg.cond(g.g_mm))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
         raise IllConditionedError(
-            f"G_mm condition number {cond:.3e} exceeds cap {cond_cap:.1e}; "
+            f"G_mm condition number {cond:.3e} exceeds cap "
+            f"{DEFAULT_COND_CAP:.1e}; "
             "increase n_cut or reduce the field strength")
     omega = -np.linalg.solve(g.g_mm.T, g.g_pm.T).T
     return PairAmplitudes(omega=omega, cond_mm=cond)
@@ -149,17 +151,16 @@ def retained_support(pairs: PairAmplitudes, numerics: NumericsParams):
 
 
 def single_pair_list(pairs: PairAmplitudes, vac: VacuumAmplitude,
-                     numerics: NumericsParams, top: int | None = None):
+                     numerics: NumericsParams):
     """Retained single-pair amplitudes, sorted by probability, descending."""
     keep = np.abs(pairs.omega) ** 2 >= numerics.prune_threshold
     rows, cols = np.nonzero(keep)
     amps = vac.c_v * pairs.omega[rows, cols]
     order = np.argsort(-np.abs(amps) ** 2, kind="stable")
-    out = [MultiPairAmplitude(electrons=(int(rows[i]),),
-                              positrons=(int(cols[i]),),
-                              amplitude=complex(amps[i]))
-           for i in order]
-    return out if top is None else out[:top]
+    return [MultiPairAmplitude(electrons=(int(rows[i]),),
+                               positrons=(int(cols[i]),),
+                               amplitude=complex(amps[i]))
+            for i in order]
 
 
 def _elementary(lam: np.ndarray) -> np.ndarray:
@@ -183,48 +184,34 @@ def _leave_one_out(lam: np.ndarray, k: int) -> np.ndarray:
     return e
 
 
-def _occupations(lam, vecs, e, sectors) -> np.ndarray:
-    """Mean occupation of each mode (row) in each listed sector (column).
-
-    d/dx_k e_N(eig(e^{X/2} M e^{X/2})) at X = diag(x) = 0 is
-    sum_i e_{N-1}(lam without lam_i) lam_i |v_ki|^2 (Hellmann-Feynman), the
-    weight of the N-particle states occupying mode k; it is invariant under
-    rotations within a degenerate eigenspace.
-    """
-    loo = _leave_one_out(lam, max(sectors, default=1) - 1)
-    cols = [n - 1 for n in sectors]
-    return (np.abs(vecs) ** 2) @ (loo[:, cols] * lam[:, None]) / e[sectors]
-
-
 def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
                        basis: ModeBasis, numerics: NumericsParams) -> SectorReport:
     """c_N and per-sector mean spin_z/helicity of electrons and positrons.
 
-    Closed form over the full omega.  A sector mean of S is the derivative
-    at x = 0 of the z^N coefficient of det(1 + z omega^dag e^{xS} omega)
-    (electrons; omega e^{xS} omega^dag for positrons) over e_N, i.e. the
-    per-mode values of S dotted into the mean mode occupations, taken from
-    omega omega^dag (electrons) and omega^dag omega (positrons).  The prune
-    threshold only selects the reported retained support.  Sectors with
-    c_N = 0 have their observables omitted.
+    Closed form over the full omega = U diag(sigma) V^dag.  A sector mean
+    of S is the derivative at x = 0 of the z^N coefficient of
+    det(1 + z omega^dag e^{xS} omega) (electrons; omega e^{xS} omega^dag for
+    positrons) over e_N: the per-mode values of S dotted into the mean mode
+    occupations sum_i |U_ki|^2 p_Ni electrons (|V_ki|^2 positrons), with
+    p_Ni = lam_i e_{N-1}(lam without lam_i) / e_N(lam), lam = sigma^2.  The
+    prune threshold only selects the reported retained support.  Sectors
+    with c_N = 0 have their observables omitted.
     """
     k_max = numerics.n_sector_max
-    omega = pairs.omega
     cv2 = vac.probability
+    u, sigma, vh = np.linalg.svd(pairs.omega, full_matrices=False)
+    lam = sigma ** 2
+    e = _elementary(lam)
 
-    lam_p, vec_p = np.linalg.eigh(omega.conj().T @ omega)
-    lam_e, vec_e = np.linalg.eigh(omega @ omega.conj().T)
-    lam_p, lam_e = np.clip(lam_p, 0.0, None), np.clip(lam_e, 0.0, None)
-    e_p = _elementary(lam_p)
-    e_e = _elementary(lam_e)
-
-    n_top = min(k_max, len(lam_p))
+    n_top = min(k_max, len(lam))
     c = np.zeros(k_max + 1)
     c[0] = cv2
-    c[1:n_top + 1] = cv2 * e_p[1:n_top + 1]
-    sectors = [n for n in range(1, n_top + 1) if e_p[n] > 0.0 and e_e[n] > 0.0]
-    occ_e = _occupations(lam_e, vec_e, e_e, sectors)
-    occ_p = _occupations(lam_p, vec_p, e_p, sectors)
+    c[1:n_top + 1] = cv2 * e[1:n_top + 1]
+    sectors = [n for n in range(1, n_top + 1) if e[n] > 0.0]
+    loo = _leave_one_out(lam, max(sectors, default=1) - 1)
+    p = loo[:, [n - 1 for n in sectors]] * lam[:, None] / e[sectors]
+    occ_e = np.abs(u) ** 2 @ p
+    occ_p = np.abs(vh.T) ** 2 @ p
 
     def means(mode_values, occ):
         return {n: float(x) for n, x in zip(sectors, mode_values @ occ)}
@@ -235,5 +222,5 @@ def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
         h_plus=means(basis.helicity_plus, occ_e),
         s_minus=means(basis.spin_z_minus, occ_p),
         h_minus=means(basis.helicity_minus, occ_p),
-        discarded_mass_bound=float(cv2 * e_p[k_max + 1:].sum()),
+        discarded_mass_bound=float(cv2 * e[k_max + 1:].sum()),
         n_retained_pairs=retained_support(pairs, numerics)[2])

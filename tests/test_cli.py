@@ -202,6 +202,27 @@ class TestSweep:
         assert rows[0]["error"] == ""
         assert "ValidationError" in rows[1]["error"]
 
+    @pytest.mark.parametrize("axis, values, factorizations", [
+        ("plateau_cycles", [0, 1, 2, 5, 9], 1),
+        ("k0_z", [0.0, 0.05, 0.1], 3),
+    ])
+    def test_one_schur_factorization_per_segment_set(
+            self, tmp_path, monkeypatch, axis, values, factorizations):
+        import scipy.linalg
+        calls = []
+        schur = scipy.linalg.schur
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", spy)
+        spec = SweepSpec(base=desk_config(plateau=1), sweep_axis=axis,
+                         values=values, outputs=str(tmp_path))
+        with open(run_sweep(spec)["json"]) as fh:
+            assert all(r["error"] == "" for r in json.load(fh)["rows"])
+        assert len(calls) == factorizations
+
     def test_k0_sweep_changes_subspace(self, tmp_path):
         config = desk_config(plateau=1)
         spec = SweepSpec(base=config, sweep_axis="k0_z", values=[0.0, 0.1],
@@ -331,6 +352,28 @@ class TestCommandLine:
         assert main([command, flag, str(in_path)]) == 2
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("dump-field", ["--per-cycle", "0"], "--per-cycle: must be >= 1"),
+        ("dump-field", ["--per-cycle", "-3"], "--per-cycle: must be >= 1"),
+        ("dump-field", ["--z", "nan"], "--z: must be finite"),
+        ("oracle-check", ["--tol", "nan"], "--tol: must be finite and > 0"),
+        ("oracle-check", ["--tol", "0"], "--tol: must be finite and > 0"),
+        ("oracle-check", ["--nmax", "-1"], "--nmax: must be >= 0"),
+    ], ids=["per_cycle_zero", "per_cycle_negative", "z_nan", "tol_nan",
+            "tol_zero", "nmax_negative"])
+    def test_malformed_flag_exit_2(self, tmp_path, capsys, command, flags,
+                                   message):
+        cfg_path = self.write_config(tmp_path, desk_config())
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", cfg_path] + flags
+        if command == "dump-field":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "passed" not in captured.out
+        assert not out.exists()
 
     def test_unreadable_json_exit_2(self, tmp_path, capsys):
         in_path = tmp_path / "input.json"

@@ -10,6 +10,7 @@ from diracpairs import (FieldParams, HelicityRelation, NumericsParams,
                         field_from_si, load_complex_matrix, potential_at,
                         propagate, propagator_segments, unitarity_defect,
                         with_plateau)
+from diracpairs import dynamics
 from diracpairs.dynamics import _integrate
 
 FIG2_FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4,
@@ -100,14 +101,15 @@ class TestPropagate:
         assert u.steps == config.window.total_cycles * config.numerics.steps_per_cycle
         assert unitarity_defect(u.matrix) == u.unitarity_defect
 
-    def test_tolerance_failure_raises_with_diagnosis(self):
+    def test_tolerance_failure_raises_with_diagnosis(self, monkeypatch):
         # the message names the step setting but does not suggest refining
         # it: each step exponential is unitary to roundoff
         config = make_config(plateau=2)
         basis = build_basis(config.numerics, config.field)
+        monkeypatch.setattr(dynamics, "DEFAULT_UNITARITY_TOL", 1e-18)
         with pytest.raises(UnitarityError,
                            match="steps_per_cycle=128;.*cannot restore"):
-            propagate(config, basis, unitarity_tol=1e-18)
+            propagate(config, basis)
 
     def test_second_order_convergence(self):
         # Richardson: with a 2nd-order step, halving dt cuts the distance to
@@ -150,7 +152,8 @@ class TestCycleCompose:
     def test_zero_plateau_is_off_times_on(self):
         u_on, _, u_off = self.segments
         composed = cycle_compose(*self.segments, 0)
-        assert np.array_equal(composed.matrix, u_off.matrix @ u_on.matrix)
+        assert np.max(np.abs(composed.matrix - u_off.matrix @ u_on.matrix)) \
+            <= 1e-13
         assert np.max(np.abs(composed.matrix - self.direct(0))) < 1e-12
 
     @pytest.mark.parametrize("j", [1, 7, 32])
@@ -161,9 +164,18 @@ class TestCycleCompose:
 
     def test_long_powering_stays_unitary(self):
         # powering u_cycle itself would multiply its roundoff defect by j
-        # (1.7e-10 here); the polar factor keeps it within tolerance
+        # (1.7e-10 here); its Floquet eigenvalues are put on the unit
+        # circle, so diag(lam^j) stays unitary
         composed = cycle_compose(*self.segments, 4096)
         assert composed.unitarity_defect < 1e-10
+
+    def test_floquet_form_reproduces_cycle(self):
+        u_cycle = self.segments[1]
+        q, lam = u_cycle.floquet
+        assert np.max(np.abs(q.conj().T @ q - np.eye(len(lam)))) < 1e-13
+        assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-15
+        assert np.max(np.abs((q * lam) @ q.conj().T - u_cycle.matrix)) < 1e-12
+        assert u_cycle.floquet is u_cycle.floquet
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValidationError):

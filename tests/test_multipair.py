@@ -399,7 +399,7 @@ class TestSinglePairList:
         pairs = single_pair_list(pa, vac, numerics)
         assert [(p.electrons[0], p.positrons[0]) for p in pairs] == \
             [(1, 2), (0, 0), (3, 3)]
-        top = single_pair_list(pa, vac, numerics, top=2)
+        top = single_pair_list(pa, vac, numerics)[:2]
         assert len(top) == 2
         assert abs(top[0].amplitude) >= abs(top[1].amplitude)
 

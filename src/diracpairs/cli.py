@@ -8,7 +8,8 @@ points byte-identically.
 The ``DIRACPAIRS_OUTDIR`` environment variable overrides the output
 directory.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-tolerance failure.
+Exit codes: 0 success, 2 validation error or an output path that cannot be
+written, 3 numerical-tolerance failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 TOP_PAIRS_IN_ROW = 8
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config changes, so points cached by an older scheme are redone.
-SCHEME_VERSION = 5
+SCHEME_VERSION = 6
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
@@ -487,6 +488,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:      # an output path that cannot be created
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except NumericalToleranceError as exc:
         print(f"numerical tolerance failure: {exc}", file=sys.stderr)

@@ -1,19 +1,25 @@
 """Single-particle Dirac dynamics over the mode basis.
 
-The Hamiltonian in the free-mode basis is block tridiagonal in the
-momentum index: diagonal blocks hold the free energies, and the coupling
-of lattice point n to n+1 is the spinor sandwich of alpha.a(t) with
-a(t) = C_plus(t) + conj(C_minus(t)), the total e^{+ikz} Fourier amplitude
-of the vector potential (charge sign folded into the m0/e units of A).
+The Hamiltonian in the free-mode basis is
 
-Propagation uses the exponential midpoint rule, with each substep
-exponential evaluated by eigendecomposition of the Hermitian H(t_mid), so
-every step is unitary to roundoff.  Every propagator of the window is
-composed from three integrated segments, turn-on, one plateau cycle and
-turn-off: since the carrier phase repeats exactly on integer-cycle
-boundaries, a plateau of j whole cycles is Q diag(lambda^j) Q^dag, read
-from the Floquet form (one complex Schur factorization) of the one-cycle
-propagator.  A run integrates 2*ramp + 1 cycles whatever its plateau length.
+    H(t) = H0 + c(t) K + conj(c(t)) K^dag,    c(t) = env(t) e^{-i w t},
+
+with H0 the diagonal of free energies and K the spinor sandwich of
+alpha.(X_plus e^{+ikz} + X_minus e^{-ikz}), where X_pm is half the
+unwindowed A-amplitude of the beam along +-z (charge sign folded into the
+m0/e units of A).  K couples lattice point n to n+1 through the +z beam
+and to n-1 through the -z beam; it is built once per basis and field.
+
+Propagation uses the exponential midpoint rule.  ``midpoint_steps`` gives
+the (c, dt) sequence of a time span, the one step scheme that both this
+chain integrator and the Fock oracle read; each dense step exponential is
+evaluated by eigendecomposition of the Hermitian H, so every step is
+unitary to roundoff.  Every propagator of the window is composed from
+three integrated segments, turn-on, one plateau cycle and turn-off: since
+the carrier phase repeats exactly on integer-cycle boundaries, a plateau
+of j whole cycles is Q diag(lambda^j) Q^dag, read from the Floquet form
+(one complex Schur factorization) of the one-cycle propagator.  A run
+integrates 2*ramp + 1 cycles whatever its plateau length.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ import numpy as np
 from scipy import linalg
 
 from .errors import UnitarityError, ValidationError
-from .fieldmodel import envelope, potential_at, FourierPotential
+from .fieldmodel import beam_jones, envelope
 from .modebasis import ALPHA, ModeBasis
-from .physconfig import RunConfig
+from .physconfig import FieldParams, RunConfig
 
 DEFAULT_UNITARITY_TOL = 1e-10
 
@@ -66,31 +72,52 @@ class GBlocks:
 
 
 @lru_cache(maxsize=8)
-def _raising_blocks(basis: ModeBasis):
-    """R[c][i, j] = spinor_i^dag alpha_c spinor_j for lattice(i) = lattice(j)+1."""
-    dim = basis.dim
-    blocks = np.zeros((3, dim, dim), dtype=complex)
-    n_sites = 2 * basis.n_cut + 1
-    for site in range(n_sites - 1):
-        rows = slice(4 * (site + 1), 4 * (site + 2))
-        cols = slice(4 * site, 4 * (site + 1))
-        upper = basis.spinors[:, rows]
-        lower = basis.spinors[:, cols]
-        for c in range(3):
-            blocks[c, rows, cols] = upper.conj().T @ ALPHA[c] @ lower
-    return blocks
+def field_coupling(basis: ModeBasis, field: FieldParams) -> np.ndarray:
+    """K of H = H0 + c K + conj(c) K^dag, built once per basis and field.
+
+    K[i, j] = spinor_i^dag alpha.X_pm spinor_j where lattice(i) =
+    lattice(j) +- 1, with X_pm half the unwindowed A-amplitude of the beam
+    along +-z; zero elsewhere.
+    """
+    k = np.zeros((basis.dim, basis.dim), dtype=complex)
+    raising, lowering = (np.tensordot(0.5 * beam_jones(field, d).vector(),
+                                      ALPHA, axes=(0, 0)) for d in (+1, -1))
+    for site in range(2 * basis.n_cut):
+        lower = slice(4 * site, 4 * site + 4)
+        upper = slice(4 * site + 4, 4 * site + 8)
+        s_lower, s_upper = basis.spinors[:, lower], basis.spinors[:, upper]
+        k[upper, lower] = s_upper.conj().T @ raising @ s_lower
+        k[lower, upper] = s_lower.conj().T @ lowering @ s_upper
+    return k
 
 
-def assemble_hamiltonian(t: float, basis: ModeBasis,
-                         pot: FourierPotential) -> np.ndarray:
-    """H(t) over the mode basis for the given instantaneous potential."""
-    h = np.diag(basis.energies.astype(complex))
-    a = pot.c_plus_k + pot.c_minus_k.conj()
-    if np.any(a != 0.0):
-        blocks = _raising_blocks(basis)
-        raise_part = np.tensordot(a, blocks, axes=(0, 0))
-        h += raise_part + raise_part.conj().T
+def assemble_hamiltonian(c: complex, basis: ModeBasis,
+                         field: FieldParams) -> np.ndarray:
+    """H = H0 + c K + conj(c) K^dag over the mode basis."""
+    h = c * field_coupling(basis, field)
+    h += h.conj().T
+    h[np.diag_indices(basis.dim)] += basis.energies
     return h
+
+
+def midpoint_steps(config: RunConfig, t0_cycles: float, t1_cycles: float,
+                   window=None):
+    """Yield (c, dt) at the midpoints of the steps over [t0, t1] in cycles.
+
+    The span is cut into round(|t1 - t0| * steps_per_cycle) equal steps
+    (at least one); t1 < t0 gives negative dt.  ``window`` defaults to the
+    config's.
+    """
+    field = config.field
+    window = config.window if window is None else window
+    span = t1_cycles - t0_cycles
+    n_steps = max(1, round(abs(span) * config.numerics.steps_per_cycle))
+    dt_cycles = span / n_steps
+    for s in range(n_steps):
+        t_c = t0_cycles + (s + 0.5) * dt_cycles
+        yield (envelope(t_c, window)
+               * np.exp(-1.0j * field.omega * t_c * field.cycle_duration),
+               dt_cycles * field.cycle_duration)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -112,17 +139,11 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     Over the whole window of ``config`` (the default) it is the direct
     reference that composed propagators are tested against.
     """
-    field = config.field
-    window = config.window if window is None else window
-    steps_per_cycle = config.numerics.steps_per_cycle
-    span = t1_cycles - t0_cycles
-    n_steps = max(1, round(abs(span) * steps_per_cycle))
-    dt_cycles = span / n_steps
-    dt = dt_cycles * field.cycle_duration
     u = np.eye(basis.dim, dtype=complex)
-    for s in range(n_steps):
-        t_mid = (t0_cycles + (s + 0.5) * dt_cycles) * field.cycle_duration
-        h = assemble_hamiltonian(t_mid, basis, potential_at(t_mid, field, window))
+    n_steps = 0
+    for n_steps, (c, dt) in enumerate(
+            midpoint_steps(config, t0_cycles, t1_cycles, window), 1):
+        h = assemble_hamiltonian(c, basis, config.field)
         u = _step_exponential(h, dt) @ u
     return u, n_steps
 

@@ -11,6 +11,12 @@ scalar tr(H--) keeps the full field-theory phase so vacuum and pair
 amplitudes are comparable to the determinant path including their phases,
 not just in magnitude.
 
+This map Gamma is linear in H and takes H^dag to Gamma(H)^dag.  With
+H(t) = H0 + c(t) K + h.c. (see ``dynamics``), Gamma(H0) and Gamma(K) are
+built once, and the vacuum is stepped with Gamma(H0) + c Gamma(K) +
+conj(c) Gamma(K)^dag along the same (c, dt) midpoint sequence as the
+chain integrator, directly over the full window.
+
 States live in the charge-zero sector (equal electron and positron
 counts).  Operators use a Jordan-Wigner ordering with all electron modes
 before all positron modes; multi-pair kets are built by applying the
@@ -28,9 +34,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from .dynamics import assemble_hamiltonian
+from .dynamics import field_coupling, midpoint_steps
 from .errors import FockDimensionError, NormDriftError
-from .fieldmodel import potential_at
 from .modebasis import ModeBasis
 from .physconfig import RunConfig
 
@@ -100,103 +105,6 @@ def _apply_b(e: int, p: int, n: int):
     return e, p ^ (1 << n), sign
 
 
-class _TermTable:
-    """Precomputed sparse structure of the second-quantized Hamiltonian.
-
-    Holds COO entries (row, col) together with the single-particle matrix
-    position (alpha, beta) and a weight, so that for any H the many-body
-    matrix is sum of weight * H[alpha, beta] over the entries.  ``mask``
-    restricts which single-particle couplings are materialized.
-    """
-
-    def __init__(self, fock: FockBasis, basis: ModeBasis, mask: np.ndarray):
-        plus = basis.plus_indices
-        minus = basis.minus_indices
-        m_e, m_p = fock.m_electron, fock.m_positron
-        rows, cols, alphas, betas, weights = [], [], [], [], []
-
-        def add(r, c, a, b, w):
-            rows.append(r)
-            cols.append(c)
-            alphas.append(a)
-            betas.append(b)
-            weights.append(w)
-
-        for col, (e, p) in enumerate(fock.patterns):
-            # scalar tr(H--) on the diagonal
-            for n in range(m_p):
-                add(col, col, minus[n], minus[n], 1.0)
-            # a+_i a_j
-            for j in range(m_e):
-                hit = _apply_a(e, p, j)
-                if hit is None:
-                    continue
-                e1, p1, s1 = hit
-                for i in range(m_e):
-                    if not mask[plus[i], plus[j]]:
-                        continue
-                    hit2 = _apply_a_dag(e1, p1, i)
-                    if hit2 is None:
-                        continue
-                    e2, p2, s2 = hit2
-                    add(fock.index(e2, p2), col, plus[i], plus[j], s1 * s2)
-            # -H[n', n] b+_n b_n'
-            for n_prime in range(m_p):
-                hit = _apply_b(e, p, n_prime)
-                if hit is None:
-                    continue
-                e1, p1, s1 = hit
-                for n in range(m_p):
-                    if not mask[minus[n_prime], minus[n]]:
-                        continue
-                    hit2 = _apply_b_dag(e1, p1, n)
-                    if hit2 is None:
-                        continue
-                    e2, p2, s2 = hit2
-                    add(fock.index(e2, p2), col, minus[n_prime], minus[n],
-                        -s1 * s2)
-            # H[m, n] a+_m b+_n
-            for n in range(m_p):
-                hit = _apply_b_dag(e, p, n)
-                if hit is None:
-                    continue
-                e1, p1, s1 = hit
-                for m in range(m_e):
-                    if not mask[plus[m], minus[n]]:
-                        continue
-                    hit2 = _apply_a_dag(e1, p1, m)
-                    if hit2 is None:
-                        continue
-                    e2, p2, s2 = hit2
-                    add(fock.index(e2, p2), col, plus[m], minus[n], s1 * s2)
-            # H[n, m] b_n a_m
-            for m in range(m_e):
-                hit = _apply_a(e, p, m)
-                if hit is None:
-                    continue
-                e1, p1, s1 = hit
-                for n in range(m_p):
-                    if not mask[minus[n], plus[m]]:
-                        continue
-                    hit2 = _apply_b(e1, p1, n)
-                    if hit2 is None:
-                        continue
-                    e2, p2, s2 = hit2
-                    add(fock.index(e2, p2), col, minus[n], plus[m], s1 * s2)
-
-        self.fock = fock
-        self.rows = np.array(rows, dtype=np.int64)
-        self.cols = np.array(cols, dtype=np.int64)
-        self.alphas = np.array(alphas, dtype=np.int64)
-        self.betas = np.array(betas, dtype=np.int64)
-        self.weights = np.array(weights, dtype=complex)
-
-    def assemble(self, h: np.ndarray):
-        data = self.weights * h[self.alphas, self.betas]
-        return coo_matrix((data, (self.rows, self.cols)),
-                          shape=(self.fock.dim, self.fock.dim)).tocsr()
-
-
 @dataclass
 class ManyBodyState:
     amplitudes: np.ndarray
@@ -213,48 +121,62 @@ def _check_dim(basis: ModeBasis):
 
 def second_quantize(h: np.ndarray, basis: ModeBasis,
                     fock: FockBasis | None = None):
-    """Many-body matrix (sparse CSR) for one single-particle H."""
+    """Many-body matrix (sparse CSR) for one single-particle matrix h.
+
+    The map is linear in h and takes h^dag to its adjoint; only the
+    nonzero couplings of h are materialized.
+    """
     _check_dim(basis)
     if fock is None:
         fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)
-    mask = np.abs(h) > 0.0
-    np.fill_diagonal(mask, True)
-    return _TermTable(fock, basis, mask).assemble(h)
-
-
-def _structural_mask(basis: ModeBasis) -> np.ndarray:
-    """Couplings allowed by the plane-wave chain: |site difference| <= 1."""
-    sites = np.array([m.label.n for m in basis.modes])
-    return np.abs(sites[:, None] - sites[None, :]) <= 1
+    plus, minus = basis.plus_indices, basis.minus_indices
+    # (second operator, first operator, coefficient[second label, first label])
+    terms = ((_apply_a_dag, _apply_a, h[np.ix_(plus, plus)]),
+             (_apply_b_dag, _apply_b, -h[np.ix_(minus, minus)].T),
+             (_apply_a_dag, _apply_b_dag, h[np.ix_(plus, minus)]),
+             (_apply_b, _apply_a, h[np.ix_(minus, plus)]))
+    # scalar tr(h--) on the diagonal
+    rows, cols = list(range(fock.dim)), list(range(fock.dim))
+    data = [np.trace(h[np.ix_(minus, minus)])] * fock.dim
+    for col, (e, p) in enumerate(fock.patterns):
+        for second, first, coeff in terms:
+            for y in range(coeff.shape[1]):
+                hit = first(e, p, y)
+                if hit is None:
+                    continue
+                e1, p1, s1 = hit
+                for x in np.flatnonzero(coeff[:, y]).tolist():
+                    hit2 = second(e1, p1, x)
+                    if hit2 is None:
+                        continue
+                    e2, p2, s2 = hit2
+                    rows.append(fock.index(e2, p2))
+                    cols.append(col)
+                    data.append(s1 * s2 * coeff[x, y])
+    return coo_matrix((data, (rows, cols)), shape=(fock.dim, fock.dim)).tocsr()
 
 
 def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     """Evolve |0> over the full window with the midpoint rule.
 
-    Steps directly through all 2*ramp + plateau cycles on the midpoint grid
-    of the single-particle segments (1/steps_per_cycle cycles), so it is an
-    independent reference for the composed propagator and the comparison
-    is free of discretization error.
+    Second quantization is linear, so the many-body Hamiltonian of each
+    step is Gamma(H0) + c Gamma(K) + conj(c) Gamma(K)^dag, with Gamma(H0)
+    and Gamma(K) built once.  The (c, dt) steps are those of
+    ``dynamics.midpoint_steps``, taken directly through all 2*ramp +
+    plateau cycles with no composition, so the oracle is an independent
+    reference for the composed propagator and the comparison is free of
+    discretization error.
     """
     _check_dim(basis)
     fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)
-    table = _TermTable(fock, basis, _structural_mask(basis))
-
-    field = config.field
-    total = config.window.total_cycles
-    steps_per_cycle = config.numerics.steps_per_cycle
-    n_steps = total * steps_per_cycle
-    dt_cycles = 1.0 / steps_per_cycle
-    dt = dt_cycles * field.cycle_duration
+    h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)
+    k = second_quantize(field_coupling(basis, config.field), basis, fock)
+    k_dag = k.conj().T.tocsr()
 
     psi = np.zeros(fock.dim, dtype=complex)
     psi[fock.index(0, 0)] = 1.0
-    for s in range(n_steps):
-        t_mid = (s + 0.5) * dt_cycles * field.cycle_duration
-        h = assemble_hamiltonian(t_mid, basis,
-                                 potential_at(t_mid, field, config.window))
-        h_many = table.assemble(h)
-        psi = expm_multiply(-1.0j * dt * h_many, psi)
+    for c, dt in midpoint_steps(config, 0.0, float(config.window.total_cycles)):
+        psi = expm_multiply(-1.0j * dt * (h0 + c * k + np.conj(c) * k_dag), psi)
 
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if drift > NORM_TOL:

@@ -15,7 +15,7 @@ down; the flattened index is a bijection onto [0, 4*(2*n_cut+1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -148,15 +148,8 @@ class ModeBasis:
             labels = [ModeLabel(n=n, band=band, spin=spin)
                       for band in (Band.PLUS, Band.MINUS)
                       for spin in (Spin.UP, Spin.DOWN)]
-            for label, mode in zip(labels, raw):
-                self.modes.append(FreeMode(
-                    label=label,
-                    momentum=mode.momentum,
-                    energy=mode.energy,
-                    spinor=mode.spinor,
-                    spin_z=mode.spin_z,
-                    helicity=mode.helicity,
-                ))
+            self.modes.extend(replace(mode, label=label)
+                              for label, mode in zip(labels, raw))
 
         self.dim = len(self.modes)
         self.energies = np.array([m.energy for m in self.modes])

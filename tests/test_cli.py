@@ -375,6 +375,32 @@ class TestCommandLine:
         assert "passed" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["preset", "dump-basis", "dump-field",
+                                         "oracle-check", "run", "sweep"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch,
+                                      command):
+        # a path below a regular file cannot be created, not even by root
+        (tmp_path / "file.json").write_text("{}")
+        out = str(tmp_path / "file.json" / "out")
+        monkeypatch.delenv("DIRACPAIRS_OUTDIR", raising=False)
+        cfg_path = self.write_config(tmp_path, desk_config())
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "base": config_to_dict(desk_config()), "sweep_axis": "plateau_cycles",
+            "values": [0], "outputs": out}))
+        argv = {
+            "preset": ["preset", "--name", "fig2", "--emit-config", "--out", out],
+            "dump-basis": ["dump-basis", "--config", cfg_path, "--out", out],
+            "dump-field": ["dump-field", "--config", cfg_path, "--per-cycle",
+                           "4", "--out", out],
+            "oracle-check": ["oracle-check", "--config", cfg_path, "--nmax",
+                             "1", "--dump-amplitudes", out],
+            "run": ["run", "--config", cfg_path, "--out", out],
+            "sweep": ["sweep", "--spec", str(spec_path)],
+        }[command]
+        assert main(argv) == 2
+        assert out in capsys.readouterr().err
+
     def test_unreadable_json_exit_2(self, tmp_path, capsys):
         in_path = tmp_path / "input.json"
         in_path.write_text('{"field": ')

@@ -1,20 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diracpairs import (FieldParams, HelicityRelation, NumericsParams,
+from diracpairs import (ALPHA, FieldParams, HelicityRelation, NumericsParams,
                         RunConfig, Spin, UnitarityError, ValidationError,
                         WindowParams, assemble_hamiltonian, build_basis,
-                        cycle_compose, dump_complex_matrix, extract_g_blocks,
-                        field_from_si, load_complex_matrix, potential_at,
-                        propagate, propagator_segments, unitarity_defect,
+                        cycle_compose, dump_complex_matrix, envelope,
+                        extract_g_blocks, field_from_si, load_complex_matrix,
+                        potential_at, propagate, propagator_segments, unitarity_defect,
                         with_plateau)
 from diracpairs import dynamics
 from diracpairs.dynamics import _integrate
 
 FIG2_FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4,
                            HelicityRelation.SAME)
+FIG4_FIELD = field_from_si(3.1e17, 0.4715, 0.7 * math.pi / 4,
+                           HelicityRelation.OPPOSITE)
 
 
 def make_config(n_cut=2, steps_per_cycle=128, ramp=1, plateau=1, field=None):
@@ -30,13 +33,28 @@ def zero_field(omega=0.746):
                        helicity_relation=HelicityRelation.SAME)
 
 
+def fourier_hamiltonian(t, basis, field, window):
+    """H0 + sum_c a_c R_c + h.c. with a = C_plus + conj(C_minus) from
+    ``potential_at`` and R_c the alpha_c raising blocks (n <- n-1)."""
+    pot = potential_at(t, field, window)
+    a = pot.c_plus_k + pot.c_minus_k.conj()
+    sites = np.array([m.label.n for m in basis.modes])
+    raising = sites[:, None] == sites[None, :] + 1
+    r = np.einsum("c,ai,cab,bj->ij", a, basis.spinors.conj(), ALPHA,
+                  basis.spinors) * raising
+    return np.diag(basis.energies).astype(complex) + r + r.conj().T
+
+
+def coupling_at(t, field, window):
+    t_cycles = t / field.cycle_duration
+    return envelope(t_cycles, window) * np.exp(-1j * field.omega * t)
+
+
 class TestHamiltonian:
     def test_free_limit_is_diagonal(self):
         config = make_config()
         basis = build_basis(config.numerics, config.field)
-        t = -1.0  # before turn-on
-        pot = potential_at(t, config.field, config.window)
-        h = assemble_hamiltonian(t, basis, pot)
+        h = assemble_hamiltonian(0.0, basis, config.field)
         assert np.array_equal(h, np.diag(basis.energies).astype(complex))
 
     def test_hermiticity_at_random_times(self):
@@ -46,42 +64,57 @@ class TestHamiltonian:
         total_t = config.window.total_cycles * config.field.cycle_duration
         for t in rng.uniform(0, total_t, 100):
             h = assemble_hamiltonian(
-                t, basis, potential_at(t, config.field, config.window))
+                coupling_at(t, config.field, config.window), basis, config.field)
             assert np.max(np.abs(h - h.conj().T)) < 1e-13
 
     def test_chain_sparsity_exact(self):
         config = make_config(n_cut=3)
         basis = build_basis(config.numerics, config.field)
-        t = 1.3 * config.field.cycle_duration
-        h = assemble_hamiltonian(
-            t, basis, potential_at(t, config.field, config.window))
+        h = assemble_hamiltonian(0.3 - 0.8j, basis, config.field)
         sites = np.array([m.label.n for m in basis.modes])
         far = np.abs(sites[:, None] - sites[None, :]) >= 2
         assert np.all(h[far] == 0.0)
 
     def test_circular_beam_photon_spin_selection(self):
-        # single +z beam, alpha=0: the raising block only flips spin down->up,
-        # the lowering block only up->down; spin-conserving entries vanish
+        # +z beam at alpha=0: its raising matrix (the n <- n-1 part of K)
+        # only flips spin down->up, and it is not identically zero
         field = FieldParams(omega=0.746, e_peak=0.37, alpha_plus=0.0,
                             alpha_minus=0.0,
                             helicity_relation=HelicityRelation.OPPOSITE)
         config = make_config(field=field)
         basis = build_basis(config.numerics, config.field)
-        t = 1.2 * field.cycle_duration
-        pot = potential_at(t, field, config.window)
-        pot_single = type(pot)(c_plus_k=pot.c_plus_k,
-                               c_minus_k=np.zeros(3, dtype=complex))
-        h = assemble_hamiltonian(t, basis, pot_single)
+        k = dynamics.field_coupling(basis, field)
         spins = [m.label.spin for m in basis.modes]
         sites = np.array([m.label.n for m in basis.modes])
+        flips = 0
         for i in range(basis.dim):
             for j in range(basis.dim):
                 if sites[i] == sites[j] + 1:
-                    if not (spins[i] is Spin.UP and spins[j] is Spin.DOWN):
-                        assert h[i, j] == 0.0
-                elif sites[i] == sites[j] - 1:
-                    if not (spins[i] is Spin.DOWN and spins[j] is Spin.UP):
-                        assert h[i, j] == 0.0
+                    if spins[i] is Spin.UP and spins[j] is Spin.DOWN:
+                        flips += abs(k[i, j]) > 1e-3
+                    else:
+                        assert k[i, j] == 0.0
+        assert flips > 0
+
+    @pytest.mark.parametrize("field, k0", [
+        (FIG2_FIELD, (0.0, 0.0, 0.0)),
+        (FIG4_FIELD, (0.0, 0.0, 0.0)),
+        (FIG2_FIELD, (0.0, 0.0, 0.0013)),
+        (FIG4_FIELD, (0.21, -0.13, 0.05)),
+    ], ids=["fig2", "fig4", "fig2_k0z", "fig4_transverse"])
+    def test_coupling_matches_fourier_potential(self, field, k0):
+        # H0 + c K + h.c. is the Fourier-amplitude Hamiltonian at every
+        # time, ramps included
+        config = make_config(field=field, ramp=2, plateau=1)
+        config = replace(config, numerics=replace(config.numerics, k0_offset=k0))
+        basis = build_basis(config.numerics, config.field)
+        rng = np.random.default_rng(4)
+        total_t = config.window.total_cycles * field.cycle_duration
+        for t in rng.uniform(0, total_t, 25):
+            h = assemble_hamiltonian(coupling_at(t, field, config.window),
+                                     basis, field)
+            ref = fourier_hamiltonian(t, basis, field, config.window)
+            assert np.max(np.abs(h - ref)) < 1e-13
 
 
 class TestPropagate:

@@ -6,13 +6,15 @@ import pytest
 from scipy.linalg import expm
 
 from diracpairs import (FockBasis, FockDimensionError, HelicityRelation,
+                        assemble_hamiltonian, envelope,
                         NumericsParams, RunConfig, WindowParams, build_basis,
                         extract_g_blocks, field_from_si, multi_pair_amplitude,
                         pair_amplitudes, propagate, propagate_vacuum,
                         read_amplitude, second_quantize,
                         sector_observables, sector_probabilities_exact,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
-from diracpairs.fockoracle import ManyBodyState, _TermTable, _ket_sign
+from diracpairs.dynamics import field_coupling
+from diracpairs.fockoracle import ManyBodyState, _ket_sign
 
 FIG2_FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4,
                            HelicityRelation.SAME)
@@ -216,16 +218,29 @@ class TestPropagateVacuum:
         config = small_config()
         basis = build_basis(config.numerics, config.field)
         fock = FockBasis(6, 6)
-        from diracpairs.fockoracle import _structural_mask
-        table = _TermTable(fock, basis, _structural_mask(basis))
         t = 0.9 * config.field.cycle_duration
-        from diracpairs import assemble_hamiltonian, potential_at
-        h = assemble_hamiltonian(t, basis,
-                                 potential_at(t, config.field, config.window))
-        h_many = table.assemble(h).tocoo()
+        coupling = (envelope(0.9, config.window)
+                    * np.exp(-1j * config.field.omega * t))
+        h = assemble_hamiltonian(coupling, basis, config.field)
+        h_many = second_quantize(h, basis, fock).tocoo()
         for r, c in zip(h_many.row, h_many.col):
             assert fock.patterns[r][0].bit_count() == fock.patterns[r][1].bit_count()
             assert fock.patterns[c][0].bit_count() == fock.patterns[c][1].bit_count()
+
+    def test_linear_in_the_field_coupling(self):
+        # Gamma(H0) + c Gamma(K) + conj(c) Gamma(K)^dag, the operator the
+        # oracle steps with, is Gamma(H) of the assembled H
+        config = small_config()
+        basis = build_basis(config.numerics, config.field)
+        fock = FockBasis(6, 6)
+        h0 = second_quantize(np.diag(basis.energies).astype(complex), basis, fock)
+        k = second_quantize(field_coupling(basis, config.field), basis, fock)
+        rng = np.random.default_rng(8)
+        for c in rng.normal(size=4) + 1j * rng.normal(size=4):
+            combined = (h0 + c * k + np.conj(c) * k.conj().T).toarray()
+            h = assemble_hamiltonian(c, basis, config.field)
+            direct = second_quantize(h, basis, fock).toarray()
+            assert np.max(np.abs(combined - direct)) < 1e-13
 
 
 class TestReadAmplitude:

@@ -17,10 +17,9 @@ from .physconfig import (E_SCHWINGER_V_PER_M, HelicityRelation, FieldParams,
                          field_from_si, validate, validation_errors,
                          config_to_dict, config_from_dict, config_hash,
                          with_plateau)
-from .fieldmodel import (JonesAmplitude, FourierPotential, envelope,
-                         envelope_derivative, beam_jones, potential_at,
-                         potential_vector_at, reconstruct_potential,
-                         electric_field_at, JONES_LEFT, JONES_RIGHT)
+from .fieldmodel import (envelope, envelope_derivative, beam_amplitudes,
+                         carrier, potential_vector_at, electric_field_at,
+                         JONES_LEFT, JONES_RIGHT)
 from .modebasis import (Band, Spin, ModeLabel, FreeMode, ModeBasis,
                         build_basis, free_modes_at, free_hamiltonian,
                         ALPHA, BETA, SIGMA_BIG)

@@ -15,11 +15,13 @@ written, 3 numerical-tolerance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 TOP_PAIRS_IN_ROW = 8
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config changes, so points cached by an older scheme are redone.
-SCHEME_VERSION = 6
+SCHEME_VERSION = 7
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
@@ -184,10 +186,6 @@ def _point_config(spec: SweepSpec, value) -> RunConfig:
     raise ValidationError(f"spec.sweep_axis: unknown axis {spec.sweep_axis!r}")
 
 
-def _outdir(spec: SweepSpec) -> str:
-    return os.environ.get("DIRACPAIRS_OUTDIR", spec.outputs)
-
-
 def run_sweep(spec: SweepSpec) -> dict:
     """Run all sweep points; returns {"csv": path, "json": path}.
 
@@ -200,7 +198,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         raise ValidationError("spec.values: must be non-empty")
     validate(spec.base)
     configs = [_point_config(spec, value) for value in spec.values]
-    outdir = _outdir(spec)
+    outdir = os.environ.get("DIRACPAIRS_OUTDIR", spec.outputs)
     points_dir = os.path.join(outdir, "points")
     os.makedirs(points_dir, exist_ok=True)
     gdump = bool(spec.emit.get("gdump", False))
@@ -213,7 +211,9 @@ def run_sweep(spec: SweepSpec) -> dict:
         cache = os.path.join(points_dir, f"{tag}.json")
         if os.path.exists(cache):
             with open(cache) as fh:
-                rows.append(row_from_dict(json.load(fh)))
+                row = row_from_dict(json.load(fh))
+            # the same point may have been cached by a sweep along another axis
+            rows.append(replace(row, sweep_value=float(value)))
             continue
         try:
             validate(config)
@@ -314,6 +314,15 @@ def _load_config(path: str) -> RunConfig:
     return validate(config_from_dict(_read_json(path)))
 
 
+def _write_text(text: str, path) -> None:
+    """Write to the file at ``path``, or to standard output without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _check_flag(flag: str, ok: bool, rule: str) -> None:
     if not ok:
         raise ValidationError(f"{flag}: must be {rule}")
@@ -321,9 +330,9 @@ def _check_flag(flag: str, ok: bool, rule: str) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
-    row = run_once(config)
     outdir = os.environ.get("DIRACPAIRS_OUTDIR", args.out)
     os.makedirs(outdir, exist_ok=True)
+    row = run_once(config)
     k = config.numerics.n_sector_max
     base = os.path.join(outdir, f"run_{config_hash(config)}")
     with open(base + ".csv", "w") as fh:
@@ -354,19 +363,12 @@ def _cmd_preset(args) -> int:
     if args.emit_config:
         text = json.dumps({**config_to_dict(config), "_meta": meta},
                           indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_text(text + "\n", args.out)
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    _check_flag("--tol", math.isfinite(args.tol) and args.tol > 0,
-                "finite and > 0")
-    _check_flag("--nmax", args.nmax >= 0, ">= 0")
-    config = _load_config(args.config)
+def _oracle_difference(config: RunConfig, nmax: int):
+    """(max |determinant-path - Fock-path| amplitude over N <= nmax, Fock state)."""
     basis = build_basis(config.numerics, config.field)
     u = dynamics.propagate(config, basis)
     g = dynamics.extract_g_blocks(u, basis, config)
@@ -375,22 +377,31 @@ def _cmd_oracle_check(args) -> int:
 
     state = fockoracle.propagate_vacuum(config, basis)
     worst = abs(vac.c_v - fockoracle.vacuum_overlap(state))
-    from itertools import combinations
-    for n in range(1, args.nmax + 1):
+    for n in range(1, nmax + 1):
         for es in combinations(range(basis.n_electron_modes), n):
             for ps in combinations(range(basis.n_positron_modes), n):
                 det_amp = multipair.multi_pair_amplitude(pairs, vac, es, ps)
                 fock_amp = fockoracle.read_amplitude(state, es, ps)
                 worst = max(worst, abs(det_amp.amplitude - fock_amp))
-    print(f"max |determinant-path - Fock-path| amplitude difference "
-          f"(N <= {args.nmax}): {worst:.3e}")
-    if args.dump_amplitudes:
-        with open(args.dump_amplitudes, "w") as fh:
-            fh.write("N,electrons,positrons,re,im\n")
+    return worst, state
+
+
+def _cmd_oracle_check(args) -> int:
+    _check_flag("--tol", math.isfinite(args.tol) and args.tol > 0,
+                "finite and > 0")
+    _check_flag("--nmax", args.nmax >= 0, ">= 0")
+    config = _load_config(args.config)
+    with (open(args.dump_amplitudes, "w") if args.dump_amplitudes
+          else contextlib.nullcontext()) as dump:
+        worst, state = _oracle_difference(config, args.nmax)
+        print(f"max |determinant-path - Fock-path| amplitude difference "
+              f"(N <= {args.nmax}): {worst:.3e}")
+        if dump:
+            dump.write("N,electrons,positrons,re,im\n")
             for n, es, ps, amp in fockoracle.amplitude_table(state):
-                fh.write(f"{n},{'|'.join(map(str, es))},"
-                         f"{'|'.join(map(str, ps))},{amp.real!r},{amp.imag!r}\n")
-        print(f"wrote {args.dump_amplitudes}")
+                dump.write(f"{n},{'|'.join(map(str, es))},"
+                           f"{'|'.join(map(str, ps))},{amp.real!r},{amp.imag!r}\n")
+            print(f"wrote {args.dump_amplitudes}")
     if worst > args.tol:
         raise NumericalToleranceError(
             f"oracle-check: amplitude difference {worst:.3e} exceeds "
@@ -402,12 +413,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_dump_basis(args) -> int:
     config = _load_config(args.config)
     basis = build_basis(config.numerics, config.field)
-    text = basis.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(basis.to_csv(), args.out)
     return 0
 
 
@@ -426,12 +432,7 @@ def _cmd_dump_field(args) -> int:
         e = electric_field_at(args.z, t, field, window)
         lines.append(",".join([repr(t_c)] + [repr(float(x)) for x in a]
                               + [repr(float(x)) for x in e]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -2,39 +2,41 @@
 
 The Hamiltonian in the free-mode basis is
 
-    H(t) = H0 + c(t) K + conj(c(t)) K^dag,    c(t) = env(t) e^{-i w t},
+    H(t) = H0 + c(t) K + conj(c(t)) K^dag,
 
-with H0 the diagonal of free energies and K the spinor sandwich of
-alpha.(X_plus e^{+ikz} + X_minus e^{-ikz}), where X_pm is half the
-unwindowed A-amplitude of the beam along +-z (charge sign folded into the
-m0/e units of A).  K couples lattice point n to n+1 through the +z beam
-and to n-1 through the -z beam; it is built once per basis and field.
+with H0 the diagonal of free energies, c(t) = env(t) e^{-i w t} the
+``fieldmodel.carrier`` and K the spinor sandwich of
+alpha.(X_plus e^{+ikz} + X_minus e^{-ikz}) with the
+``fieldmodel.beam_amplitudes`` X_pm.  K couples lattice point n to n+1
+through the +z beam and to n-1 through the -z beam; it is built once per
+basis and field.
 
 Propagation uses the exponential midpoint rule.  ``midpoint_steps`` gives
 the (c, dt) sequence of a time span, the one step scheme that both this
 chain integrator and the Fock oracle read; each dense step exponential is
 evaluated by eigendecomposition of the Hermitian H, so every step is
 unitary to roundoff.  Every propagator of the window is composed from
-three integrated segments, turn-on, one plateau cycle and turn-off: since
-the carrier phase repeats exactly on integer-cycle boundaries, a plateau
-of j whole cycles is Q diag(lambda^j) Q^dag, read from the Floquet form
-(one complex Schur factorization) of the one-cycle propagator.  A run
-integrates 2*ramp + 1 cycles whatever its plateau length.
+the turn-on, one plateau cycle and the turn-off, integrated as
+consecutive spans of the window with a one-cycle plateau: c(t + 1) = c(t)
+on the plateau, so a plateau of j whole cycles is Q diag(lambda^j) Q^dag,
+read from the Floquet form (one complex Schur factorization) of the
+one-cycle propagator.  A run integrates 2*ramp + 1 cycles whatever its
+plateau length.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import linalg
 
 from .errors import UnitarityError, ValidationError
-from .fieldmodel import beam_jones, envelope
+from .fieldmodel import beam_amplitudes, carrier, envelope
 from .modebasis import ALPHA, ModeBasis
-from .physconfig import FieldParams, RunConfig
+from .physconfig import FieldParams, RunConfig, with_plateau
 
 DEFAULT_UNITARITY_TOL = 1e-10
 
@@ -76,12 +78,11 @@ def field_coupling(basis: ModeBasis, field: FieldParams) -> np.ndarray:
     """K of H = H0 + c K + conj(c) K^dag, built once per basis and field.
 
     K[i, j] = spinor_i^dag alpha.X_pm spinor_j where lattice(i) =
-    lattice(j) +- 1, with X_pm half the unwindowed A-amplitude of the beam
-    along +-z; zero elsewhere.
+    lattice(j) +- 1 (X_pm from ``beam_amplitudes``); zero elsewhere.
     """
     k = np.zeros((basis.dim, basis.dim), dtype=complex)
-    raising, lowering = (np.tensordot(0.5 * beam_jones(field, d).vector(),
-                                      ALPHA, axes=(0, 0)) for d in (+1, -1))
+    raising, lowering = (np.tensordot(x, ALPHA, axes=(0, 0))
+                         for x in beam_amplitudes(field))
     for site in range(2 * basis.n_cut):
         lower = slice(4 * site, 4 * site + 4)
         upper = slice(4 * site + 4, 4 * site + 8)
@@ -100,24 +101,18 @@ def assemble_hamiltonian(c: complex, basis: ModeBasis,
     return h
 
 
-def midpoint_steps(config: RunConfig, t0_cycles: float, t1_cycles: float,
-                   window=None):
+def midpoint_steps(config: RunConfig, t0_cycles: float, t1_cycles: float):
     """Yield (c, dt) at the midpoints of the steps over [t0, t1] in cycles.
 
     The span is cut into round(|t1 - t0| * steps_per_cycle) equal steps
-    (at least one); t1 < t0 gives negative dt.  ``window`` defaults to the
-    config's.
+    (at least one); t1 < t0 gives negative dt.
     """
-    field = config.field
-    window = config.window if window is None else window
     span = t1_cycles - t0_cycles
     n_steps = max(1, round(abs(span) * config.numerics.steps_per_cycle))
     dt_cycles = span / n_steps
     for s in range(n_steps):
-        t_c = t0_cycles + (s + 0.5) * dt_cycles
-        yield (envelope(t_c, window)
-               * np.exp(-1.0j * field.omega * t_c * field.cycle_duration),
-               dt_cycles * field.cycle_duration)
+        yield (carrier(t0_cycles + (s + 0.5) * dt_cycles, config.window),
+               dt_cycles * config.field.cycle_duration)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -132,17 +127,17 @@ def _step_exponential(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
-               t1_cycles: float, window=None) -> tuple:
+               t1_cycles: float) -> tuple:
     """Time-ordered midpoint product over [t0, t1] in cycles.
 
     Supports t1 < t0 (reversed stepping).  Returns (matrix, n_steps).
-    Over the whole window of ``config`` (the default) it is the direct
-    reference that composed propagators are tested against.
+    Over the whole window of ``config`` it is the direct reference that
+    composed propagators are tested against.
     """
     u = np.eye(basis.dim, dtype=complex)
     n_steps = 0
     for n_steps, (c, dt) in enumerate(
-            midpoint_steps(config, t0_cycles, t1_cycles, window), 1):
+            midpoint_steps(config, t0_cycles, t1_cycles), 1):
         h = assemble_hamiltonian(c, basis, config.field)
         u = _step_exponential(h, dt) @ u
     return u, n_steps
@@ -157,19 +152,17 @@ def propagate(config: RunConfig, basis: ModeBasis) -> Propagator:
 def propagator_segments(config: RunConfig, basis: ModeBasis):
     """(u_on, u_cycle, u_off) for plateau composition.
 
-    The turn-off segment is integrated from a zero-plateau window so its
-    carrier phase matches any integer-cycle plateau end.  u_cycle covers
-    exactly one period starting at the plateau phase.
+    The three are the consecutive spans [0, R], [R, R + 1] and
+    [R + 1, 2R + 1] of the window with a one-cycle plateau (R the ramp).
+    c(t + 1) = c(t) on the plateau and the turn-off depends only on the
+    time left to the window end, so u_off (u_cycle)^j u_on is the
+    propagator of a j-cycle plateau for every j.
     """
     ramp = config.window.ramp_cycles
-    window_one = replace(config.window, plateau_cycles=1)
-    window_zero = replace(config.window, plateau_cycles=0)
+    one = with_plateau(config, 1)
 
-    m_on, s_on = _integrate(basis, config, 0.0, float(ramp), window=window_one)
-    m_cyc, s_cyc = _integrate(basis, config, float(ramp), float(ramp + 1), window=window_one)
-    m_off, s_off = _integrate(basis, config, float(ramp), float(2 * ramp), window=window_zero)
-
-    def wrap(m, steps, span, part):
+    def segment(part, t0, t1):
+        m, steps = _integrate(basis, one, float(t0), float(t1))
         defect = unitarity_defect(m)
         if defect > DEFAULT_UNITARITY_TOL:
             raise UnitarityError(
@@ -178,12 +171,11 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
                 f"steps_per_cycle={config.numerics.steps_per_cycle}; each step "
                 "is unitary to roundoff, so more steps cannot restore it: H was "
                 "non-finite or non-Hermitian, or roundoff accumulated")
-        return Propagator(matrix=m, t_span_cycles=span, steps=steps,
-                          unitarity_defect=defect)
+        return Propagator(matrix=m, t_span_cycles=(float(t0), float(t1)),
+                          steps=steps, unitarity_defect=defect)
 
-    return (wrap(m_on, s_on, (0.0, float(ramp)), "on"),
-            wrap(m_cyc, s_cyc, (float(ramp), float(ramp + 1)), "cycle"),
-            wrap(m_off, s_off, (float(ramp), float(2 * ramp)), "off"))
+    return (segment("on", 0, ramp), segment("cycle", ramp, ramp + 1),
+            segment("off", ramp + 1, 2 * ramp + 1))
 
 
 def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,

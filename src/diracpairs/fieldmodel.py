@@ -11,20 +11,24 @@ antiderivative of the monochromatic carrier, A = E/(i w) per beam.  The
 turn-on/off window multiplies A, not E, so the physical electric field
 -dA/dt picks up an envelope-derivative term during the ramps.
 
-A(z, t) is held as two complex Fourier amplitudes,
+The whole field is one carrier and two constant amplitudes,
 
-    A = C_plus e^{i k z} + C_minus e^{-i k z} + c.c. of both terms,
+    A(z, t) = c(t) (X_plus e^{i k z} + X_minus e^{-i k z}) + c.c.,
+    c(t) = env(t) e^{-i w t},
 
-which keeps A real by construction and makes the mode-space coupling of
-the Dirac Hamiltonian a direct read-off.  Vector potentials are stored in
+with X_pm (``beam_amplitudes``) half the unwindowed A-amplitude of the
+beam along +-z and c (``carrier``) taken at a time in cycles, where
+w t = 2 pi t_cycles.  A is real by construction, E = -dA/dt is read from
+the same pieces, and the mode-space coupling of the Dirac Hamiltonian is
+built from X_pm once (see ``dynamics``).  Vector potentials are stored in
 units of m0/e, so the plateau amplitude per beam is the nonlinearity
 parameter xi.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +36,6 @@ from .physconfig import FieldParams, WindowParams
 
 JONES_LEFT = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
 JONES_RIGHT = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class JonesAmplitude:
-    """Complex amplitudes multiplying the left/right circular Jones vectors."""
-
-    c_left: complex
-    c_right: complex
-
-    def vector(self) -> np.ndarray:
-        return self.c_left * JONES_LEFT + self.c_right * JONES_RIGHT
-
-
-@dataclass(frozen=True)
-class FourierPotential:
-    """Vector potential at one instant, resolved into e^{+-ikz} components."""
-
-    c_plus_k: np.ndarray    # complex 3-vector, coefficient of e^{+ikz}
-    c_minus_k: np.ndarray   # complex 3-vector, coefficient of e^{-ikz}
 
 
 def envelope(t_cycles: float, window: WindowParams) -> float:
@@ -85,79 +70,47 @@ def envelope_derivative(t_cycles: float, window: WindowParams) -> float:
     return -math.pi / ramp * math.sin(arg) * math.cos(arg)
 
 
-def beam_jones(field: FieldParams, direction: int) -> JonesAmplitude:
-    """Unwindowed complex A-amplitude of one beam in the Jones basis.
+def beam_amplitudes(field: FieldParams) -> tuple:
+    """(X_plus, X_minus): complex 3-vectors in units of m0/e.
 
-    ``direction`` is +1 for the beam along +z, -1 for the counterpropagating
-    one.  The common factor E/(i w) converts the electric-field amplitude to
-    the vector-potential amplitude in units of m0/e.
+    E/(i w) converts each beam's electric-field amplitude to its
+    A-amplitude; the 1/2 splits the real beam between its Fourier
+    component and the conjugate term.
     """
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
-    alpha = field.alpha_plus if direction == +1 else field.alpha_minus
     scale = field.e_peak / (1.0j * field.omega)
-    return JonesAmplitude(c_left=scale * math.cos(alpha),
-                          c_right=scale * math.sin(alpha))
+    return tuple(0.5 * (scale * math.cos(alpha) * JONES_LEFT
+                        + scale * math.sin(alpha) * JONES_RIGHT)
+                 for alpha in (field.alpha_plus, field.alpha_minus))
 
 
-def potential_at(t: float, field: FieldParams, window: WindowParams) -> FourierPotential:
-    """Windowed Fourier amplitudes of A at natural time t.
-
-    Both beams carry the carrier e^{-i w t}; the beam direction only selects
-    the spatial factor e^{+-ikz}.  The 1/2 splits each real beam between its
-    Fourier component and the conjugate term.
-    """
-    t_cycles = t / field.cycle_duration
-    env = envelope(t_cycles, window)
-    if env == 0.0:
-        zero = np.zeros(3, dtype=complex)
-        return FourierPotential(c_plus_k=zero, c_minus_k=zero.copy())
-    carrier = np.exp(-1.0j * field.omega * t)
-    factor = 0.5 * env * carrier
-    c_plus = factor * beam_jones(field, +1).vector()
-    c_minus = factor * beam_jones(field, -1).vector()
-    return FourierPotential(c_plus_k=c_plus, c_minus_k=c_minus)
+def carrier(t_cycles: float, window: WindowParams) -> complex:
+    """c = env e^{-i w t} at a time in cycles; c(t + 1) = c(t) on the plateau."""
+    return envelope(t_cycles, window) * cmath.exp(-2j * math.pi * t_cycles)
 
 
-def reconstruct_potential(pot: FourierPotential, kz) -> np.ndarray:
-    """Real A from the Fourier amplitudes at phase(s) kz = k*z.
-
-    Accepts a scalar or an array of kz values; the trailing axis of the
-    result holds the three Cartesian components.
-    """
-    kz = np.asarray(kz, dtype=float)
-    up = np.exp(1.0j * kz)[..., None]
-    a = pot.c_plus_k * up + pot.c_minus_k / up
-    return np.squeeze((a + a.conj()).real)
+def _spatial(z: float, field: FieldParams) -> np.ndarray:
+    """X_plus e^{ikz} + X_minus e^{-ikz}."""
+    x_plus, x_minus = beam_amplitudes(field)
+    up = cmath.exp(1j * field.wavenumber * z)
+    return x_plus * up + x_minus / up
 
 
 def potential_vector_at(z: float, t: float, field: FieldParams,
                         window: WindowParams) -> np.ndarray:
-    """Real A(z, t) in units of m0/e."""
-    pot = potential_at(t, field, window)
-    return reconstruct_potential(pot, field.wavenumber * z)
+    """Real A(z, t) in units of m0/e, t in natural units."""
+    return 2.0 * (carrier(t / field.cycle_duration, window)
+                  * _spatial(z, field)).real
 
 
 def electric_field_at(z: float, t: float, field: FieldParams,
                       window: WindowParams) -> np.ndarray:
-    """Real E(z, t) = -dA/dt, in units of E_S.
+    """Real E(z, t) = -dA/dt in units of E_S, t in natural units.
 
-    Product rule: the windowed monochromatic field plus the envelope
-    derivative acting on the unwindowed A.
+    dc/dt = (env' - i w env) e^{-i w t}: the windowed monochromatic field
+    plus the envelope derivative acting on the unwindowed A.
     """
     t_cycles = t / field.cycle_duration
-    env = envelope(t_cycles, window)
-    denv_dt = envelope_derivative(t_cycles, window) / field.cycle_duration
-
-    kz = field.wavenumber * z
-    carrier = np.exp(-1.0j * field.omega * t)
-    e_field = np.zeros(3)
-    for direction, sign in ((+1, +1.0), (-1, -1.0)):
-        jones = beam_jones(field, direction).vector()
-        spatial = np.exp(1.0j * sign * kz)
-        # monochromatic E amplitude is i*w times the A amplitude
-        e_mono = 0.5 * (1.0j * field.omega) * jones * spatial * carrier
-        a_mono = 0.5 * jones * spatial * carrier
-        contrib = env * e_mono - denv_dt * a_mono
-        e_field = e_field + (contrib + contrib.conj()).real
-    return e_field
+    dc_dt = (envelope_derivative(t_cycles, window) / field.cycle_duration
+             * cmath.exp(-2j * math.pi * t_cycles)
+             - 1.0j * field.omega * carrier(t_cycles, window))
+    return -2.0 * (dc_dt * _spatial(z, field)).real

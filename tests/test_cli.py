@@ -173,6 +173,22 @@ class TestSweep:
         assert len([f for f in os.listdir(no_gdump / "points")
                     if f.endswith(".bin")]) == 6
 
+    def test_cached_point_takes_the_current_sweep_value(self, tmp_path):
+        # plateau_cycles = 2 and k0_z = 0 name the same config, so the k0_z
+        # sweep reads the point the plateau sweep cached
+        base = desk_config(plateau=2)
+        rows = {}
+        for axis, value in (("plateau_cycles", 2), ("k0_z", 0.0)):
+            paths = run_sweep(SweepSpec(base=base, sweep_axis=axis,
+                                        values=[value], outputs=str(tmp_path)))
+            with open(paths["json"]) as fh:
+                rows[axis] = row_from_dict(json.load(fh)["rows"][0])
+            with open(paths["csv"]) as fh:
+                assert fh.read().splitlines()[1].split(",")[0] == repr(float(value))
+        assert len(os.listdir(tmp_path / "points")) == 1
+        assert rows["k0_z"].sweep_value == 0.0
+        assert rows["k0_z"].c == rows["plateau_cycles"].c
+
     def test_alpha_sweep_spin_selection(self, tmp_path):
         # opposite helicity: zero average spin exactly at linear polarization,
         # nonzero away from it
@@ -379,7 +395,16 @@ class TestCommandLine:
                                          "oracle-check", "run", "sweep"])
     def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch,
                                       command):
-        # a path below a regular file cannot be created, not even by root
+        # a path below a regular file cannot be created, not even by root;
+        # it is found before anything is propagated
+        import diracpairs.dynamics as dynamics_mod
+        import diracpairs.fockoracle as fockoracle_mod
+
+        def no_propagation(*args):
+            raise AssertionError("propagated before the output was checked")
+
+        monkeypatch.setattr(dynamics_mod, "propagator_segments", no_propagation)
+        monkeypatch.setattr(fockoracle_mod, "propagate_vacuum", no_propagation)
         (tmp_path / "file.json").write_text("{}")
         out = str(tmp_path / "file.json" / "out")
         monkeypatch.delenv("DIRACPAIRS_OUTDIR", raising=False)
@@ -415,7 +440,9 @@ class TestCommandLine:
             raise UnitarityError("synthetic defect")
 
         monkeypatch.setattr(cli_mod, "run_once", boom)
-        assert main(["run", "--config", cfg_path]) == 3
+        monkeypatch.delenv("DIRACPAIRS_OUTDIR", raising=False)
+        assert main(["run", "--config", cfg_path,
+                     "--out", str(tmp_path / "out")]) == 3
 
     def test_oracle_check_passes_on_small_run(self, tmp_path):
         cfg_path = self.write_config(tmp_path, desk_config())

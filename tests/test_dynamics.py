@@ -7,10 +7,10 @@ import pytest
 from diracpairs import (ALPHA, FieldParams, HelicityRelation, NumericsParams,
                         RunConfig, Spin, UnitarityError, ValidationError,
                         WindowParams, assemble_hamiltonian, build_basis,
-                        cycle_compose, dump_complex_matrix, envelope,
+                        carrier, cycle_compose, dump_complex_matrix,
                         extract_g_blocks, field_from_si, load_complex_matrix,
-                        potential_at, propagate, propagator_segments, unitarity_defect,
-                        with_plateau)
+                        potential_vector_at, propagate, propagator_segments,
+                        unitarity_defect, with_plateau)
 from diracpairs import dynamics
 from diracpairs.dynamics import _integrate
 
@@ -33,21 +33,19 @@ def zero_field(omega=0.746):
                        helicity_relation=HelicityRelation.SAME)
 
 
-def fourier_hamiltonian(t, basis, field, window):
-    """H0 + sum_c a_c R_c + h.c. with a = C_plus + conj(C_minus) from
-    ``potential_at`` and R_c the alpha_c raising blocks (n <- n-1)."""
-    pot = potential_at(t, field, window)
-    a = pot.c_plus_k + pot.c_minus_k.conj()
+def fourier_hamiltonian(t_cycles, basis, field, window):
+    """H0 + sum_c a_c R_c + h.c. with a the e^{+ikz} Fourier coefficient of
+    ``potential_vector_at``, projected from 4 samples per wavelength (A
+    holds only e^{+-ikz}), and R_c the alpha_c raising blocks (n <- n-1)."""
+    t = t_cycles * field.cycle_duration
+    kz = np.arange(4) * np.pi / 2
+    a = sum(potential_vector_at(phase / field.wavenumber, t, field, window)
+            * np.exp(-1j * phase) for phase in kz) / 4
     sites = np.array([m.label.n for m in basis.modes])
     raising = sites[:, None] == sites[None, :] + 1
     r = np.einsum("c,ai,cab,bj->ij", a, basis.spinors.conj(), ALPHA,
                   basis.spinors) * raising
     return np.diag(basis.energies).astype(complex) + r + r.conj().T
-
-
-def coupling_at(t, field, window):
-    t_cycles = t / field.cycle_duration
-    return envelope(t_cycles, window) * np.exp(-1j * field.omega * t)
 
 
 class TestHamiltonian:
@@ -61,10 +59,9 @@ class TestHamiltonian:
         config = make_config()
         basis = build_basis(config.numerics, config.field)
         rng = np.random.default_rng(0)
-        total_t = config.window.total_cycles * config.field.cycle_duration
-        for t in rng.uniform(0, total_t, 100):
-            h = assemble_hamiltonian(
-                coupling_at(t, config.field, config.window), basis, config.field)
+        for t_c in rng.uniform(0, config.window.total_cycles, 100):
+            h = assemble_hamiltonian(carrier(t_c, config.window), basis,
+                                     config.field)
             assert np.max(np.abs(h - h.conj().T)) < 1e-13
 
     def test_chain_sparsity_exact(self):
@@ -109,11 +106,9 @@ class TestHamiltonian:
         config = replace(config, numerics=replace(config.numerics, k0_offset=k0))
         basis = build_basis(config.numerics, config.field)
         rng = np.random.default_rng(4)
-        total_t = config.window.total_cycles * field.cycle_duration
-        for t in rng.uniform(0, total_t, 25):
-            h = assemble_hamiltonian(coupling_at(t, field, config.window),
-                                     basis, field)
-            ref = fourier_hamiltonian(t, basis, field, config.window)
+        for t_c in rng.uniform(0, config.window.total_cycles, 25):
+            h = assemble_hamiltonian(carrier(t_c, config.window), basis, field)
+            ref = fourier_hamiltonian(t_c, basis, field, config.window)
             assert np.max(np.abs(h - ref)) < 1e-13
 
 

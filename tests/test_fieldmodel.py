@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from diracpairs import (FieldParams, HelicityRelation, WindowParams,
-                        beam_jones, electric_field_at, envelope,
-                        envelope_derivative, field_from_si, potential_at,
-                        potential_vector_at, reconstruct_potential, xi)
+from diracpairs import (JONES_LEFT, JONES_RIGHT, FieldParams,
+                        HelicityRelation, WindowParams, beam_amplitudes,
+                        carrier, electric_field_at, envelope,
+                        envelope_derivative, field_from_si,
+                        potential_vector_at, xi)
 
 WINDOW = WindowParams(ramp_cycles=2, plateau_cycles=4)
 
@@ -55,43 +56,72 @@ class TestEnvelope:
             assert envelope_derivative(t, WINDOW) == pytest.approx(0.0, abs=1e-12)
 
 
+def one_beam_potential(t_cycles, field):
+    """A(z=0, t) of the +z beam alone: c X_plus + c.c."""
+    a = carrier(t_cycles, WINDOW) * beam_amplitudes(field)[0]
+    return (a + a.conj()).real
+
+
+class TestCarrier:
+    def test_matches_envelope_times_phase(self):
+        # the phase argument carries the roundoff of w t itself, so the
+        # bound is 1e-15 relative to the phase
+        field = circular_field(0.3)
+        for t_c in np.linspace(-0.5, WINDOW.total_cycles + 0.5, 301):
+            t = t_c * field.cycle_duration
+            ref = envelope(t_c, WINDOW) * np.exp(-1j * field.omega * t)
+            bound = 1e-15 * max(1.0, field.omega * abs(t))
+            assert abs(carrier(t_c, WINDOW) - ref) <= bound
+
+    def test_periodic_on_plateau(self):
+        start = WINDOW.ramp_cycles
+        for t_c in np.linspace(start, start + WINDOW.plateau_cycles - 1, 97):
+            bound = 1e-15 * 2 * math.pi * (t_c + 1)
+            assert abs(carrier(t_c + 1, WINDOW) - carrier(t_c, WINDOW)) <= bound
+            assert abs(carrier(t_c, WINDOW)) == pytest.approx(1.0, abs=1e-15)
+
+
 class TestPotential:
     def test_zero_outside_window(self):
         field = circular_field(0.3)
-        t = -1.0 * field.cycle_duration
-        pot = potential_at(t, field, WINDOW)
-        assert np.all(pot.c_plus_k == 0.0)
-        assert np.all(pot.c_minus_k == 0.0)
+        assert carrier(-1.0, WINDOW) == 0.0
+        a = potential_vector_at(0.4, -1.0 * field.cycle_duration, field, WINDOW)
+        assert np.all(a == 0.0)
 
     def test_transversality_exact(self):
         field = circular_field(0.3)
+        for x in beam_amplitudes(field):
+            assert x[2] == 0.0
         for t_c in np.linspace(0, WINDOW.total_cycles, 37):
-            pot = potential_at(t_c * field.cycle_duration, field, WINDOW)
-            assert pot.c_plus_k[2] == 0.0
-            assert pot.c_minus_k[2] == 0.0
+            a = potential_vector_at(0.4, t_c * field.cycle_duration, field, WINDOW)
+            assert a[2] == 0.0
 
     def test_realness_on_grid(self):
+        # c (X_plus e^{ikz} + X_minus e^{-ikz}) plus its conjugate is real,
+        # and potential_vector_at is its real part
         field = circular_field(0.4)
-        t = (WINDOW.ramp_cycles + 0.37) * field.cycle_duration
-        pot = potential_at(t, field, WINDOW)
-        kz = np.linspace(0, 2 * np.pi, 64)
-        up = np.exp(1j * kz)[:, None]
-        a_complex = (pot.c_plus_k * up + pot.c_minus_k / up
-                     + pot.c_plus_k.conj() / up + pot.c_minus_k.conj() * up)
+        t_c = WINDOW.ramp_cycles + 0.37
+        x_plus, x_minus = beam_amplitudes(field)
+        c = carrier(t_c, WINDOW)
+        z = np.linspace(0, 2 * np.pi / field.wavenumber, 64)
+        up = np.exp(1j * field.wavenumber * z)[:, None]
+        half = c * (x_plus * up + x_minus / up)
+        a_complex = half + half.conj()
         scale = np.abs(a_complex.real).max()
         assert np.abs(a_complex.imag).max() < 1e-14 * scale
-        # reconstruct_potential agrees with the explicit sum
-        assert np.allclose(reconstruct_potential(pot, kz), a_complex.real)
+        a = np.array([potential_vector_at(zi, t_c * field.cycle_duration,
+                                          field, WINDOW) for zi in z])
+        assert np.max(np.abs(a - a_complex.real)) < 1e-14 * scale
 
     def test_linear_polarization_amplitudes(self):
-        # alpha = pi/4 on the plateau: both beams linear along x,
-        # |C_pm| = E/(2 omega) with the half from the conjugate split
+        # alpha = pi/4: both beams linear along x, |X_pm| = E/(2 omega)
+        # with the half from the conjugate split; |c| = 1 on the plateau
         field = circular_field(math.pi / 4)
-        t = (WINDOW.ramp_cycles + 1.25) * field.cycle_duration
-        pot = potential_at(t, field, WINDOW)
         expected = field.e_peak / (2 * field.omega)
-        assert np.linalg.norm(pot.c_plus_k) == pytest.approx(expected, rel=1e-12)
-        assert np.linalg.norm(pot.c_minus_k) == pytest.approx(expected, rel=1e-12)
+        for x in beam_amplitudes(field):
+            assert np.linalg.norm(x) == pytest.approx(expected, rel=1e-12)
+        assert abs(carrier(WINDOW.ramp_cycles + 1.25, WINDOW)) \
+            == pytest.approx(1.0, rel=1e-15)
 
     def test_peak_potential_equals_xi_for_linear_polarization(self):
         # scan A(z=0, t) of a single +z beam over one plateau cycle
@@ -99,11 +129,9 @@ class TestPotential:
         single = FieldParams(omega=field.omega, e_peak=field.e_peak,
                              alpha_plus=math.pi / 4, alpha_minus=math.pi / 4,
                              helicity_relation=HelicityRelation.OPPOSITE)
-        peak = 0.0
-        for t_c in np.linspace(WINDOW.ramp_cycles, WINDOW.ramp_cycles + 1, 4001):
-            pot = potential_at(t_c * single.cycle_duration, single, WINDOW)
-            a_one_beam = pot.c_plus_k + pot.c_plus_k.conj()
-            peak = max(peak, float(np.linalg.norm(a_one_beam.real)))
+        peak = max(float(np.linalg.norm(one_beam_potential(t_c, single)))
+                   for t_c in np.linspace(WINDOW.ramp_cycles,
+                                          WINDOW.ramp_cycles + 1, 4001))
         assert peak == pytest.approx(xi(single), rel=1e-6)
 
     def test_general_alpha_peak_closed_form(self):
@@ -113,11 +141,9 @@ class TestPotential:
             field = FieldParams(omega=0.8, e_peak=0.3, alpha_plus=alpha,
                                 alpha_minus=alpha,
                                 helicity_relation=HelicityRelation.OPPOSITE)
-            peak = 0.0
-            for t_c in np.linspace(WINDOW.ramp_cycles, WINDOW.ramp_cycles + 1, 8001):
-                pot = potential_at(t_c * field.cycle_duration, field, WINDOW)
-                a = pot.c_plus_k + pot.c_plus_k.conj()
-                peak = max(peak, float(np.linalg.norm(a.real)))
+            peak = max(float(np.linalg.norm(one_beam_potential(t_c, field)))
+                       for t_c in np.linspace(WINDOW.ramp_cycles,
+                                              WINDOW.ramp_cycles + 1, 8001))
             expected = (field.e_peak / field.omega) * max(
                 abs(math.cos(alpha) + math.sin(alpha)),
                 abs(math.cos(alpha) - math.sin(alpha))) / math.sqrt(2)
@@ -131,10 +157,12 @@ class TestPotential:
         f2 = FieldParams(omega=1.0, e_peak=0.2, alpha_plus=math.pi / 2 - alpha,
                          alpha_minus=math.pi / 2 - alpha,
                          helicity_relation=HelicityRelation.OPPOSITE)
-        j1 = beam_jones(f1, +1)
-        j2 = beam_jones(f2, +1)
-        assert j1.c_left == pytest.approx(j2.c_right, rel=1e-14)
-        assert j1.c_right == pytest.approx(j2.c_left, rel=1e-14)
+        # components in the orthonormal circular basis
+        x1, x2 = beam_amplitudes(f1)[0], beam_amplitudes(f2)[0]
+        left1, right1 = np.vdot(JONES_LEFT, x1), np.vdot(JONES_RIGHT, x1)
+        left2, right2 = np.vdot(JONES_LEFT, x2), np.vdot(JONES_RIGHT, x2)
+        assert left1 == pytest.approx(right2, rel=1e-14)
+        assert right1 == pytest.approx(left2, rel=1e-14)
 
 
 class TestElectricField:
@@ -150,16 +178,17 @@ class TestElectricField:
                              alpha_plus=0.0, alpha_minus=0.0,
                              helicity_relation=HelicityRelation.OPPOSITE)
 
-        def one_beam_e(z, t):
-            jones = beam_jones(single, +1).vector()
-            e_mono = 0.5j * single.omega * jones * np.exp(1j * single.omega * z) \
-                * np.exp(-1j * single.omega * t)
+        def one_beam_e(z, t_cycles):
+            # on the plateau -dA/dt = i w c X_plus e^{ikz} + c.c.
+            e_mono = (1j * single.omega * carrier(t_cycles, WINDOW)
+                      * beam_amplitudes(single)[0]
+                      * np.exp(1j * single.wavenumber * z))
             return (e_mono + e_mono.conj()).real
 
         expected = single.e_peak / math.sqrt(2)
         samples = []
         for t_c in np.linspace(WINDOW.ramp_cycles, WINDOW.ramp_cycles + 1, 50):
-            e = one_beam_e(0.1, t_c * single.cycle_duration)
+            e = one_beam_e(0.1, t_c)
             samples.append(e)
             assert np.linalg.norm(e) == pytest.approx(expected, rel=1e-12)
         # the field direction actually rotates

@@ -18,7 +18,7 @@ config, _ = figure_configs()["fig2"]
 basis = build_basis(config.numerics, config.field)
 u_on, u_cycle, u_off = propagator_segments(config, basis)
 print(f"segment propagators ready ({u_on.steps + u_cycle.steps + u_off.steps}"
-      f" integration steps total)")
+      f" grid steps spanned)")
 
 plateaus = np.arange(0, 121)
 rows = []

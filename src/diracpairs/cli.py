@@ -37,7 +37,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 TOP_PAIRS_IN_ROW = 8
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config changes, so points cached by an older scheme are redone.
-SCHEME_VERSION = 7
+SCHEME_VERSION = 8
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 

@@ -16,11 +16,17 @@ the (c, dt) sequence of a time span, the one step scheme that both this
 chain integrator and the Fock oracle read; each dense step exponential is
 evaluated by eigendecomposition of the Hermitian H, so every step is
 unitary to roundoff.  Every propagator of the window is composed from
-the turn-on, one plateau cycle and the turn-off, integrated as
-consecutive spans of the window with a one-cycle plateau: c(t + 1) = c(t)
-on the plateau, so a plateau of j whole cycles is Q diag(lambda^j) Q^dag,
-read from the Floquet form (one complex Schur factorization) of the
-one-cycle propagator.  A run integrates 2*ramp + 1 cycles whatever its
+the turn-on, one plateau cycle and the turn-off, the consecutive spans of
+the window with a one-cycle plateau: c(t + 1) = c(t) on the plateau, so a
+plateau of j whole cycles is Q diag(lambda^j) Q^dag, read from the Floquet
+form (one complex Schur factorization) of the one-cycle propagator.
+
+That window, of T = 2*ramp + 1 cycles, is time-reversal symmetric:
+c(T - t) = conj(c(t)).  Where the coupling is too, D conj(K) D = K with
+D = diag((-1)^n) (real free spinors, i.e. k0_y = 0), the second half of
+the window is the transpose mirror of the first, U -> D U^T D, exactly
+for the discrete product since the midpoint grid is mirror-symmetric.  A
+run then integrates ramp + 1/2 cycles, otherwise 2*ramp + 1, whatever its
 plateau length.
 """
 
@@ -39,6 +45,8 @@ from .modebasis import ALPHA, ModeBasis
 from .physconfig import FieldParams, RunConfig, with_plateau
 
 DEFAULT_UNITARITY_TOL = 1e-10
+# D conj(K) D = K to this fraction of max|K| selects the time-reversal fold.
+FOLD_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -157,12 +165,23 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     c(t + 1) = c(t) on the plateau and the turn-off depends only on the
     time left to the window end, so u_off (u_cycle)^j u_on is the
     propagator of a j-cycle plateau for every j.
+
+    When D conj(K) D = K (to FOLD_TOL of max|K|), H(T - t) = D conj(H(t)) D
+    on that window and each midpoint step maps to its mirror as
+    E -> D E^T D, so only [0, R] and the half cycle [R, R + 1/2] are
+    integrated: u_off = D u_on^T D and u_cycle = D u_half^T D u_half.
+    Otherwise the three spans are integrated.  Either way ``steps`` is the
+    number of grid steps a segment spans.
     """
     ramp = config.window.ramp_cycles
     one = with_plateau(config, 1)
+    k = field_coupling(basis, config.field)
+    d = np.array([(-1.0) ** mode.label.n for mode in basis.modes])
+    fold = (np.max(np.abs(d[:, None] * k.conj() * d - k))
+            <= FOLD_TOL * np.max(np.abs(k)))
 
-    def segment(part, t0, t1):
-        m, steps = _integrate(basis, one, float(t0), float(t1))
+    def checked(part, m, t0, t1):
+        steps = round((t1 - t0) * config.numerics.steps_per_cycle)
         defect = unitarity_defect(m)
         if defect > DEFAULT_UNITARITY_TOL:
             raise UnitarityError(
@@ -174,8 +193,20 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
         return Propagator(matrix=m, t_span_cycles=(float(t0), float(t1)),
                           steps=steps, unitarity_defect=defect)
 
-    return (segment("on", 0, ramp), segment("cycle", ramp, ramp + 1),
-            segment("off", ramp + 1, 2 * ramp + 1))
+    def span(part, t0, t1):
+        return checked(part, _integrate(basis, one, float(t0), float(t1))[0],
+                       t0, t1)
+
+    def mirror(u):
+        return d[:, None] * u.T * d
+
+    u_on = span("on", 0, ramp)
+    if not fold:
+        return (u_on, span("cycle", ramp, ramp + 1),
+                span("off", ramp + 1, 2 * ramp + 1))
+    half = span("half-cycle", ramp, ramp + 0.5).matrix
+    return (u_on, checked("cycle", mirror(half) @ half, ramp, ramp + 1),
+            checked("off", mirror(u_on.matrix), ramp + 1, 2 * ramp + 1))
 
 
 def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,

@@ -164,9 +164,9 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     and Gamma(K) built once on one sparsity pattern, so that a step only
     rewrites the data of one matrix.  The (c, dt) steps are those of
     ``dynamics.midpoint_steps``, taken directly through all 2*ramp +
-    plateau cycles with no composition, so the oracle is an independent
-    reference for the composed propagator and the comparison is free of
-    discretization error.
+    plateau cycles with no composition and no time-reversal fold, so the
+    oracle is an independent reference for the composed propagator and the
+    comparison is free of discretization error.
     """
     _check_dim(basis)
     fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)

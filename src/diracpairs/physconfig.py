@@ -77,7 +77,7 @@ class NumericsParams:
     """Truncation, integrator, and readout controls."""
 
     n_cut: int                                  # momentum modes n in [-n_cut, n_cut]
-    steps_per_cycle: int = 1024
+    steps_per_cycle: int = 1024                 # even, >= 16
     k0_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)  # subspace origin, m0
     prune_threshold: float = 1e-6               # minimum |omega_mn|^2 in the pair list
     n_sector_max: int = 4                       # largest reported pair number
@@ -151,6 +151,9 @@ def validation_errors(config: RunConfig) -> list:
         bad.append("numerics.n_cut: must be >= 1")
     if n.steps_per_cycle < 16:
         bad.append("numerics.steps_per_cycle: must be >= 16")
+    if n.steps_per_cycle % 2:
+        # the time-reversal fold of ``dynamics`` integrates half a cycle
+        bad.append("numerics.steps_per_cycle: must be even")
     if len(n.k0_offset) != 3:
         bad.append("numerics.k0_offset: must be a 3-vector")
     elif not all(map(math.isfinite, n.k0_offset)):

@@ -12,6 +12,7 @@ from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
                         figure_configs, run_once, run_sweep, with_plateau)
 from diracpairs.cli import (csv_header, csv_row, main, row_from_dict,
                             row_to_dict)
+from diracpairs.physconfig import paired_alpha
 
 
 def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
@@ -71,8 +72,9 @@ class TestRunOnce:
         assert r1 == r2
 
     def test_run_integrates_ramps_and_one_cycle(self, monkeypatch):
-        # the plateau is composed from one integrated cycle, so the step
-        # count does not grow with plateau_cycles
+        # the plateau is composed from one integrated cycle and the second
+        # half of the window is the mirror of the first, so a run integrates
+        # ramp + 1/2 cycles whatever its plateau_cycles
         import diracpairs.dynamics as dynamics_mod
         real = dynamics_mod.assemble_hamiltonian
         calls = []
@@ -84,7 +86,7 @@ class TestRunOnce:
         monkeypatch.setattr(dynamics_mod, "assemble_hamiltonian", counted)
         config = desk_config(plateau=3)
         run_once(config)
-        assert len(calls) == ((2 * config.window.ramp_cycles + 1)
+        assert len(calls) == ((config.window.ramp_cycles + 0.5)
                               * config.numerics.steps_per_cycle)
 
     def test_row_round_trip(self):
@@ -104,6 +106,46 @@ class TestRunOnce:
         assert cols.count("c_1") == 1 and "c_3" in cols and "c_4" not in cols
         assert "s_plus_2" in cols and "h_minus_3" in cols
         assert cols[-1] == "error"
+
+
+class TestMomentumMirror:
+    """k0_z -> -k0_z is a symmetry of the paired beams: a pi rotation about
+    x for "same" helicity, the z mirror for "opposite".  The first flips
+    spin_z and keeps helicity, the second keeps spin_z and flips helicity;
+    both keep the pair content."""
+
+    @staticmethod
+    def rows(name, alpha_plus=None):
+        config, _ = figure_configs()[name]
+        field = config.field
+        if alpha_plus is not None:
+            field = replace(field, alpha_plus=alpha_plus,
+                            alpha_minus=paired_alpha(
+                                alpha_plus, field.helicity_relation))
+        config = replace(config, field=field, window=WindowParams(
+            ramp_cycles=2, plateau_cycles=3))
+        return [run_once(replace(config, numerics=replace(
+                    config.numerics, steps_per_cycle=128,
+                    k0_offset=(0.0, 0.0, k0_z))))
+                for k0_z in (0.0013, -0.0013)]
+
+    @pytest.mark.parametrize("name, alpha_plus, odd, even", [
+        ("fig2", None, ("s_plus", "s_minus"), ("h_plus", "h_minus")),
+        ("fig2", 0.3, ("s_plus", "s_minus"), ("h_plus", "h_minus")),
+        ("fig4", None, ("h_plus", "h_minus"), ("s_plus", "s_minus")),
+        ("fig4", 1.1, ("h_plus", "h_minus"), ("s_plus", "s_minus"))],
+        ids=["fig2", "fig2-alpha0.3", "fig4", "fig4-alpha1.1"])
+    def test_k0z_parity(self, name, alpha_plus, odd, even):
+        up, down = self.rows(name, alpha_plus)
+        assert np.max(np.abs(np.subtract(up.c, down.c))) <= 1e-11
+        for attr in odd + even:
+            sign = -1.0 if attr in odd else 1.0
+            a, b = getattr(up, attr), getattr(down, attr)
+            assert a.keys() == b.keys()
+            assert max(abs(a[n] - sign * b[n]) for n in a) <= 1e-11
+        # the odd observables do not vanish away from k0 = 0
+        assert max(abs(v) for attr in odd
+                   for v in getattr(up, attr).values()) > 1e-4
 
 
 class TestSweep:
@@ -308,6 +350,8 @@ MALFORMED = {
                         "field.e_peak"),
     "k0_nan": ("run", lambda d: d["numerics"].update(
         k0_offset=[math.nan, 0, 0]), "numerics.k0_offset"),
+    "steps_odd": ("run", lambda d: d["numerics"].update(steps_per_cycle=65),
+                  "numerics.steps_per_cycle: must be even"),
     "emit_string": ("sweep", lambda s: s.update(emit="yes"), "spec.emit"),
     "value_string": ("sweep", lambda s: s.update(values=["a"]),
                      "spec.values[0]"),

@@ -8,7 +8,8 @@ from diracpairs import (ALPHA, FieldParams, HelicityRelation, NumericsParams,
                         RunConfig, Spin, UnitarityError, ValidationError,
                         WindowParams, assemble_hamiltonian, build_basis,
                         carrier, cycle_compose, dump_complex_matrix,
-                        extract_g_blocks, field_from_si, load_complex_matrix,
+                        extract_g_blocks, field_from_si, figure_configs,
+                        load_complex_matrix,
                         potential_vector_at, propagate, propagator_segments,
                         unitarity_defect, with_plateau)
 from diracpairs import dynamics
@@ -208,6 +209,61 @@ class TestCycleCompose:
     def test_negative_power_rejected(self):
         with pytest.raises(ValidationError):
             cycle_compose(*self.segments, -1)
+
+
+class TestTimeReversalFold:
+    """The second half of the one-cycle-plateau window is the transpose
+    mirror D U^T D of the first when D conj(K) D = K (real free spinors)."""
+
+    @staticmethod
+    def preset(name, k0=(0.0, 0.0, 0.0)):
+        config, _ = figure_configs()[name]
+        return replace(config, numerics=replace(
+            config.numerics, n_cut=2, steps_per_cycle=64, k0_offset=k0))
+
+    @staticmethod
+    def integrated_spans(monkeypatch):
+        spans = []
+        real = dynamics._integrate
+
+        def spy(basis, config, t0, t1):
+            spans.append((t0, t1))
+            return real(basis, config, t0, t1)
+
+        monkeypatch.setattr(dynamics, "_integrate", spy)
+        return spans
+
+    @pytest.mark.parametrize("name, k0", [
+        ("fig2", (0.0, 0.0, 0.0)), ("fig4", (0.0, 0.0, 0.0)),
+        ("fig2", (0.0, 0.0, 0.0013)), ("fig2", (0.21, 0.0, 0.05))])
+    def test_fold_matches_three_span_integration(self, monkeypatch, name, k0):
+        config = self.preset(name, k0)
+        basis = build_basis(config.numerics, config.field)
+        ramp = config.window.ramp_cycles
+        spans = self.integrated_spans(monkeypatch)
+        segments = propagator_segments(config, basis)
+        assert spans == [(0.0, ramp), (ramp, ramp + 0.5)]
+
+        one = with_plateau(config, 1)
+        edges = (0.0, float(ramp), ramp + 1.0, 2.0 * ramp + 1.0)
+        for seg, t0, t1 in zip(segments, edges, edges[1:]):
+            direct, steps = _integrate(basis, one, t0, t1)
+            assert np.max(np.abs(seg.matrix - direct)) <= 1e-12
+            assert seg.t_span_cycles == (t0, t1)
+            assert seg.steps == steps
+            assert seg.unitarity_defect == unitarity_defect(seg.matrix)
+
+    def test_transverse_k0y_integrates_the_whole_window(self, monkeypatch):
+        # complex free spinors break D conj(K) D = K: three spans, 2R + 1
+        # cycles, as the unfolded integrator
+        config = self.preset("fig4", (0.21, -0.13, 0.05))
+        basis = build_basis(config.numerics, config.field)
+        ramp = config.window.ramp_cycles
+        spans = self.integrated_spans(monkeypatch)
+        propagator_segments(config, basis)
+        assert spans == [(0.0, ramp), (ramp, ramp + 1),
+                         (ramp + 1, 2 * ramp + 1)]
+        assert sum(t1 - t0 for t0, t1 in spans) == 2 * ramp + 1
 
 
 class TestGBlocks:

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from diracpairs import (FockBasis, FockDimensionError, HelicityRelation,
-                        assemble_hamiltonian, envelope,
+from diracpairs import (FieldParams, FockBasis, FockDimensionError,
+                        HelicityRelation, assemble_hamiltonian, envelope,
                         NumericsParams, RunConfig, WindowParams, build_basis,
                         extract_g_blocks, field_from_si, multi_pair_amplitude,
                         pair_amplitudes, propagate, propagate_vacuum,
@@ -15,6 +17,7 @@ from diracpairs import (FockBasis, FockDimensionError, HelicityRelation,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
 from diracpairs.dynamics import field_coupling
 from diracpairs.fockoracle import ManyBodyState, _ket_sign
+from diracpairs.physconfig import paired_alpha, validate
 
 FIG2_FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4,
                            HelicityRelation.SAME)
@@ -186,7 +189,6 @@ class TestTwoModeToy:
 class TestPropagateVacuum:
     def test_zero_field_stays_vacuum_with_sea_phase(self):
         config = small_config()
-        from dataclasses import replace
         field = replace(config.field, e_peak=0.0)
         config = replace(config, field=field)
         basis = build_basis(config.numerics, config.field)
@@ -275,29 +277,72 @@ class TestReadAmplitude:
         assert counts == {1: 9, 2: 9, 3: 1}
 
 
+def cross_path_differences(config):
+    """(max |determinant-path - oracle| over C_v and all N <= 2 amplitudes,
+    max |c_N - sector_probabilities_exact|) on an n_cut = 1 run."""
+    basis = build_basis(config.numerics, config.field)
+    g = extract_g_blocks(propagate(config, basis), basis, config)
+    pa = pair_amplitudes(g)
+    vac = vacuum_amplitude(g)
+    state = propagate_vacuum(config, basis)
+
+    worst = abs(vacuum_overlap(state) - vac.c_v)
+    for n in (1, 2):
+        for es in combinations(range(6), n):
+            for ps in combinations(range(6), n):
+                det_amp = multi_pair_amplitude(pa, vac, es, ps).amplitude
+                fock_amp = read_amplitude(state, es, ps)
+                worst = max(worst, abs(det_amp - fock_amp))
+    numerics = replace(config.numerics, prune_threshold=0.0, n_sector_max=6)
+    rep = sector_observables(pa, vac, basis, numerics)
+    exact = sector_probabilities_exact(state)
+    return worst, float(np.max(np.abs(rep.c - exact)))
+
+
 class TestCrossPathEquivalence:
     def test_amplitudes_and_sectors_agree(self):
         # the oracle's reason to exist: determinant path vs exact Fock
         # propagation on a shared small run, signs included
-        config = small_config(plateau=1, ramp=1, steps_per_cycle=96)
-        basis = build_basis(config.numerics, config.field)
-        u = propagate(config, basis)
-        g = extract_g_blocks(u, basis, config)
-        pa = pair_amplitudes(g)
-        vac = vacuum_amplitude(g)
-        state = propagate_vacuum(config, basis)
+        amplitudes, sectors = cross_path_differences(
+            small_config(plateau=1, ramp=1, steps_per_cycle=96))
+        assert amplitudes < 1e-8
+        assert sectors < 1e-8
 
-        assert vacuum_overlap(state) == pytest.approx(vac.c_v, abs=1e-8)
-        worst = 0.0
-        for n in (1, 2):
-            for es in combinations(range(6), n):
-                for ps in combinations(range(6), n):
-                    det_amp = multi_pair_amplitude(pa, vac, es, ps).amplitude
-                    fock_amp = read_amplitude(state, es, ps)
-                    worst = max(worst, abs(det_amp - fock_amp))
-        assert worst < 1e-8
 
-        numerics = NumericsParams(n_cut=1, prune_threshold=0.0, n_sector_max=6)
-        rep = sector_observables(pa, vac, basis, numerics)
-        exact = sector_probabilities_exact(state)
-        assert np.max(np.abs(rep.c - exact)) < 1e-8
+@st.composite
+def oracle_configs(draw):
+    """Small runs around the two presets: either helicity relation, any
+    polarization angle, k0 shifted along z and, in about a third of the
+    draws, transverse (k0_y != 0 disables the time-reversal fold).
+
+    The values come from a drawn seed, which spreads 20 examples over the
+    whole box more evenly than hypothesis's own mutations of a few."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    transverse = rng.integers(3) == 0
+    relation = rng.choice(list(HelicityRelation))
+    alpha_plus = rng.uniform(0.0, math.pi / 2)
+    field = FieldParams(omega=rng.uniform(0.45, 0.78),
+                        e_peak=rng.uniform(0.2, 0.4),
+                        alpha_plus=alpha_plus,
+                        alpha_minus=paired_alpha(alpha_plus, relation),
+                        helicity_relation=relation)
+    k0 = (0.0, 0.0, rng.uniform(-0.05, 0.05))
+    if transverse:
+        k0 = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), k0[2])
+    return validate(RunConfig(
+        field=field,
+        window=WindowParams(ramp_cycles=int(rng.integers(1, 3)),
+                            plateau_cycles=int(rng.integers(0, 4))),
+        numerics=NumericsParams(n_cut=1, steps_per_cycle=32,
+                                k0_offset=tuple(map(float, k0)))))
+
+
+class TestOracleProperty:
+    # the composed (and, where the symmetry holds, folded) determinant path
+    # against the oracle, which steps the same grid through the whole window
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(config=oracle_configs())
+    def test_determinant_path_matches_oracle(self, config):
+        amplitudes, sectors = cross_path_differences(config)
+        assert amplitudes <= 1e-10
+        assert sectors <= 1e-10

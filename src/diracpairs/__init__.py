@@ -29,8 +29,8 @@ from .dynamics import (Propagator, GBlocks, assemble_hamiltonian, propagate,
                        load_complex_matrix)
 from .multipair import (PairAmplitudes, VacuumAmplitude, MultiPairAmplitude,
                         SectorReport, pair_amplitudes, vacuum_amplitude,
-                        multi_pair_amplitude, retained_support,
-                        single_pair_list, sector_observables)
+                        multi_pair_amplitude, single_pair_list,
+                        sector_observables)
 from .fockoracle import (FockBasis, ManyBodyState, second_quantize,
                          propagate_vacuum, read_amplitude, vacuum_overlap,
                          sector_probabilities_exact, amplitude_table)

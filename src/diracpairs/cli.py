@@ -31,20 +31,24 @@ from .fieldmodel import electric_field_at, potential_vector_at
 from .modebasis import Band, ModeBasis, Spin, build_basis
 from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          HelicityRelation, config_from_dict, config_to_dict,
-                         config_hash, field_from_si, paired_alpha, validate,
-                         with_plateau, _parse, _plain)
+                         config_hash, field_from_si, validate, with_plateau,
+                         _parse, _plain)
 
-TOP_PAIRS_IN_ROW = 8
 # Part of every sweep point's cache key; bump whenever the readout of an
-# unchanged config changes, so points cached by an older scheme are redone.
-SCHEME_VERSION = 8
+# unchanged config or the row format changes, so points cached by an older
+# scheme are redone.
+SCHEME_VERSION = 9
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
 
 @dataclass
 class ResultRow:
-    """Flat readout of one run; a failed sweep point keeps the NaN defaults."""
+    """Flat readout of one run; a failed sweep point keeps the NaN defaults.
+
+    ``pair_list`` holds every retained single pair, most probable first; the
+    CSV reads its top pair and pair count from it.
+    """
 
     sweep_value: float           # NaN outside a sweep
     plateau_cycles: int
@@ -55,12 +59,10 @@ class ResultRow:
     s_minus: dict[int, float] = field(default_factory=dict)
     h_plus: dict[int, float] = field(default_factory=dict)
     h_minus: dict[int, float] = field(default_factory=dict)
-    top_pairs: list[Pair] = field(default_factory=list)
     unitarity_defect: float = math.nan
     cond_gmm: float = math.nan
     discarded_mass: float = math.nan
-    n_retained_pairs: int = 0
-    pair_list: list[Pair] = field(default_factory=list)  # all retained (JSON only)
+    pair_list: list[Pair] = field(default_factory=list)
     error: str = ""
 
 
@@ -97,11 +99,9 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
         c=[float(x) for x in report.c],
         s_plus=report.s_plus, s_minus=report.s_minus,
         h_plus=report.h_plus, h_minus=report.h_minus,
-        top_pairs=pair_list[:TOP_PAIRS_IN_ROW],
         unitarity_defect=u.unitarity_defect,
         cond_gmm=pairs.cond_mm,
         discarded_mass=report.discarded_mass_bound,
-        n_retained_pairs=report.n_retained_pairs,
         pair_list=pair_list,
     )
 
@@ -123,7 +123,7 @@ def _csv_cells(row: ResultRow, n_sector_max: int) -> dict:
     """CSV column -> value; the columns depend on n_sector_max only."""
     sectors = range(1, n_sector_max + 1)
     c = list(row.c) + [math.nan] * (n_sector_max + 1)
-    e_lbl, p_lbl, prob = row.top_pairs[0] if row.top_pairs else ("", "", None)
+    e_lbl, p_lbl, prob = row.pair_list[0] if row.pair_list else ("", "", None)
     cells = {"sweep_value": row.sweep_value, "plateau_cycles": row.plateau_cycles,
              "total_cycles": row.total_cycles, "cv_abs2": row.cv_abs2}
     cells.update((f"c_{n}", c[n]) for n in sectors)
@@ -132,7 +132,7 @@ def _csv_cells(row: ResultRow, n_sector_max: int) -> dict:
     cells.update(top_pair_prob=prob, top_pair_electron=e_lbl,
                  top_pair_positron=p_lbl, unitarity_defect=row.unitarity_defect,
                  cond_gmm=row.cond_gmm, discarded_mass=row.discarded_mass,
-                 n_retained_pairs=row.n_retained_pairs, error=row.error)
+                 n_retained_pairs=len(row.pair_list), error=row.error)
     return cells
 
 
@@ -175,10 +175,8 @@ def _point_config(spec: SweepSpec, value) -> RunConfig:
                                   f"{value!r} is not an integer")
         return with_plateau(base, int(value))
     if spec.sweep_axis == "alpha_plus":
-        alpha_plus = float(value)
-        alpha_minus = paired_alpha(alpha_plus, base.field.helicity_relation)
-        return replace(base, field=replace(base.field, alpha_plus=alpha_plus,
-                                           alpha_minus=alpha_minus))
+        return replace(base, field=replace(base.field,
+                                           alpha_plus=float(value)))
     if spec.sweep_axis == "k0_z":
         k0 = (base.numerics.k0_offset[0], base.numerics.k0_offset[1],
               float(value))

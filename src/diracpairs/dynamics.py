@@ -176,6 +176,10 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     ramp = config.window.ramp_cycles
     one = with_plateau(config, 1)
     k = field_coupling(basis, config.field)
+    if not (np.isfinite(basis.energies).all() and np.isfinite(k).all()):
+        raise UnitarityError(
+            "the free energies H0 or the field coupling K are not finite; "
+            "field.omega, field.e_peak or numerics.k0_offset is out of range")
     d = np.array([(-1.0) ** mode.label.n for mode in basis.modes])
     fold = (np.max(np.abs(d[:, None] * k.conj() * d - k))
             <= FOLD_TOL * np.max(np.abs(k)))
@@ -183,7 +187,7 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     def checked(part, m, t0, t1):
         steps = round((t1 - t0) * config.numerics.steps_per_cycle)
         defect = unitarity_defect(m)
-        if defect > DEFAULT_UNITARITY_TOL:
+        if not defect <= DEFAULT_UNITARITY_TOL:    # NaN fails too
             raise UnitarityError(
                 f"{part} segment unitarity defect {defect:.3e} exceeds "
                 f"{DEFAULT_UNITARITY_TOL:.1e} after {steps} steps at "

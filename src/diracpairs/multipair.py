@@ -66,8 +66,7 @@ class SectorReport:
     ``c[N]`` is the probability of exactly N pairs (c[0] the vacuum);
     observables are dicts keyed by N and omitted where c_N vanishes.
     ``discarded_mass_bound`` is the exact tail sum_{N > n_sector_max} c_N.
-    The retained pair count covers the single-pair support above the prune
-    threshold only.
+    The prune threshold plays no part here; it trims ``single_pair_list``.
     """
 
     n_sector_max: int
@@ -77,7 +76,6 @@ class SectorReport:
     h_plus: dict = field(default_factory=dict)
     h_minus: dict = field(default_factory=dict)
     discarded_mass_bound: float = 0.0
-    n_retained_pairs: int = 0
 
 
 def pair_amplitudes(g: GBlocks) -> PairAmplitudes:
@@ -99,24 +97,13 @@ def vacuum_amplitude(g: GBlocks) -> VacuumAmplitude:
                            log_abs=float(log_abs))
 
 
-def _parity(perm_to_sorted) -> int:
-    """Parity of the permutation mapping the input tuple onto sorted order."""
-    perm = list(perm_to_sorted)
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
-
-
 def multi_pair_amplitude(pairs: PairAmplitudes, vac: VacuumAmplitude,
                          electrons, positrons) -> MultiPairAmplitude:
     """Amplitude of the multi-pair state with the given mode labels.
 
     Repeated labels give a bitwise-zero amplitude rather than an error;
-    unsorted label lists contribute the corresponding fermionic sign.
+    unsorted label lists permute the rows and columns of the omega
+    submatrix, so its determinant carries the fermionic sign.
     """
     electrons = tuple(int(m) for m in electrons)
     positrons = tuple(int(n) for n in positrons)
@@ -125,29 +112,9 @@ def multi_pair_amplitude(pairs: PairAmplitudes, vac: VacuumAmplitude,
     if len(set(electrons)) != len(electrons) or len(set(positrons)) != len(positrons):
         return MultiPairAmplitude(electrons=electrons, positrons=positrons,
                                   amplitude=complex(0.0), pauli_excluded=True)
-
-    sign = 1
-    for labels in (electrons, positrons):
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        rank = [0] * len(labels)
-        for pos, idx in enumerate(order):
-            rank[idx] = pos
-        sign *= _parity(rank)
-
-    e_sorted = tuple(sorted(electrons))
-    p_sorted = tuple(sorted(positrons))
-    sub = pairs.omega[np.ix_(e_sorted, p_sorted)]
-    amp = vac.c_v * sign * np.linalg.det(sub)
+    sub = pairs.omega[np.ix_(electrons, positrons)]
     return MultiPairAmplitude(electrons=electrons, positrons=positrons,
-                              amplitude=complex(amp))
-
-
-def retained_support(pairs: PairAmplitudes, numerics: NumericsParams):
-    """(electron labels, positron labels, pair count) above the prune threshold."""
-    keep = np.abs(pairs.omega) ** 2 >= numerics.prune_threshold
-    electrons = tuple(np.flatnonzero(keep.any(axis=1)))
-    positrons = tuple(np.flatnonzero(keep.any(axis=0)))
-    return electrons, positrons, int(keep.sum())
+                              amplitude=complex(vac.c_v * np.linalg.det(sub)))
 
 
 def single_pair_list(pairs: PairAmplitudes, vac: VacuumAmplitude,
@@ -193,9 +160,8 @@ def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
     det(1 + z omega^dag e^{xS} omega) (electrons; omega e^{xS} omega^dag for
     positrons) over e_N: the per-mode values of S dotted into the mean mode
     occupations sum_i |U_ki|^2 p_Ni electrons (|V_ki|^2 positrons), with
-    p_Ni = lam_i e_{N-1}(lam without lam_i) / e_N(lam), lam = sigma^2.  The
-    prune threshold only selects the reported retained support.  Sectors
-    with c_N = 0 have their observables omitted.
+    p_Ni = lam_i e_{N-1}(lam without lam_i) / e_N(lam), lam = sigma^2.
+    Sectors with c_N = 0 have their observables omitted.
     """
     k_max = numerics.n_sector_max
     cv2 = vac.probability
@@ -222,5 +188,4 @@ def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
         h_plus=means(basis.helicity_plus, occ_e),
         s_minus=means(basis.spin_z_minus, occ_p),
         h_minus=means(basis.helicity_minus, occ_p),
-        discarded_mass_bound=float(cv2 * e[k_max + 1:].sum()),
-        n_retained_pairs=retained_support(pairs, numerics)[2])
+        discarded_mass_bound=float(cv2 * e[k_max + 1:].sum()))

@@ -22,8 +22,8 @@ from .errors import ValidationError
 # Schwinger critical field strength in SI units (V/m).
 E_SCHWINGER_V_PER_M = 1.3e18
 
-# Tolerance for the consistency between stored polarization angles and the
-# declared helicity relation.
+# Tolerance to which an alpha_minus given on input must match the angle
+# that alpha_plus and the helicity relation fix.
 ANGLE_TOL = 1e-12
 
 
@@ -46,8 +46,12 @@ class FieldParams:
     omega: float                        # angular frequency, units of m0
     e_peak: float                       # peak field strength, fraction of E_S
     alpha_plus: float                   # polarization angle of the +z beam
-    alpha_minus: float                  # polarization angle of the -z beam
     helicity_relation: HelicityRelation
+
+    @property
+    def alpha_minus(self) -> float:
+        """Polarization angle of the -z beam, fixed by the relation."""
+        return paired_alpha(self.alpha_plus, self.helicity_relation)
 
     @property
     def wavenumber(self) -> float:
@@ -100,29 +104,23 @@ def xi(field: FieldParams) -> float:
 
 
 def paired_alpha(alpha: float, relation: HelicityRelation) -> float:
-    """The other beam's polarization angle under ``relation``.
-
-    The map is its own inverse, so it gives alpha_minus from alpha_plus and
-    alpha_plus from alpha_minus alike.
-    """
+    """The -z beam's polarization angle under ``relation``."""
     return math.pi / 2.0 - alpha if relation is HelicityRelation.SAME else alpha
 
 
 def field_from_si(e_volts_per_meter: float, omega_in_m0: float,
                   alpha_plus: float,
                   helicity_relation: HelicityRelation) -> FieldParams:
-    """Build FieldParams from an SI field strength; derives alpha_minus."""
+    """Build FieldParams from an SI field strength."""
     if e_volts_per_meter <= 0.0:
         raise ValidationError("field.e_volts_per_meter: must be > 0")
     if omega_in_m0 <= 0.0:
         raise ValidationError("field.omega: must be > 0")
-    relation = HelicityRelation(helicity_relation)
     return FieldParams(
         omega=omega_in_m0,
         e_peak=e_volts_per_meter / E_SCHWINGER_V_PER_M,
         alpha_plus=alpha_plus,
-        alpha_minus=paired_alpha(alpha_plus, relation),
-        helicity_relation=relation,
+        helicity_relation=HelicityRelation(helicity_relation),
     )
 
 
@@ -135,12 +133,8 @@ def validation_errors(config: RunConfig) -> list:
         bad.append("field.omega: must be finite and > 0")
     if not 0.0 <= f.e_peak < math.inf:
         bad.append("field.e_peak: must be finite and >= 0")
-    for name, alpha in (("alpha_plus", f.alpha_plus), ("alpha_minus", f.alpha_minus)):
-        if not 0.0 <= alpha <= math.pi / 2.0:
-            bad.append(f"field.{name}: alpha range is [0, pi/2]")
-    expected = paired_alpha(f.alpha_minus, f.helicity_relation)
-    if abs(f.alpha_plus - expected) > ANGLE_TOL:
-        bad.append("field.helicity_relation: inconsistent with stored angles")
+    if not 0.0 <= f.alpha_plus <= math.pi / 2.0:
+        bad.append("field.alpha_plus: alpha range is [0, pi/2]")
 
     if w.ramp_cycles < 1:
         bad.append("window.ramp_cycles: must be >= 1")
@@ -184,7 +178,8 @@ def validate(config: RunConfig) -> RunConfig:
 # their field annotations.  Keys starting with "_" are ignored (preset
 # metadata), other unknown keys are errors.  The field block accepts
 # "e_si_v_per_m" in place of "e_peak", "helicity_relation" defaults to
-# "same", and an omitted "alpha_minus" is derived from the relation.
+# "same", and "alpha_minus", which alpha_plus and the relation fix, is
+# accepted only where it matches them to ANGLE_TOL.
 # ---------------------------------------------------------------------------
 
 _KINDS = {int: "an integer", float: "a number", str: "a string",
@@ -216,16 +211,22 @@ def _plain(obj):
 
 
 def _field_conveniences(fd: dict, path: str) -> dict:
-    """The field block's shorthands, rewritten to the FieldParams keys."""
+    """The field block's shorthands, rewritten to the FieldParams keys; a
+    derived alpha_minus is checked against alpha_plus and dropped."""
     fd = {"helicity_relation": "same", **fd}
     if "e_si_v_per_m" in fd:
         e_si = _parse(float, fd.pop("e_si_v_per_m"), f"{path}.e_si_v_per_m")
         fd.setdefault("e_peak", e_si / E_SCHWINGER_V_PER_M)
-    if "alpha_plus" in fd and "alpha_minus" not in fd:
-        fd["alpha_minus"] = paired_alpha(
-            _parse(float, fd["alpha_plus"], f"{path}.alpha_plus"),
-            _parse(HelicityRelation, fd["helicity_relation"],
-                   f"{path}.helicity_relation"))
+    if "alpha_minus" in fd:
+        given = _parse(float, fd.pop("alpha_minus"), f"{path}.alpha_minus")
+        if "alpha_plus" in fd:
+            derived = paired_alpha(
+                _parse(float, fd["alpha_plus"], f"{path}.alpha_plus"),
+                _parse(HelicityRelation, fd["helicity_relation"],
+                       f"{path}.helicity_relation"))
+            if not abs(given - derived) <= ANGLE_TOL:
+                raise ValidationError(f"{path}.alpha_minus: inconsistent "
+                                      "with alpha_plus and helicity_relation")
     return fd
 
 

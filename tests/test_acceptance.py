@@ -6,7 +6,6 @@ truncation) is a documented long-running experiment, not part of this
 suite; these are property checks plus desk-scale quantitative gates.
 """
 
-import math
 import time
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -81,7 +80,6 @@ def oracle_run():
 def test_criterion_1_free_field_identity():
     t0 = time.perf_counter()
     field = FieldParams(omega=0.746, e_peak=0.0, alpha_plus=0.2,
-                        alpha_minus=math.pi / 2 - 0.2,
                         helicity_relation=HelicityRelation.SAME)
     config = RunConfig(field=field,
                        window=WindowParams(ramp_cycles=1, plateau_cycles=3),

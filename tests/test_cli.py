@@ -12,7 +12,6 @@ from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
                         figure_configs, run_once, run_sweep, with_plateau)
 from diracpairs.cli import (csv_header, csv_row, main, row_from_dict,
                             row_to_dict)
-from diracpairs.physconfig import paired_alpha
 
 
 def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
@@ -62,7 +61,7 @@ class TestRunOnce:
         row = run_once(config)
         assert row.cv_abs2 == pytest.approx(1.0, abs=1e-12)
         assert all(c == 0.0 for c in row.c[1:])
-        assert row.top_pairs == []
+        assert row.pair_list == []
 
     def test_determinism_bit_identical_rows(self):
         config = desk_config()
@@ -100,6 +99,30 @@ class TestRunOnce:
             assert csv_row(again, 2) == csv_row(row, 2)
             assert json.dumps(row_to_dict(again)) == text
 
+    def test_csv_format_is_pinned(self):
+        assert csv_header(4) == (
+            "sweep_value,plateau_cycles,total_cycles,cv_abs2,"
+            "c_1,c_2,c_3,c_4,s_plus_1,s_plus_2,s_plus_3,s_plus_4,"
+            "s_minus_1,s_minus_2,s_minus_3,s_minus_4,"
+            "h_plus_1,h_plus_2,h_plus_3,h_plus_4,"
+            "h_minus_1,h_minus_2,h_minus_3,h_minus_4,"
+            "top_pair_prob,top_pair_electron,top_pair_positron,"
+            "unitarity_defect,cond_gmm,discarded_mass,n_retained_pairs,error")
+        header = csv_header(2).split(",")
+        row = run_once(desk_config())
+        cells = dict(zip(header, csv_row(row, 2).split(",")))
+        electron, positron, prob = row.pair_list[0]
+        assert len(row.pair_list) > 1
+        assert cells["n_retained_pairs"] == str(len(row.pair_list))
+        assert (cells["top_pair_electron"], cells["top_pair_positron"],
+                cells["top_pair_prob"]) == (electron, positron, repr(prob))
+        failed = ResultRow(sweep_value=1.0, plateau_cycles=1, total_cycles=3,
+                           error="ValidationError: synthetic")
+        cells = dict(zip(header, csv_row(failed, 2).split(",")))
+        assert cells["n_retained_pairs"] == "0"
+        assert cells["top_pair_prob"] == cells["top_pair_electron"] == \
+            cells["top_pair_positron"] == ""
+
     def test_csv_schema_depends_only_on_sector_max(self):
         header = csv_header(3)
         cols = header.split(",")
@@ -119,9 +142,7 @@ class TestMomentumMirror:
         config, _ = figure_configs()[name]
         field = config.field
         if alpha_plus is not None:
-            field = replace(field, alpha_plus=alpha_plus,
-                            alpha_minus=paired_alpha(
-                                alpha_plus, field.helicity_relation))
+            field = replace(field, alpha_plus=alpha_plus)
         config = replace(config, field=field, window=WindowParams(
             ramp_cycles=2, plateau_cycles=3))
         return [run_once(replace(config, numerics=replace(
@@ -250,6 +271,16 @@ class TestSweep:
         elliptic = [by_alpha[round(a, 6)] for a in (0.0, math.pi / 8)]
         assert any(abs(r.s_plus.get(1, 0.0)) > 1e-6 for r in elliptic)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_point_fails_and_sweep_continues(self, tmp_path):
+        spec = SweepSpec(base=desk_config(), sweep_axis="k0_z",
+                         values=[0.0013, 1e160, 0.0026], outputs=str(tmp_path))
+        with open(run_sweep(spec)["json"]) as fh:
+            rows = json.load(fh)["rows"]
+        assert [r["error"] == "" for r in rows] == [True, False, True]
+        assert rows[1]["error"].startswith("UnitarityError: ")
+        assert "not finite" in rows[1]["error"]
+
     def test_partial_failure_records_error(self, tmp_path):
         config = desk_config()
         spec = SweepSpec(base=config, sweep_axis="plateau_cycles",
@@ -306,7 +337,7 @@ class TestSweep:
         with open(paths["json"]) as fh:
             row = json.load(fh)["rows"][0]
         # "sectors" and "pairs" are no longer flags: unknown keys are ignored
-        assert row["pair_list"] and row["top_pairs"] == row["pair_list"][:8]
+        assert row["pair_list"]
         assert len(row["c"]) == 3 and all(x is not None for x in row["c"])
         dumped = [f for f in os.listdir(tmp_path / "points")
                   if f.endswith(".bin")]
@@ -359,6 +390,9 @@ MALFORMED = {
                      "spec.sweep_axis"),
     "plateau_fraction": ("sweep", lambda s: s.update(values=[2.5]),
                          "spec.values"),
+    "alpha_minus_inconsistent": ("run", lambda d: d["field"].update(
+        alpha_minus=0.3), "config.field.alpha_minus: inconsistent with "
+        "alpha_plus and helicity_relation"),
 }
 
 
@@ -487,6 +521,25 @@ class TestCommandLine:
         monkeypatch.delenv("DIRACPAIRS_OUTDIR", raising=False)
         assert main(["run", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("field", "omega", 1e-300, "unitarity defect nan exceeds"),
+        ("field", "omega", 1e300, "not finite"),
+        ("numerics", "k0_offset", [1e160, 0.0, 0.0], "not finite"),
+    ], ids=["omega_tiny", "omega_huge", "k0_huge"])
+    def test_non_finite_propagation_exit_3(self, tmp_path, capsys, monkeypatch,
+                                           section, key, value, message):
+        data = config_to_dict(desk_config())
+        data[section][key] = value
+        in_path = tmp_path / "config.json"
+        in_path.write_text(json.dumps(data))
+        monkeypatch.delenv("DIRACPAIRS_OUTDIR", raising=False)
+        assert main(["run", "--config", str(in_path),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical tolerance failure: ")
+        assert message in err
 
     def test_oracle_check_passes_on_small_run(self, tmp_path):
         cfg_path = self.write_config(tmp_path, desk_config())

@@ -30,7 +30,6 @@ def make_config(n_cut=2, steps_per_cycle=128, ramp=1, plateau=1, field=None):
 
 def zero_field(omega=0.746):
     return FieldParams(omega=omega, e_peak=0.0, alpha_plus=0.2,
-                       alpha_minus=math.pi / 2 - 0.2,
                        helicity_relation=HelicityRelation.SAME)
 
 
@@ -77,7 +76,6 @@ class TestHamiltonian:
         # +z beam at alpha=0: its raising matrix (the n <- n-1 part of K)
         # only flips spin down->up, and it is not identically zero
         field = FieldParams(omega=0.746, e_peak=0.37, alpha_plus=0.0,
-                            alpha_minus=0.0,
                             helicity_relation=HelicityRelation.OPPOSITE)
         config = make_config(field=field)
         basis = build_basis(config.numerics, config.field)

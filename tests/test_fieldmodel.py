@@ -127,7 +127,7 @@ class TestPotential:
         # scan A(z=0, t) of a single +z beam over one plateau cycle
         field = circular_field(math.pi / 4)
         single = FieldParams(omega=field.omega, e_peak=field.e_peak,
-                             alpha_plus=math.pi / 4, alpha_minus=math.pi / 4,
+                             alpha_plus=math.pi / 4,
                              helicity_relation=HelicityRelation.OPPOSITE)
         peak = max(float(np.linalg.norm(one_beam_potential(t_c, single)))
                    for t_c in np.linspace(WINDOW.ramp_cycles,
@@ -139,7 +139,6 @@ class TestPotential:
         rng = np.random.default_rng(11)
         for alpha in rng.uniform(0, math.pi / 2, 5):
             field = FieldParams(omega=0.8, e_peak=0.3, alpha_plus=alpha,
-                                alpha_minus=alpha,
                                 helicity_relation=HelicityRelation.OPPOSITE)
             peak = max(float(np.linalg.norm(one_beam_potential(t_c, field)))
                        for t_c in np.linspace(WINDOW.ramp_cycles,
@@ -152,10 +151,8 @@ class TestPotential:
     def test_helicity_swap_exchanges_jones_components(self):
         alpha = 0.3
         f1 = FieldParams(omega=1.0, e_peak=0.2, alpha_plus=alpha,
-                         alpha_minus=alpha,
                          helicity_relation=HelicityRelation.OPPOSITE)
         f2 = FieldParams(omega=1.0, e_peak=0.2, alpha_plus=math.pi / 2 - alpha,
-                         alpha_minus=math.pi / 2 - alpha,
                          helicity_relation=HelicityRelation.OPPOSITE)
         # components in the orthonormal circular basis
         x1, x2 = beam_amplitudes(f1)[0], beam_amplitudes(f2)[0]
@@ -175,7 +172,7 @@ class TestElectricField:
         # alpha = 0: one circular beam has |E| = E/sqrt(2) at fixed z
         field = circular_field(0.0)
         single = FieldParams(omega=field.omega, e_peak=field.e_peak,
-                             alpha_plus=0.0, alpha_minus=0.0,
+                             alpha_plus=0.0,
                              helicity_relation=HelicityRelation.OPPOSITE)
 
         def one_beam_e(z, t_cycles):

@@ -17,7 +17,7 @@ from diracpairs import (FieldParams, FockBasis, FockDimensionError,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
 from diracpairs.dynamics import field_coupling
 from diracpairs.fockoracle import ManyBodyState, _ket_sign
-from diracpairs.physconfig import paired_alpha, validate
+from diracpairs.physconfig import validate
 
 FIG2_FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4,
                            HelicityRelation.SAME)
@@ -324,7 +324,6 @@ def oracle_configs(draw):
     field = FieldParams(omega=rng.uniform(0.45, 0.78),
                         e_peak=rng.uniform(0.2, 0.4),
                         alpha_plus=alpha_plus,
-                        alpha_minus=paired_alpha(alpha_plus, relation),
                         helicity_relation=relation)
     k0 = (0.0, 0.0, rng.uniform(-0.05, 0.05))
     if transverse:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from diracpairs import (GBlocks, HelicityRelation, IllConditionedError,
                         NumericsParams, build_basis, field_from_si,
                         multi_pair_amplitude, pair_amplitudes,
-                        retained_support, sector_observables,
-                        single_pair_list, vacuum_amplitude)
+                        sector_observables, single_pair_list,
+                        vacuum_amplitude)
 from diracpairs.multipair import PairAmplitudes, VacuumAmplitude
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
@@ -295,7 +295,7 @@ class TestSectorProbabilities:
         numerics = NumericsParams(n_cut=4, prune_threshold=0.0, n_sector_max=4)
         basis = build_basis(numerics, FIELD)
         rep = sector_observables(pa, vac, basis, numerics)
-        assert rep.n_retained_pairs == 18 * 18
+        assert len(single_pair_list(pa, vac, numerics)) == 18 * 18
         assert rep.discarded_mass_bound > 0.0
         assert abs(rep.c.sum() + rep.discarded_mass_bound - 1.0) <= 1e-10
         assert sorted(rep.s_plus) == [1, 2, 3, 4]
@@ -306,13 +306,12 @@ class TestSectorProbabilities:
         pa = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
         basis = self.basis()
-        full = sector_observables(pa, vac, basis, self.numerics(n_sector_max=3))
+        full_numerics = self.numerics(n_sector_max=3)
         pruned_numerics = self.numerics(n_sector_max=3, prune_threshold=0.05)
+        full = sector_observables(pa, vac, basis, full_numerics)
         pruned = sector_observables(pa, vac, basis, pruned_numerics)
-        assert full.n_retained_pairs == 36
-        assert pruned.n_retained_pairs < full.n_retained_pairs
-        assert len(single_pair_list(pa, vac, pruned_numerics)) == \
-            pruned.n_retained_pairs
+        assert len(single_pair_list(pa, vac, full_numerics)) == 36
+        assert 0 < len(single_pair_list(pa, vac, pruned_numerics)) < 36
         assert np.array_equal(pruned.c, full.c)
         for name in ("s_plus", "s_minus", "h_plus", "h_minus"):
             assert getattr(pruned, name) == getattr(full, name)
@@ -320,18 +319,6 @@ class TestSectorProbabilities:
         c_ref, _, _ = brute_force_sectors(pa.omega, vac.probability, [], [])
         assert pruned.discarded_mass_bound == pytest.approx(c_ref[4:].sum(),
                                                             abs=1e-12)
-
-    def test_retained_support_threshold(self):
-        omega = np.zeros((4, 4), dtype=complex)
-        omega[1, 2] = 0.5
-        omega[3, 0] = 1e-2  # |omega|^2 = 1e-4
-        pa, _ = synthetic_state(omega)
-        numerics = NumericsParams(n_cut=1, prune_threshold=1e-6)
-        electrons, positrons, count = retained_support(pa, numerics)
-        assert electrons == (1, 3) and positrons == (0, 2) and count == 2
-        tight = NumericsParams(n_cut=1, prune_threshold=1e-2)
-        electrons, positrons, count = retained_support(pa, tight)
-        assert electrons == (1,) and positrons == (2,) and count == 1
 
 
 class TestSectorObservables:
@@ -402,6 +389,10 @@ class TestSinglePairList:
         top = single_pair_list(pa, vac, numerics)[:2]
         assert len(top) == 2
         assert abs(top[0].amplitude) >= abs(top[1].amplitude)
+        # |omega|^2 = 1e-4 falls below a 1e-2 threshold
+        tight = NumericsParams(n_cut=1, prune_threshold=1e-2)
+        assert [(p.electrons[0], p.positrons[0])
+                for p in single_pair_list(pa, vac, tight)] == [(1, 2), (0, 0)]
 
 
 angle = st.one_of(st.just(0.0), st.floats(0.1, 1.2))

@@ -99,18 +99,30 @@ class TestValidate:
 
     def test_alpha_out_of_range(self):
         field = FieldParams(omega=1.0, e_peak=0.1, alpha_plus=2 * math.pi,
-                            alpha_minus=2 * math.pi,
                             helicity_relation=HelicityRelation.OPPOSITE)
         config = make_config(field=field)
         errors = validation_errors(config)
         assert any("alpha range" in e for e in errors)
 
     def test_helicity_consistency(self):
-        field = FieldParams(omega=1.0, e_peak=0.1, alpha_plus=0.3,
-                            alpha_minus=0.3 + 1e-6,
-                            helicity_relation=HelicityRelation.OPPOSITE)
-        errors = validation_errors(make_config(field=field))
-        assert any("helicity_relation" in e for e in errors)
+        # alpha_minus is derived; configs written with it (every preset
+        # emitted while it was stored) load only where it is consistent
+        data = config_to_dict(make_config())
+        assert "alpha_minus" not in data["field"]
+        inconsistent = (r"^config\.field\.alpha_minus: inconsistent with "
+                        r"alpha_plus and helicity_relation$")
+        for relation in HelicityRelation:
+            data["field"]["helicity_relation"] = relation.value
+            expected = config_from_dict(data)
+            data["field"]["alpha_minus"] = expected.field.alpha_minus
+            assert config_from_dict(data) == expected
+            for wrong in (expected.field.alpha_minus + 1e-6, None):
+                data["field"]["alpha_minus"] = wrong
+                with pytest.raises(ValidationError, match=inconsistent):
+                    config_from_dict(data)
+            del data["field"]["alpha_minus"]
+        assert make_config().field.alpha_minus == pytest.approx(
+            math.pi / 2 - 0.2 * math.pi / 4, rel=1e-12)
 
     def test_sector_cap_is_electron_mode_count(self):
         # n_cut = 4: 18 electron modes, so every sector up to 18 is allowed
@@ -142,8 +154,8 @@ class TestJsonConfig:
     def test_preset_hashes_are_pinned(self):
         # cache keys and run_<hash> file names must not drift
         presets = figure_configs()
-        assert config_hash(presets["fig2"][0]) == "510594e346d9d5de"
-        assert config_hash(presets["fig4"][0]) == "e86ced79f0745edd"
+        assert config_hash(presets["fig2"][0]) == "ebf1a740cb03f7ab"
+        assert config_hash(presets["fig4"][0]) == "6c9a7cafdbd8c093"
 
     def test_si_field_input(self):
         text = """

@@ -20,8 +20,8 @@ from .physconfig import (E_SCHWINGER_V_PER_M, HelicityRelation, FieldParams,
 from .fieldmodel import (envelope, envelope_derivative, beam_amplitudes,
                          carrier, potential_vector_at, electric_field_at,
                          JONES_LEFT, JONES_RIGHT)
-from .modebasis import (Band, Spin, ModeLabel, FreeMode, ModeBasis,
-                        build_basis, free_modes_at, free_hamiltonian,
+from .modebasis import (Band, Spin, ModeLabel, ModeBasis,
+                        build_basis, free_spinors, free_hamiltonian,
                         ALPHA, BETA, SIGMA_BIG)
 from .dynamics import (Propagator, GBlocks, assemble_hamiltonian, propagate,
                        propagator_segments, cycle_compose, extract_g_blocks,

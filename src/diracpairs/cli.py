@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics, fockoracle, multipair
 from .errors import NumericalToleranceError, ValidationError
 from .fieldmodel import electric_field_at, potential_vector_at
-from .modebasis import Band, ModeBasis, Spin, build_basis
+from .modebasis import ModeBasis, build_basis
 from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          HelicityRelation, config_from_dict, config_to_dict,
                          config_hash, field_from_si, validate, with_plateau,
@@ -37,7 +37,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config or the row format changes, so points cached by an older
 # scheme are redone.
-SCHEME_VERSION = 9
+SCHEME_VERSION = 10
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
@@ -75,11 +75,9 @@ class SweepSpec:
     emit: dict[str, bool] = field(default_factory=dict)  # gdump; other keys ignored
 
 
-def _label_str(basis: ModeBasis, band: Band, half_index: int) -> str:
-    label = (basis.electron_label(half_index) if band is Band.PLUS
-             else basis.positron_label(half_index))
-    spin = "u" if label.spin is Spin.UP else "d"
-    return f"{label.n:+d}{spin}"
+def _label_str(basis: ModeBasis, i: int) -> str:
+    """Lattice index and spin of mode i, as in "+1u"."""
+    return f"{basis.n[i]:+d}{'u' if basis.spin_up[i] else 'd'}"
 
 
 def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
@@ -88,8 +86,8 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
     vac = multipair.vacuum_amplitude(g)
     retained = multipair.single_pair_list(pairs, vac, config.numerics)
     report = multipair.sector_observables(pairs, vac, basis, config.numerics)
-    pair_list = [(_label_str(basis, Band.PLUS, a.electrons[0]),
-                  _label_str(basis, Band.MINUS, a.positrons[0]),
+    pair_list = [(_label_str(basis, basis.plus_indices[a.electrons[0]]),
+                  _label_str(basis, basis.minus_indices[a.positrons[0]]),
                   float(abs(a.amplitude) ** 2)) for a in retained]
     return ResultRow(
         sweep_value=sweep_value,
@@ -365,9 +363,8 @@ def _cmd_preset(args) -> int:
     return 0
 
 
-def _oracle_difference(config: RunConfig, nmax: int):
+def _oracle_difference(config: RunConfig, basis: ModeBasis, nmax: int):
     """(max |determinant-path - Fock-path| amplitude over N <= nmax, Fock state)."""
-    basis = build_basis(config.numerics, config.field)
     u = dynamics.propagate(config, basis)
     g = dynamics.extract_g_blocks(u, basis, config)
     pairs = multipair.pair_amplitudes(g)
@@ -389,9 +386,11 @@ def _cmd_oracle_check(args) -> int:
                 "finite and > 0")
     _check_flag("--nmax", args.nmax >= 0, ">= 0")
     config = _load_config(args.config)
+    basis = build_basis(config.numerics, config.field)
+    fockoracle.check_dimension(basis)   # before any propagation or output
     with (open(args.dump_amplitudes, "w") if args.dump_amplitudes
           else contextlib.nullcontext()) as dump:
-        worst, state = _oracle_difference(config, args.nmax)
+        worst, state = _oracle_difference(config, basis, args.nmax)
         print(f"max |determinant-path - Fock-path| amplitude difference "
               f"(N <= {args.nmax}): {worst:.3e}")
         if dump:

@@ -112,7 +112,8 @@ class ManyBodyState:
     norm_drift: float = 0.0
 
 
-def _check_dim(basis: ModeBasis):
+def check_dimension(basis: ModeBasis):
+    """Refuse a basis too large for the exact Fock space (exit 2)."""
     if basis.dim > MAX_SINGLE_PARTICLE_DIM:
         raise FockDimensionError(
             f"fockoracle: single-particle dimension {basis.dim} exceeds the "
@@ -126,7 +127,7 @@ def second_quantize(h: np.ndarray, basis: ModeBasis,
     The map is linear in h and takes h^dag to its adjoint; only the
     nonzero couplings of h are materialized.
     """
-    _check_dim(basis)
+    check_dimension(basis)
     if fock is None:
         fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)
     plus, minus = basis.plus_indices, basis.minus_indices
@@ -168,7 +169,7 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     oracle is an independent reference for the composed propagator and the
     comparison is free of discretization error.
     """
-    _check_dim(basis)
+    check_dimension(basis)
     fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)
     h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)
     k = second_quantize(field_coupling(basis, config.field), basis, fock)

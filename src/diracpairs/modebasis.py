@@ -3,19 +3,21 @@
 The monochromatic counterpropagating waves couple only modes whose momenta
 differ by one photon momentum, so a single simulation lives on a chain of
 lattice momenta.  At each lattice point the four eigenvectors of the free
-Dirac Hamiltonian alpha.p + beta (Dirac representation) are constructed
-analytically from the standard two-spinor form, which pins the phase
-convention: the dominant upper component of a positive-energy mode and the
-dominant lower component of a negative-energy mode are real and positive.
+Dirac Hamiltonian alpha.p + beta (Dirac representation) have the closed
+form norm * [[1, -T], [T, 1]] with T = sigma.p/(E+1): the two-spinor
+chi = up or down is the upper half of a positive-energy mode and the
+lower half of a negative-energy mode, so that component is real and
+positive by construction and no phase has to be fixed.
 
-Basis ordering is n ascending, band plus before minus, spin up before
-down; the flattened index is a bijection onto [0, 4*(2*n_cut+1)).
+``ModeBasis`` is one table of arrays over the chain: per mode its lattice
+index n, band, spin, momentum, signed energy, spinor, spin-z and
+helicity.  Basis ordering is n ascending, band plus before minus, spin up
+before down; the flattened index is a bijection onto [0, 4*(2*n_cut+1)).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -60,76 +62,35 @@ class ModeLabel:
     spin: Spin
 
 
-@dataclass(frozen=True)
-class FreeMode:
-    label: ModeLabel
-    momentum: tuple          # 3-vector, units of m0
-    energy: float            # signed, units of m0
-    spinor: np.ndarray       # unit-norm 4-spinor
-    spin_z: float            # <(1/2) Sigma_z>
-    helicity: float          # <(1/2) Sigma.p/|p|>, 0 at p = 0
-
-
 def free_hamiltonian(p: np.ndarray) -> np.ndarray:
-    """alpha.p + beta for one momentum."""
-    return np.tensordot(p, ALPHA, axes=(0, 0)) + BETA
+    """alpha.p + beta for momenta p of shape (..., 3)."""
+    return np.tensordot(p, ALPHA, axes=(-1, 0)) + BETA
 
 
-def _fix_phase(spinor: np.ndarray, band: Band) -> np.ndarray:
-    half = spinor[:2] if band is Band.PLUS else spinor[2:]
-    pivot = half[int(np.argmax(np.abs(half)))]
-    if abs(pivot) == 0.0:
-        return spinor
-    return spinor * (abs(pivot) / pivot)
+def free_spinors(p: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenmodes of alpha.p + beta for momenta p of shape (..., 3).
 
-
-def free_modes_at(p: np.ndarray) -> list:
-    """The four orthonormal eigenmodes at momentum p, ordered (band, spin).
-
-    For momenta along z the modes are exact Sigma_z (and helicity)
-    eigenstates, so those labels are written as exact halves rather than
-    through a lossy floating-point expectation value.
+    Returns shape (..., 4, 4) whose columns are (plus up, plus down, minus
+    up, minus down): norm * [[1, -T], [T, 1]] with T = sigma.p/(E+1) and
+    norm = sqrt((E+1)/(2E)), E = sqrt(1 + |p|^2).
     """
     p = np.asarray(p, dtype=float)
-    p_abs = float(np.linalg.norm(p))
-    energy = math.sqrt(1.0 + p_abs * p_abs)
-    sp = np.tensordot(p, SIGMA, axes=(0, 0))
-    norm = math.sqrt((energy + 1.0) / (2.0 * energy))
-    on_axis = p[0] == 0.0 and p[1] == 0.0
-    if p_abs > 0.0 and not on_axis:
-        hel_op = np.tensordot(p / p_abs, SIGMA_BIG, axes=(0, 0))
-    else:
-        hel_op = None
-
-    out = []
-    for band, sign in ((Band.PLUS, +1.0), (Band.MINUS, -1.0)):
-        for spin, chi in ((Spin.UP, np.array([1.0, 0.0], dtype=complex)),
-                          (Spin.DOWN, np.array([0.0, 1.0], dtype=complex))):
-            tail = sp @ chi / (energy + 1.0)
-            if band is Band.PLUS:
-                spinor = norm * np.concatenate([chi, tail])
-            else:
-                spinor = norm * np.concatenate([-tail, chi])
-            spinor = _fix_phase(spinor, band)
-            if on_axis:
-                spin_z = 0.5 if spin is Spin.UP else -0.5
-                helicity = 0.0 if p[2] == 0.0 else spin_z * math.copysign(1.0, p[2])
-            else:
-                spin_z = 0.5 * float(np.real(spinor.conj() @ SIGMA_BIG[2] @ spinor))
-                helicity = 0.5 * float(np.real(spinor.conj() @ hel_op @ spinor))
-            out.append(FreeMode(
-                label=None,  # filled by build_basis with the lattice index
-                momentum=tuple(p),
-                energy=sign * energy,
-                spinor=spinor,
-                spin_z=spin_z,
-                helicity=helicity,
-            ))
-    return out
+    energy = np.sqrt(1.0 + np.linalg.norm(p, axis=-1) ** 2)[..., None, None]
+    t = np.tensordot(p, SIGMA, axes=(-1, 0)) / (energy + 1.0)
+    one = np.broadcast_to(np.eye(2), t.shape)
+    norm = np.sqrt((energy + 1.0) / (2.0 * energy))
+    return norm * np.block([[one, -t], [t, one]])
 
 
 class ModeBasis:
     """Ordered table of free modes over the truncated momentum chain.
+
+    Per mode i: lattice index ``n[i]``, ``band_plus[i]``, ``spin_up[i]``,
+    ``momenta[i]`` (units of m0), signed ``energies[i]``, unit-norm spinor
+    ``spinors[:, i]``, ``spin_z[i]`` = <(1/2) Sigma_z> and ``helicity[i]``
+    = <(1/2) Sigma.p/|p|> (0 at p = 0).  Both expectation values are in
+    closed form, (1/2)(+-1)(1 - p_perp^2/(E(E+1))) and (1/2)(+-1) p_z/|p|
+    for spin up/down, so for momenta along z they are exact halves.
 
     Immutable after construction; identity hashing makes it usable as a
     cache key for derived coupling matrices.
@@ -139,40 +100,44 @@ class ModeBasis:
         self.n_cut = n_cut
         self.k = k
         self.k0 = tuple(float(x) for x in k0)
-        # free_modes_at returns (plus up, plus down, minus up, minus down),
-        # matching the (band, spin) ordering used for labels here
-        self.modes = []
-        for n in range(-n_cut, n_cut + 1):
-            p = np.array([0.0, 0.0, n * k]) + np.asarray(self.k0)
-            raw = free_modes_at(p)
-            labels = [ModeLabel(n=n, band=band, spin=spin)
-                      for band in (Band.PLUS, Band.MINUS)
-                      for spin in (Spin.UP, Spin.DOWN)]
-            self.modes.extend(replace(mode, label=label)
-                              for label, mode in zip(labels, raw))
+        sites = 2 * n_cut + 1
+        self.dim = 4 * sites
+        self.n = np.repeat(np.arange(-n_cut, n_cut + 1), 4)
+        self.band_plus = np.tile([True, True, False, False], sites)
+        self.spin_up = np.tile([True, False], 2 * sites)
+        self.momenta = np.tile(self.k0, (self.dim, 1))
+        self.momenta[:, 2] += self.n * k
 
-        self.dim = len(self.modes)
-        self.energies = np.array([m.energy for m in self.modes])
-        self.spinors = np.column_stack([m.spinor for m in self.modes])
-        self._index = {m.label: i for i, m in enumerate(self.modes)}
+        p_abs = np.linalg.norm(self.momenta, axis=1)
+        energy = np.sqrt(1.0 + p_abs ** 2)
+        self.energies = np.where(self.band_plus, energy, -energy)
+        # free_spinors' columns follow the (band, spin) order of one site
+        self.spinors = np.concatenate(free_spinors(self.momenta[::4]), axis=1)
+        half = np.where(self.spin_up, 0.5, -0.5)
+        p_perp2 = self.momenta[:, 0] ** 2 + self.momenta[:, 1] ** 2
+        self.spin_z = half * (1.0 - p_perp2 / (energy * (energy + 1.0)))
+        cos_theta = np.divide(self.momenta[:, 2], p_abs,
+                              out=np.zeros(self.dim), where=p_abs > 0.0)
+        # 0.0 at p = 0 for both spins, not -0.0: to_csv writes the sign
+        self.helicity = np.where(p_abs > 0.0, half * cos_theta, 0.0)
 
-        self.plus_indices = np.array(
-            [i for i, m in enumerate(self.modes) if m.label.band is Band.PLUS])
-        self.minus_indices = np.array(
-            [i for i, m in enumerate(self.modes) if m.label.band is Band.MINUS])
-        self.spin_z_plus = np.array([self.modes[i].spin_z for i in self.plus_indices])
-        self.spin_z_minus = np.array([self.modes[i].spin_z for i in self.minus_indices])
-        self.helicity_plus = np.array([self.modes[i].helicity for i in self.plus_indices])
-        self.helicity_minus = np.array([self.modes[i].helicity for i in self.minus_indices])
+        self.plus_indices = np.flatnonzero(self.band_plus)
+        self.minus_indices = np.flatnonzero(~self.band_plus)
+        self.spin_z_plus = self.spin_z[self.plus_indices]
+        self.spin_z_minus = self.spin_z[self.minus_indices]
+        self.helicity_plus = self.helicity[self.plus_indices]
+        self.helicity_minus = self.helicity[self.minus_indices]
 
-    def index_of(self, label: ModeLabel) -> int:
-        return self._index[label]
+    def label(self, i: int) -> ModeLabel:
+        return ModeLabel(n=int(self.n[i]),
+                         band=Band.PLUS if self.band_plus[i] else Band.MINUS,
+                         spin=Spin.UP if self.spin_up[i] else Spin.DOWN)
 
     def electron_label(self, half_index: int) -> ModeLabel:
-        return self.modes[self.plus_indices[half_index]].label
+        return self.label(self.plus_indices[half_index])
 
     def positron_label(self, half_index: int) -> ModeLabel:
-        return self.modes[self.minus_indices[half_index]].label
+        return self.label(self.minus_indices[half_index])
 
     @property
     def n_electron_modes(self) -> int:
@@ -182,21 +147,23 @@ class ModeBasis:
     def n_positron_modes(self) -> int:
         return len(self.minus_indices)
 
-    def table_rows(self):
-        """(index, n, band, spin, energy, spin_z, helicity) per mode."""
-        for i, m in enumerate(self.modes):
-            yield (i, m.label.n, m.label.band.value, m.label.spin.value,
-                   m.energy, m.spin_z, m.helicity)
-
     def to_csv(self) -> str:
         lines = ["index,n,band,spin,energy,spin_z,helicity"]
-        for row in self.table_rows():
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                                  for x in row))
+        for i in range(self.dim):
+            label = self.label(i)
+            values = (self.energies[i], self.spin_z[i], self.helicity[i])
+            lines.append(",".join([str(i), str(label.n), label.band.value,
+                                   label.spin.value]
+                                  + [repr(float(x)) for x in values]))
         return "\n".join(lines) + "\n"
 
 
 def build_basis(numerics: NumericsParams, field: FieldParams) -> ModeBasis:
-    """Basis over momenta n*k*e_z + k0 for n in [-n_cut, n_cut]."""
-    return ModeBasis(n_cut=numerics.n_cut, k=field.wavenumber,
-                     k0=numerics.k0_offset)
+    """Basis over momenta n*k*e_z + k0 for n in [-n_cut, n_cut].
+
+    An out-of-range wavenumber or k0 overflows to non-finite entries
+    without a warning; ``dynamics.propagator_segments`` reports them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ModeBasis(n_cut=numerics.n_cut, k=field.wavenumber,
+                         k0=numerics.k0_offset)

@@ -271,7 +271,6 @@ class TestSweep:
         elliptic = [by_alpha[round(a, 6)] for a in (0.0, math.pi / 8)]
         assert any(abs(r.s_plus.get(1, 0.0)) > 1e-6 for r in elliptic)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_point_fails_and_sweep_continues(self, tmp_path):
         spec = SweepSpec(base=desk_config(), sweep_axis="k0_z",
                          values=[0.0013, 1e160, 0.0026], outputs=str(tmp_path))
@@ -394,6 +393,25 @@ MALFORMED = {
         alpha_minus=0.3), "config.field.alpha_minus: inconsistent with "
         "alpha_plus and helicity_relation"),
 }
+
+
+# dump-basis of desk_config(): n_cut 1 at k0 = 0, so spin_z and helicity are
+# exact halves, and the n = 0 helicity is 0.0 for both spins
+DESK_BASIS_CSV = """\
+index,n,band,spin,energy,spin_z,helicity
+0,-1,plus,up,1.2476041038726988,0.5,-0.5
+1,-1,plus,down,1.2476041038726988,-0.5,0.5
+2,-1,minus,up,-1.2476041038726988,0.5,-0.5
+3,-1,minus,down,-1.2476041038726988,-0.5,0.5
+4,0,plus,up,1.0,0.5,0.0
+5,0,plus,down,1.0,-0.5,0.0
+6,0,minus,up,-1.0,0.5,0.0
+7,0,minus,down,-1.0,-0.5,0.0
+8,1,plus,up,1.2476041038726988,0.5,0.5
+9,1,plus,down,1.2476041038726988,-0.5,-0.5
+10,1,minus,up,-1.2476041038726988,0.5,0.5
+11,1,minus,down,-1.2476041038726988,-0.5,-0.5
+"""
 
 
 class TestCommandLine:
@@ -522,7 +540,6 @@ class TestCommandLine:
         assert main(["run", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("section, key, value, message", [
         ("field", "omega", 1e-300, "unitarity defect nan exceeds"),
         ("field", "omega", 1e300, "not finite"),
@@ -537,9 +554,11 @@ class TestCommandLine:
         monkeypatch.delenv("DIRACPAIRS_OUTDIR", raising=False)
         assert main(["run", "--config", str(in_path),
                      "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical tolerance failure: ")
-        assert message in err
+        # the one message line, with no numpy warning printed before it
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical tolerance failure: ")
+        assert message in lines[0]
 
     def test_oracle_check_passes_on_small_run(self, tmp_path):
         cfg_path = self.write_config(tmp_path, desk_config())
@@ -554,9 +573,24 @@ class TestCommandLine:
         cfg_path = self.write_config(tmp_path, desk_config())
         out = tmp_path / "basis.csv"
         assert main(["dump-basis", "--config", cfg_path, "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "index,n,band,spin,energy,spin_z,helicity"
-        assert len(lines) == 13
+        assert out.read_text() == DESK_BASIS_CSV
+
+    def test_oracle_check_refuses_large_basis_before_propagating(
+            self, tmp_path, capsys, monkeypatch):
+        import diracpairs.dynamics as dynamics_mod
+
+        def no_propagation(*args):
+            raise AssertionError("propagated before the Fock size was checked")
+
+        monkeypatch.setattr(dynamics_mod, "propagator_segments", no_propagation)
+        cfg_path = tmp_path / "fig2.json"
+        assert main(["preset", "--name", "fig2", "--emit-config",
+                     "--out", str(cfg_path)]) == 0
+        dump = tmp_path / "amp.csv"
+        assert main(["oracle-check", "--config", str(cfg_path),
+                     "--dump-amplitudes", str(dump)]) == 2
+        assert "dimension 36 exceeds the hard cap 16" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_dump_field_columns(self, tmp_path):
         cfg_path = self.write_config(tmp_path, desk_config())

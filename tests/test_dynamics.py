@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diracpairs import (ALPHA, FieldParams, HelicityRelation, NumericsParams,
-                        RunConfig, Spin, UnitarityError, ValidationError,
+                        RunConfig, UnitarityError, ValidationError,
                         WindowParams, assemble_hamiltonian, build_basis,
                         carrier, cycle_compose, dump_complex_matrix,
                         extract_g_blocks, field_from_si, figure_configs,
@@ -41,8 +41,7 @@ def fourier_hamiltonian(t_cycles, basis, field, window):
     kz = np.arange(4) * np.pi / 2
     a = sum(potential_vector_at(phase / field.wavenumber, t, field, window)
             * np.exp(-1j * phase) for phase in kz) / 4
-    sites = np.array([m.label.n for m in basis.modes])
-    raising = sites[:, None] == sites[None, :] + 1
+    raising = basis.n[:, None] == basis.n[None, :] + 1
     r = np.einsum("c,ai,cab,bj->ij", a, basis.spinors.conj(), ALPHA,
                   basis.spinors) * raising
     return np.diag(basis.energies).astype(complex) + r + r.conj().T
@@ -68,8 +67,7 @@ class TestHamiltonian:
         config = make_config(n_cut=3)
         basis = build_basis(config.numerics, config.field)
         h = assemble_hamiltonian(0.3 - 0.8j, basis, config.field)
-        sites = np.array([m.label.n for m in basis.modes])
-        far = np.abs(sites[:, None] - sites[None, :]) >= 2
+        far = np.abs(basis.n[:, None] - basis.n[None, :]) >= 2
         assert np.all(h[far] == 0.0)
 
     def test_circular_beam_photon_spin_selection(self):
@@ -80,13 +78,11 @@ class TestHamiltonian:
         config = make_config(field=field)
         basis = build_basis(config.numerics, config.field)
         k = dynamics.field_coupling(basis, field)
-        spins = [m.label.spin for m in basis.modes]
-        sites = np.array([m.label.n for m in basis.modes])
         flips = 0
         for i in range(basis.dim):
             for j in range(basis.dim):
-                if sites[i] == sites[j] + 1:
-                    if spins[i] is Spin.UP and spins[j] is Spin.DOWN:
+                if basis.n[i] == basis.n[j] + 1:
+                    if basis.spin_up[i] and not basis.spin_up[j]:
                         flips += abs(k[i, j]) > 1e-3
                     else:
                         assert k[i, j] == 0.0
@@ -300,9 +296,7 @@ class TestGBlocks:
         basis = build_basis(config.numerics, config.field)
         u = propagate(config, basis)
         g = extract_g_blocks(u, basis, config)
-        sites = np.array([basis.electron_label(i).n
-                          for i in range(basis.n_electron_modes)])
-        edge = np.abs(sites) == config.numerics.n_cut
+        edge = np.abs(basis.n[basis.plus_indices]) == config.numerics.n_cut
         mags = np.abs(g.g_pm)
         assert mags[edge].max() < 1e-3 * mags[~edge].max()
 

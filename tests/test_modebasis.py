@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from diracpairs import (Band, HelicityRelation, ModeLabel, NumericsParams,
-                        Spin, build_basis, field_from_si, free_hamiltonian,
-                        free_modes_at)
+from diracpairs import (SIGMA_BIG, Band, HelicityRelation, ModeLabel,
+                        NumericsParams, Spin, build_basis, field_from_si,
+                        free_hamiltonian, free_spinors)
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
 
@@ -14,12 +15,26 @@ def small_basis(n_cut=1, k0=(0.0, 0.0, 0.0)):
     return build_basis(NumericsParams(n_cut=n_cut, k0_offset=k0), FIELD)
 
 
+def random_momenta(seed, count=12, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.zeros(3), [0.0, 0.0, 0.746],
+                      rng.normal(0, scale, (count, 3))])
+
+
+def transverse_basis(seed=9, n_cut=2):
+    k0 = tuple(np.random.default_rng(seed).normal(0, 0.3, 3))
+    return small_basis(n_cut=n_cut, k0=k0)
+
+
 class TestBasisTable:
     def test_size_and_flat_index_bijection(self):
-        basis = small_basis()
-        assert basis.dim == 12
-        seen = {basis.index_of(m.label) for m in basis.modes}
-        assert seen == set(range(12))
+        every = {ModeLabel(n=n, band=band, spin=spin)
+                 for n, band, spin in itertools.product((-1, 0, 1), Band, Spin)}
+        for k0 in [(0.0, 0.0, 0.0), (0.4, -0.1, 0.05)]:
+            basis = small_basis(k0=k0)
+            assert basis.dim == 12
+            labels = [basis.label(i) for i in range(basis.dim)]
+            assert len(set(labels)) == 12 and set(labels) == every
 
     def test_energies_follow_lattice(self):
         basis = small_basis()
@@ -31,20 +46,21 @@ class TestBasisTable:
 
     def test_deterministic_ordering(self):
         basis = small_basis()
-        labels = [m.label for m in basis.modes[:4]]
+        labels = [basis.label(i) for i in range(4)]
         assert labels == [
             ModeLabel(n=-1, band=Band.PLUS, spin=Spin.UP),
             ModeLabel(n=-1, band=Band.PLUS, spin=Spin.DOWN),
             ModeLabel(n=-1, band=Band.MINUS, spin=Spin.UP),
             ModeLabel(n=-1, band=Band.MINUS, spin=Spin.DOWN),
         ]
+        assert [basis.electron_label(i) for i in range(2)] == labels[:2]
+        assert [basis.positron_label(i) for i in range(2)] == labels[2:]
 
     def test_zero_momentum_modes(self):
         basis = small_basis()
-        for mode in basis.modes:
-            if mode.label.n == 0:
-                assert abs(mode.energy) == 1.0
-                assert mode.helicity == 0.0
+        zero = basis.n == 0
+        assert np.all(np.abs(basis.energies[zero]) == 1.0)
+        assert np.all(basis.helicity[zero] == 0.0)
 
     def test_csv_dump_columns(self):
         text = small_basis().to_csv()
@@ -56,73 +72,87 @@ class TestBasisTable:
 
 class TestSpinors:
     def test_eigenvector_residual(self):
-        rng = np.random.default_rng(5)
-        momenta = [np.zeros(3), np.array([0.0, 0.0, 0.746])]
-        momenta += [rng.normal(0, 1, 3) for _ in range(10)]
-        for p in momenta:
-            h = free_hamiltonian(p)
-            for mode in free_modes_at(p):
-                residual = h @ mode.spinor - mode.energy * mode.spinor
-                assert np.max(np.abs(residual)) < 1e-12
+        p = random_momenta(5)
+        spinors = free_spinors(p)
+        energy = np.sqrt(1.0 + np.sum(p * p, axis=1))[:, None, None]
+        signs = np.array([1.0, 1.0, -1.0, -1.0])
+        residual = free_hamiltonian(p) @ spinors - spinors * signs * energy
+        assert np.max(np.abs(residual)) < 1e-12
+
+    def test_basis_eigenvector_residual(self):
+        basis = transverse_basis()
+        h = free_hamiltonian(basis.momenta)
+        residual = (np.einsum("iab,bi->ai", h, basis.spinors)
+                    - basis.spinors * basis.energies)
+        assert np.max(np.abs(residual)) < 1e-12
 
     def test_gram_matrix_is_identity(self):
-        rng = np.random.default_rng(6)
-        for p in [np.zeros(3)] + [rng.normal(0, 2, 3) for _ in range(10)]:
-            spinors = np.column_stack([m.spinor for m in free_modes_at(p)])
-            gram = spinors.conj().T @ spinors
-            assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+        spinors = free_spinors(random_momenta(6, scale=2.0))
+        gram = np.swapaxes(spinors.conj(), -1, -2) @ spinors
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+        # per lattice site of a basis at a transverse k0
+        basis = transverse_basis()
+        for site in np.unique(basis.n):
+            s = basis.spinors[:, basis.n == site]
+            assert np.max(np.abs(s.conj().T @ s - np.eye(4))) < 1e-12
 
     def test_completeness_rank(self):
-        p = np.array([0.3, -0.2, 0.9])
-        spinors = np.column_stack([m.spinor for m in free_modes_at(p)])
+        spinors = free_spinors(np.array([0.3, -0.2, 0.9]))
         assert np.linalg.matrix_rank(spinors) == 4
 
     def test_phase_convention_pivot_real_positive(self):
-        rng = np.random.default_rng(8)
-        for p in [rng.normal(0, 1, 3) for _ in range(8)]:
-            for mode in free_modes_at(p):
-                band_plus = mode.energy > 0
-                half = mode.spinor[:2] if band_plus else mode.spinor[2:]
-                pivot = half[int(np.argmax(np.abs(half)))]
-                assert pivot.imag == pytest.approx(0.0, abs=1e-15)
-                assert pivot.real > 0.0
+        # the dominant upper (plus) or lower (minus) component, from a batch
+        # of momenta and from a basis at a transverse k0
+        batch = np.concatenate(free_spinors(random_momenta(8)), axis=1)
+        basis = transverse_basis()
+        columns = np.hstack([batch, basis.spinors])
+        band_plus = np.concatenate([
+            np.tile([True, True, False, False], batch.shape[1] // 4),
+            basis.band_plus])
+        for spinor, plus in zip(columns.T, band_plus):
+            half = spinor[:2] if plus else spinor[2:]
+            pivot = half[int(np.argmax(np.abs(half)))]
+            assert pivot.imag == pytest.approx(0.0, abs=1e-15)
+            assert pivot.real > 0.0
 
 
 class TestSpinHelicity:
     def test_spin_z_exact_halves_on_axis(self):
         basis = small_basis()
-        for mode in basis.modes:
-            assert mode.spin_z in (0.5, -0.5)
-            sign = 1.0 if mode.label.spin is Spin.UP else -1.0
-            assert mode.spin_z == 0.5 * sign
+        assert np.array_equal(basis.spin_z, np.where(basis.spin_up, 0.5, -0.5))
 
     def test_helicity_sign_convention(self):
         basis = small_basis(n_cut=2)
-        for mode in basis.modes:
-            n = mode.label.n
-            if n == 0:
-                continue
-            spin_sign = 1.0 if mode.label.spin is Spin.UP else -1.0
-            expected = 0.5 * spin_sign * (1.0 if n > 0 else -1.0)
-            assert mode.helicity == pytest.approx(expected, abs=1e-12)
+        moving = basis.n != 0
+        expected = 0.5 * np.where(basis.spin_up, 1.0, -1.0) * np.sign(basis.n)
+        assert np.max(np.abs(basis.helicity - expected)[moving]) < 1e-12
 
     def test_helicity_magnitude_half_off_zero(self):
         # spin-z eigenstates remain helicity eigenstates for motion along z
         basis = small_basis(n_cut=3)
-        for mode in basis.modes:
-            if mode.label.n != 0:
-                assert abs(mode.helicity) == pytest.approx(0.5, abs=1e-12)
+        moving = basis.n != 0
+        assert np.all(np.abs(np.abs(basis.helicity[moving]) - 0.5) < 1e-12)
 
     def test_transverse_k0_bounds(self):
         basis = small_basis(n_cut=1, k0=(0.4, -0.1, 0.05))
-        for mode in basis.modes:
-            assert -0.5 - 1e-12 <= mode.spin_z <= 0.5 + 1e-12
-            assert -0.5 - 1e-12 <= mode.helicity <= 0.5 + 1e-12
+        assert np.all(np.abs(basis.spin_z) <= 0.5 + 1e-12)
+        assert np.all(np.abs(basis.helicity) <= 0.5 + 1e-12)
+
+    def test_closed_forms_are_expectation_values(self):
+        # spin_z = <(1/2) Sigma_z> and helicity = <(1/2) Sigma.p/|p|>
+        basis = transverse_basis()
+        s = basis.spinors
+        p_hat = basis.momenta / np.linalg.norm(basis.momenta, axis=1)[:, None]
+        hel_ops = np.tensordot(p_hat, SIGMA_BIG, axes=(1, 0))
+        spin_z = 0.5 * np.einsum("ai,ab,bi->i", s.conj(), SIGMA_BIG[2], s).real
+        helicity = 0.5 * np.einsum("ai,iab,bi->i", s.conj(), hel_ops, s).real
+        assert np.max(np.abs(basis.spin_z - spin_z)) < 1e-14
+        assert np.max(np.abs(basis.helicity - helicity)) < 1e-14
 
     def test_charge_conjugation_pairing(self):
         basis = small_basis(n_cut=2)
-        table = {(m.label.n, m.label.band, m.label.spin) for m in basis.modes}
-        for mode in basis.modes:
-            if mode.label.band is Band.PLUS:
-                mirrored = Spin.DOWN if mode.label.spin is Spin.UP else Spin.UP
-                assert (-mode.label.n, Band.MINUS, mirrored) in table
+        table = {basis.label(i) for i in range(basis.dim)}
+        for label in table:
+            if label.band is Band.PLUS:
+                mirrored = Spin.DOWN if label.spin is Spin.UP else Spin.UP
+                assert ModeLabel(-label.n, Band.MINUS, mirrored) in table

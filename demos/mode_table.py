@@ -21,8 +21,9 @@ print(f"{basis.dim} modes on the chain n in [-2, 2], k = {basis.k}\n")
 print(f"{'idx':>3} {'n':>3} {'band':>6} {'spin':>5} "
       f"{'energy':>10} {'spin_z':>7} {'helicity':>9}")
 for idx in range(basis.dim):
-    label = basis.label(idx)
-    print(f"{idx:>3} {label.n:>3} {label.band.value:>6} {label.spin.value:>5} "
+    band = "plus" if basis.band_plus[idx] else "minus"
+    spin = "up" if basis.spin_up[idx] else "down"
+    print(f"{idx:>3} {basis.n[idx]:>3} {band:>6} {spin:>5} "
           f"{basis.energies[idx]:>10.6f} {basis.spin_z[idx]:>7.2f} "
           f"{basis.helicity[idx]:>9.2f}")
 

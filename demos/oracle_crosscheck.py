@@ -47,7 +47,7 @@ checked = 0
 for n in (1, 2):
     for es in combinations(range(basis.n_electron_modes), n):
         for ps in combinations(range(basis.n_positron_modes), n):
-            det_amp = multi_pair_amplitude(pairs, vac, es, ps).amplitude
+            det_amp = multi_pair_amplitude(pairs, vac, es, ps)
             fock_amp = read_amplitude(state, es, ps)
             worst = max(worst, abs(det_amp - fock_amp))
             checked += 1

@@ -29,17 +29,14 @@ vac = vacuum_amplitude(g)
 print(f"\nvacuum persistence |C_v|^2 = {vac.probability:.6f}")
 
 print("\nstrongest single-pair states (|amplitude|^2, fourfold degenerate):")
-for amp in single_pair_list(pairs, vac, config.numerics)[:8]:
-    e = basis.electron_label(amp.electrons[0])
-    p = basis.positron_label(amp.positrons[0])
-    print(f"  e(n={e.n:+d}, {e.spin.value:4s})  "
-          f"p(n={p.n:+d}, {p.spin.value:4s})   "
-          f"{abs(amp.amplitude) ** 2:.6f}")
+for e, p, prob in single_pair_list(pairs, vac, config.numerics)[:8]:
+    print(f"  e {basis.label(basis.plus_indices[e]):>3}  "
+          f"p {basis.label(basis.minus_indices[p]):>3}   {prob:.6f}")
 
 report = sector_observables(pairs, vac, basis, config.numerics)
 print("\npair-number sectors:")
 print(f"  {'N':>2} {'c_N':>12} {'s+':>10} {'s-':>10} {'h+':>10} {'h-':>10}")
-for n in range(report.n_sector_max + 1):
+for n in range(len(report.c)):
     s_p = report.s_plus.get(n)
     row = f"  {n:>2} {report.c[n]:>12.3e}"
     if n == 0 or s_p is None:
@@ -47,7 +44,7 @@ for n in range(report.n_sector_max + 1):
         continue
     print(row + f" {report.s_plus[n]:>10.2e} {report.s_minus[n]:>10.2e}"
                 f" {report.h_plus[n]:>10.4f} {report.h_minus[n]:>10.4f}")
-print(f"\nprobability of more than {report.n_sector_max} pairs: "
+print(f"\nprobability of more than {len(report.c) - 1} pairs: "
       f"{report.discarded_mass_bound:.2e}")
 print("same-helicity beams: averaged spin vanishes, helicities are equal "
       "for electrons and positrons")

@@ -20,15 +20,14 @@ from .physconfig import (E_SCHWINGER_V_PER_M, HelicityRelation, FieldParams,
 from .fieldmodel import (envelope, envelope_derivative, beam_amplitudes,
                          carrier, potential_vector_at, electric_field_at,
                          JONES_LEFT, JONES_RIGHT)
-from .modebasis import (Band, Spin, ModeLabel, ModeBasis,
-                        build_basis, free_spinors, free_hamiltonian,
-                        ALPHA, BETA, SIGMA_BIG)
+from .modebasis import (ModeBasis, build_basis, free_spinors,
+                        free_hamiltonian, ALPHA, BETA, SIGMA_BIG)
 from .dynamics import (Propagator, GBlocks, assemble_hamiltonian, propagate,
                        propagator_segments, cycle_compose, extract_g_blocks,
                        unitarity_defect, dump_complex_matrix,
                        load_complex_matrix)
-from .multipair import (PairAmplitudes, VacuumAmplitude, MultiPairAmplitude,
-                        SectorReport, pair_amplitudes, vacuum_amplitude,
+from .multipair import (PairAmplitudes, VacuumAmplitude, SectorReport,
+                        pair_amplitudes, vacuum_amplitude,
                         multi_pair_amplitude, single_pair_list,
                         sector_observables)
 from .fockoracle import (FockBasis, ManyBodyState, second_quantize,

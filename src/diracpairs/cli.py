@@ -37,7 +37,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config or the row format changes, so points cached by an older
 # scheme are redone.
-SCHEME_VERSION = 10
+SCHEME_VERSION = 11
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
@@ -75,20 +75,15 @@ class SweepSpec:
     emit: dict[str, bool] = field(default_factory=dict)  # gdump; other keys ignored
 
 
-def _label_str(basis: ModeBasis, i: int) -> str:
-    """Lattice index and spin of mode i, as in "+1u"."""
-    return f"{basis.n[i]:+d}{'u' if basis.spin_up[i] else 'd'}"
-
-
 def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
              g: dynamics.GBlocks, sweep_value=math.nan) -> ResultRow:
     pairs = multipair.pair_amplitudes(g)
     vac = multipair.vacuum_amplitude(g)
-    retained = multipair.single_pair_list(pairs, vac, config.numerics)
     report = multipair.sector_observables(pairs, vac, basis, config.numerics)
-    pair_list = [(_label_str(basis, basis.plus_indices[a.electrons[0]]),
-                  _label_str(basis, basis.minus_indices[a.positrons[0]]),
-                  float(abs(a.amplitude) ** 2)) for a in retained]
+    pair_list = [(basis.label(basis.plus_indices[e]),
+                  basis.label(basis.minus_indices[p]), prob)
+                 for e, p, prob in multipair.single_pair_list(
+                     pairs, vac, config.numerics)]
     return ResultRow(
         sweep_value=sweep_value,
         plateau_cycles=config.window.plateau_cycles,
@@ -377,7 +372,7 @@ def _oracle_difference(config: RunConfig, basis: ModeBasis, nmax: int):
             for ps in combinations(range(basis.n_positron_modes), n):
                 det_amp = multipair.multi_pair_amplitude(pairs, vac, es, ps)
                 fock_amp = fockoracle.read_amplitude(state, es, ps)
-                worst = max(worst, abs(det_amp.amplitude - fock_amp))
+                worst = max(worst, abs(det_amp - fock_amp))
     return worst, state
 
 

@@ -13,12 +13,11 @@ positive by construction and no phase has to be fixed.
 index n, band, spin, momentum, signed energy, spinor, spin-z and
 helicity.  Basis ordering is n ascending, band plus before minus, spin up
 before down; the flattened index is a bijection onto [0, 4*(2*n_cut+1)).
+Result files name a mode by ``label(i)``, its lattice index and spin as
+in "+1u"; the band follows from the electron or positron column.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -43,23 +42,6 @@ SIGMA_BIG = np.zeros((3, 4, 4), dtype=complex)
 for _c in range(3):
     SIGMA_BIG[_c, :2, :2] = SIGMA[_c]
     SIGMA_BIG[_c, 2:, 2:] = SIGMA[_c]
-
-
-class Band(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
-class Spin(Enum):
-    UP = "up"
-    DOWN = "down"
-
-
-@dataclass(frozen=True)
-class ModeLabel:
-    n: int
-    band: Band
-    spin: Spin
 
 
 def free_hamiltonian(p: np.ndarray) -> np.ndarray:
@@ -123,21 +105,10 @@ class ModeBasis:
 
         self.plus_indices = np.flatnonzero(self.band_plus)
         self.minus_indices = np.flatnonzero(~self.band_plus)
-        self.spin_z_plus = self.spin_z[self.plus_indices]
-        self.spin_z_minus = self.spin_z[self.minus_indices]
-        self.helicity_plus = self.helicity[self.plus_indices]
-        self.helicity_minus = self.helicity[self.minus_indices]
 
-    def label(self, i: int) -> ModeLabel:
-        return ModeLabel(n=int(self.n[i]),
-                         band=Band.PLUS if self.band_plus[i] else Band.MINUS,
-                         spin=Spin.UP if self.spin_up[i] else Spin.DOWN)
-
-    def electron_label(self, half_index: int) -> ModeLabel:
-        return self.label(self.plus_indices[half_index])
-
-    def positron_label(self, half_index: int) -> ModeLabel:
-        return self.label(self.minus_indices[half_index])
+    def label(self, i: int) -> str:
+        """Lattice index and spin of mode i, as in "+1u"."""
+        return f"{self.n[i]:+d}{'u' if self.spin_up[i] else 'd'}"
 
     @property
     def n_electron_modes(self) -> int:
@@ -150,10 +121,10 @@ class ModeBasis:
     def to_csv(self) -> str:
         lines = ["index,n,band,spin,energy,spin_z,helicity"]
         for i in range(self.dim):
-            label = self.label(i)
+            band = "plus" if self.band_plus[i] else "minus"
+            spin = "up" if self.spin_up[i] else "down"
             values = (self.energies[i], self.spin_z[i], self.helicity[i])
-            lines.append(",".join([str(i), str(label.n), label.band.value,
-                                   label.spin.value]
+            lines.append(",".join([str(i), str(self.n[i]), band, spin]
                                   + [repr(float(x)) for x in values]))
         return "\n".join(lines) + "\n"
 

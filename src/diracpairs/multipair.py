@@ -16,7 +16,9 @@ elementary symmetric polynomial and sigma the singular values of omega;
 sector means of spin and helicity are its Hellmann-Feynman derivatives,
 read from the same SVD: O(d^3) in all.
 Electron/positron labels are half-basis indices (band plus / band minus,
-momentum ascending, spin up before down).
+momentum ascending, spin up before down), and the readout is plain values:
+a multi-pair amplitude is a complex number, a single pair an (electron,
+positron, probability) tuple; ``ModeBasis.label`` names the modes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .modebasis import ModeBasis
 from .physconfig import NumericsParams
 
 DEFAULT_COND_CAP = 1e12
+TIE_RTOL = 1e-9      # degenerate single-pair probabilities differ by ~1e-11
 
 
 @dataclass(frozen=True)
@@ -44,32 +47,23 @@ class PairAmplitudes:
 @dataclass(frozen=True)
 class VacuumAmplitude:
     c_v: complex
-    log_abs: float
 
     @property
     def probability(self) -> float:
         return float(abs(self.c_v) ** 2)
 
 
-@dataclass(frozen=True)
-class MultiPairAmplitude:
-    electrons: tuple
-    positrons: tuple
-    amplitude: complex
-    pauli_excluded: bool = False
-
-
 @dataclass
 class SectorReport:
     """Per-sector probabilities and averaged observables.
 
-    ``c[N]`` is the probability of exactly N pairs (c[0] the vacuum);
-    observables are dicts keyed by N and omitted where c_N vanishes.
-    ``discarded_mass_bound`` is the exact tail sum_{N > n_sector_max} c_N.
-    The prune threshold plays no part here; it trims ``single_pair_list``.
+    ``c[N]`` is the probability of exactly N pairs for N = 0..n_sector_max
+    (c[0] the vacuum); observables are dicts keyed by N and omitted where
+    c_N vanishes.  ``discarded_mass_bound`` is the exact tail
+    sum_{N > n_sector_max} c_N.  The prune threshold plays no part here; it
+    trims ``single_pair_list``.
     """
 
-    n_sector_max: int
     c: np.ndarray
     s_plus: dict = field(default_factory=dict)
     s_minus: dict = field(default_factory=dict)
@@ -92,42 +86,54 @@ def pair_amplitudes(g: GBlocks) -> PairAmplitudes:
 
 def vacuum_amplitude(g: GBlocks) -> VacuumAmplitude:
     """C_v = det(G_mm), accumulated through the log-determinant."""
-    sign, log_abs = np.linalg.slogdet(g.g_mm)
-    return VacuumAmplitude(c_v=complex(sign * np.exp(log_abs)),
-                           log_abs=float(log_abs))
+    sign, logdet = np.linalg.slogdet(g.g_mm)
+    return VacuumAmplitude(c_v=complex(sign * np.exp(logdet)))
 
 
 def multi_pair_amplitude(pairs: PairAmplitudes, vac: VacuumAmplitude,
-                         electrons, positrons) -> MultiPairAmplitude:
+                         electrons, positrons) -> complex:
     """Amplitude of the multi-pair state with the given mode labels.
 
-    Repeated labels give a bitwise-zero amplitude rather than an error;
-    unsorted label lists permute the rows and columns of the omega
-    submatrix, so its determinant carries the fermionic sign.
+    Labels outside the half basis raise ValueError; repeated labels give a
+    bitwise-zero amplitude rather than an error; unsorted label lists
+    permute the rows and columns of the omega submatrix, so its determinant
+    carries the fermionic sign.
     """
-    electrons = tuple(int(m) for m in electrons)
-    positrons = tuple(int(n) for n in positrons)
+    electrons = [int(m) for m in electrons]
+    positrons = [int(n) for n in positrons]
     if len(electrons) != len(positrons) or not electrons:
         raise ValueError("need equally many electron and positron labels, N >= 1")
+    for kind, labels, count in zip(("electron", "positron"),
+                                   (electrons, positrons), pairs.omega.shape):
+        for label in labels:
+            if not 0 <= label < count:
+                raise ValueError(f"unknown {kind} label {label}")
     if len(set(electrons)) != len(electrons) or len(set(positrons)) != len(positrons):
-        return MultiPairAmplitude(electrons=electrons, positrons=positrons,
-                                  amplitude=complex(0.0), pauli_excluded=True)
+        return 0j
     sub = pairs.omega[np.ix_(electrons, positrons)]
-    return MultiPairAmplitude(electrons=electrons, positrons=positrons,
-                              amplitude=complex(vac.c_v * np.linalg.det(sub)))
+    return complex(vac.c_v * np.linalg.det(sub))
 
 
 def single_pair_list(pairs: PairAmplitudes, vac: VacuumAmplitude,
-                     numerics: NumericsParams):
-    """Retained single-pair amplitudes, sorted by probability, descending."""
+                     numerics: NumericsParams) -> list[tuple[int, int, float]]:
+    """Retained (electron, positron, probability), most probable first.
+
+    Probabilities within TIE_RTOL of each other count as a tie, ordered by
+    ascending (electron, positron): degenerate pairs differ by roundoff only.
+    """
     keep = np.abs(pairs.omega) ** 2 >= numerics.prune_threshold
-    rows, cols = np.nonzero(keep)
-    amps = vac.c_v * pairs.omega[rows, cols]
-    order = np.argsort(-np.abs(amps) ** 2, kind="stable")
-    return [MultiPairAmplitude(electrons=(int(rows[i]),),
-                               positrons=(int(cols[i]),),
-                               amplitude=complex(amps[i]))
-            for i in order]
+    rows, cols = np.nonzero(keep)     # row-major: (electron, positron) order
+    # libm hypot through Python's abs: numpy's vectorised complex abs can
+    # differ from it in the last bit
+    probs = np.array([abs(a) ** 2 for a in
+                      (vac.c_v * pairs.omega[rows, cols]).tolist()])
+    order = np.argsort(-probs, kind="stable")
+    ranked = probs[order]
+    new_group = ranked[1:] < ranked[:-1] * (1.0 - TIE_RTOL)
+    tie_group = np.empty(len(order), dtype=int)
+    tie_group[order] = np.cumsum(np.r_[False, new_group])
+    return [(int(rows[i]), int(cols[i]), float(probs[i]))
+            for i in np.argsort(tie_group, kind="stable")]
 
 
 def _elementary(lam: np.ndarray) -> np.ndarray:
@@ -182,10 +188,11 @@ def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
     def means(mode_values, occ):
         return {n: float(x) for n, x in zip(sectors, mode_values @ occ)}
 
+    plus, minus = basis.plus_indices, basis.minus_indices
     return SectorReport(
-        n_sector_max=k_max, c=c,
-        s_plus=means(basis.spin_z_plus, occ_e),
-        h_plus=means(basis.helicity_plus, occ_e),
-        s_minus=means(basis.spin_z_minus, occ_p),
-        h_minus=means(basis.helicity_minus, occ_p),
+        c=c,
+        s_plus=means(basis.spin_z[plus], occ_e),
+        h_plus=means(basis.helicity[plus], occ_e),
+        s_minus=means(basis.spin_z[minus], occ_p),
+        h_minus=means(basis.helicity[minus], occ_p),
         discarded_mass_bound=float(cv2 * e[k_max + 1:].sum()))

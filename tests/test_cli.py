@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -413,6 +414,12 @@ index,n,band,spin,energy,spin_z,helicity
 11,1,minus,down,-1.2476041038726988,-0.5,-0.5
 """
 
+# sha256 of `dump-basis` on the emitted fig2 and fig4 presets (n_cut 4)
+PRESET_BASIS_SHA256 = {
+    "fig2": "6164d106cc5f2d35d9386d29674f18c72db43b316b119fcaf8e4d9d845055e46",
+    "fig4": "92f41559969d2ebd0af83df6b565a2d500aa18cc98e74db74c8a2acd72449e79",
+}
+
 
 class TestCommandLine:
     def write_config(self, tmp_path, config):
@@ -574,6 +581,16 @@ class TestCommandLine:
         out = tmp_path / "basis.csv"
         assert main(["dump-basis", "--config", cfg_path, "--out", str(out)]) == 0
         assert out.read_text() == DESK_BASIS_CSV
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_BASIS_SHA256))
+    def test_dump_basis_presets_byte_for_byte(self, tmp_path, preset):
+        cfg_path, out = tmp_path / "config.json", tmp_path / "basis.csv"
+        assert main(["preset", "--name", preset, "--emit-config",
+                     "--out", str(cfg_path)]) == 0
+        assert main(["dump-basis", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PRESET_BASIS_SHA256[preset]
 
     def test_oracle_check_refuses_large_basis_before_propagating(
             self, tmp_path, capsys, monkeypatch):

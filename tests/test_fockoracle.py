@@ -165,7 +165,7 @@ class TestTwoModeToy:
         vac = vacuum_amplitude(g)
         assert vacuum_overlap(state) == pytest.approx(vac.c_v, abs=1e-12)
         fock_amp = read_amplitude(state, [self.m], [self.n])
-        det_amp = multi_pair_amplitude(pa, vac, [self.m], [self.n]).amplitude
+        det_amp = multi_pair_amplitude(pa, vac, [self.m], [self.n])
         assert fock_amp == pytest.approx(det_amp, abs=1e-12)
         assert abs(fock_amp) > 1e-3  # the toy actually creates pairs
 
@@ -290,7 +290,7 @@ def cross_path_differences(config):
     for n in (1, 2):
         for es in combinations(range(6), n):
             for ps in combinations(range(6), n):
-                det_amp = multi_pair_amplitude(pa, vac, es, ps).amplitude
+                det_amp = multi_pair_amplitude(pa, vac, es, ps)
                 fock_amp = read_amplitude(state, es, ps)
                 worst = max(worst, abs(det_amp - fock_amp))
     numerics = replace(config.numerics, prune_threshold=0.0, n_sector_max=6)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from diracpairs import (SIGMA_BIG, Band, HelicityRelation, ModeLabel,
-                        NumericsParams, Spin, build_basis, field_from_si,
-                        free_hamiltonian, free_spinors)
+from diracpairs import (SIGMA_BIG, HelicityRelation, NumericsParams,
+                        build_basis, field_from_si, free_hamiltonian,
+                        free_spinors)
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
 
@@ -26,15 +26,21 @@ def transverse_basis(seed=9, n_cut=2):
     return small_basis(n_cut=n_cut, k0=k0)
 
 
+def mode_keys(basis):
+    """(n, band plus, spin up) of every mode, in basis order."""
+    return [(int(n), bool(plus), bool(up)) for n, plus, up
+            in zip(basis.n, basis.band_plus, basis.spin_up)]
+
+
 class TestBasisTable:
     def test_size_and_flat_index_bijection(self):
-        every = {ModeLabel(n=n, band=band, spin=spin)
-                 for n, band, spin in itertools.product((-1, 0, 1), Band, Spin)}
+        every = set(itertools.product((-1, 0, 1), (True, False),
+                                      (True, False)))
         for k0 in [(0.0, 0.0, 0.0), (0.4, -0.1, 0.05)]:
             basis = small_basis(k0=k0)
             assert basis.dim == 12
-            labels = [basis.label(i) for i in range(basis.dim)]
-            assert len(set(labels)) == 12 and set(labels) == every
+            keys = mode_keys(basis)
+            assert len(set(keys)) == 12 and set(keys) == every
 
     def test_energies_follow_lattice(self):
         basis = small_basis()
@@ -46,15 +52,13 @@ class TestBasisTable:
 
     def test_deterministic_ordering(self):
         basis = small_basis()
-        labels = [basis.label(i) for i in range(4)]
-        assert labels == [
-            ModeLabel(n=-1, band=Band.PLUS, spin=Spin.UP),
-            ModeLabel(n=-1, band=Band.PLUS, spin=Spin.DOWN),
-            ModeLabel(n=-1, band=Band.MINUS, spin=Spin.UP),
-            ModeLabel(n=-1, band=Band.MINUS, spin=Spin.DOWN),
-        ]
-        assert [basis.electron_label(i) for i in range(2)] == labels[:2]
-        assert [basis.positron_label(i) for i in range(2)] == labels[2:]
+        assert mode_keys(basis)[:4] == [(-1, True, True), (-1, True, False),
+                                        (-1, False, True), (-1, False, False)]
+        assert [basis.label(i) for i in range(4)] == ["-1u", "-1d", "-1u", "-1d"]
+        assert [basis.label(i) for i in (4, 7, 10)] == ["+0u", "+0d", "+1u"]
+        # electron and positron half-indices walk the two bands in order
+        assert basis.plus_indices.tolist() == [0, 1, 4, 5, 8, 9]
+        assert basis.minus_indices.tolist() == [2, 3, 6, 7, 10, 11]
 
     def test_zero_momentum_modes(self):
         basis = small_basis()
@@ -151,8 +155,7 @@ class TestSpinHelicity:
 
     def test_charge_conjugation_pairing(self):
         basis = small_basis(n_cut=2)
-        table = {basis.label(i) for i in range(basis.dim)}
-        for label in table:
-            if label.band is Band.PLUS:
-                mirrored = Spin.DOWN if label.spin is Spin.UP else Spin.UP
-                assert ModeLabel(-label.n, Band.MINUS, mirrored) in table
+        table = set(mode_keys(basis))
+        for n, plus, up in table:
+            if plus:
+                assert (-n, False, not up) in table

@@ -76,11 +76,12 @@ def brute_force_sectors(omega, cv2, electron_values, positron_values):
 
 
 def mode_table(rng, m):
-    """Stand-in for ModeBasis: spin_z = +-1/2 and arbitrary helicities."""
-    return SimpleNamespace(spin_z_plus=rng.choice([-0.5, 0.5], size=m),
-                           spin_z_minus=rng.choice([-0.5, 0.5], size=m),
-                           helicity_plus=rng.uniform(-0.5, 0.5, size=m),
-                           helicity_minus=rng.uniform(-0.5, 0.5, size=m))
+    """Stand-in for ModeBasis: spin_z = +-1/2 and arbitrary helicities, the
+    m electron modes interleaved with the m positron modes."""
+    return SimpleNamespace(spin_z=rng.choice([-0.5, 0.5], size=2 * m),
+                           helicity=rng.uniform(-0.5, 0.5, size=2 * m),
+                           plus_indices=np.arange(0, 2 * m, 2),
+                           minus_indices=np.arange(1, 2 * m, 2))
 
 
 def zero_field_gblocks(m):
@@ -96,7 +97,7 @@ def synthetic_state(omega):
     cv2 = 1.0 / float(np.linalg.det(gram).real)
     c_v = math.sqrt(cv2)
     return (PairAmplitudes(omega=omega, cond_mm=1.0),
-            VacuumAmplitude(c_v=complex(c_v), log_abs=math.log(c_v)))
+            VacuumAmplitude(c_v=complex(c_v)))
 
 
 def permutation_amplitude(omega, c_v, electrons, positrons):
@@ -143,7 +144,7 @@ class TestVacuumAmplitude:
     def test_zero_field_unit_probability(self):
         vac = vacuum_amplitude(zero_field_gblocks(5))
         assert vac.probability == pytest.approx(1.0, abs=1e-15)
-        assert vac.log_abs == pytest.approx(0.0, abs=1e-15)
+        assert vac.c_v == 1.0
 
     def test_hadamard_bound(self):
         rng = np.random.default_rng(9)
@@ -167,30 +168,42 @@ class TestMultiPairAmplitude:
         pa, vac = synthetic_state(rng.normal(size=(3, 3))
                                   + 1j * rng.normal(size=(3, 3)))
         amp = multi_pair_amplitude(pa, vac, [1], [2])
-        assert amp.amplitude == pytest.approx(vac.c_v * pa.omega[1, 2], rel=1e-14)
+        assert amp == pytest.approx(vac.c_v * pa.omega[1, 2], rel=1e-14)
 
     def test_two_pair_determinant(self):
         pa, vac = synthetic_state(np.array([[1.0, 2.0], [3.0, 4.0]],
                                            dtype=complex))
         amp = multi_pair_amplitude(pa, vac, [0, 1], [0, 1])
-        assert amp.amplitude == pytest.approx(vac.c_v * (1 * 4 - 2 * 3), rel=1e-12)
+        assert amp == pytest.approx(vac.c_v * (1 * 4 - 2 * 3), rel=1e-12)
 
     def test_repeated_label_is_bitwise_zero(self):
         rng = np.random.default_rng(2)
         pa, vac = synthetic_state(rng.normal(size=(4, 4)) + 0j)
         excluded = multi_pair_amplitude(pa, vac, [1, 1], [0, 2])
-        assert excluded.amplitude == 0.0
-        assert excluded.pauli_excluded
-        assert multi_pair_amplitude(pa, vac, [0, 1], [2, 2]).amplitude == 0.0
-        assert not multi_pair_amplitude(pa, vac, [0, 1], [2, 3]).pauli_excluded
+        assert type(excluded) is complex and excluded == 0j
+        assert multi_pair_amplitude(pa, vac, [0, 1], [2, 2]) == 0j
+        assert multi_pair_amplitude(pa, vac, [0, 1], [2, 3]) != 0j
+
+    @pytest.mark.parametrize("electrons, positrons, kind, label", [
+        ([-1], [0], "electron", -1), ([4], [0], "electron", 4),
+        ([0], [-1], "positron", -1), ([0], [4], "positron", 4),
+        ([0, 1], [2, 4], "positron", 4), ([4, 4], [0, 1], "electron", 4),
+    ])
+    def test_out_of_range_label_is_rejected(self, electrons, positrons,
+                                            kind, label):
+        # -1 would index the last mode and dim would raise a bare IndexError
+        pa, vac = synthetic_state(np.ones((4, 4)) * 0.1)
+        with pytest.raises(ValueError,
+                           match=f"^unknown {kind} label {label}$"):
+            multi_pair_amplitude(pa, vac, electrons, positrons)
 
     def test_unsorted_input_sign_is_parity_product(self):
         rng = np.random.default_rng(3)
         pa, vac = synthetic_state(rng.normal(size=(4, 4))
                                   + 1j * rng.normal(size=(4, 4)))
-        base = multi_pair_amplitude(pa, vac, [0, 1, 2], [0, 1, 3]).amplitude
-        swapped_e = multi_pair_amplitude(pa, vac, [1, 0, 2], [0, 1, 3]).amplitude
-        swapped_both = multi_pair_amplitude(pa, vac, [1, 0, 2], [1, 0, 3]).amplitude
+        base = multi_pair_amplitude(pa, vac, [0, 1, 2], [0, 1, 3])
+        swapped_e = multi_pair_amplitude(pa, vac, [1, 0, 2], [0, 1, 3])
+        swapped_both = multi_pair_amplitude(pa, vac, [1, 0, 2], [1, 0, 3])
         assert swapped_e == pytest.approx(-base, rel=1e-12)
         assert swapped_both == pytest.approx(base, rel=1e-12)
 
@@ -204,7 +217,7 @@ class TestMultiPairAmplitude:
             n = int(rng.integers(1, 4))
             electrons = sorted(rng.choice(dim, size=n, replace=False).tolist())
             positrons = sorted(rng.choice(dim, size=n, replace=False).tolist())
-            det_amp = multi_pair_amplitude(pa, vac, electrons, positrons).amplitude
+            det_amp = multi_pair_amplitude(pa, vac, electrons, positrons)
             ref = permutation_amplitude(pa.omega, vac.c_v, electrons, positrons)
             assert det_amp == pytest.approx(ref, rel=1e-10)
 
@@ -279,8 +292,8 @@ class TestSectorProbabilities:
         omega[0, 0] = 2.0
         omega[1, 1] = 3.0
         pa, vac = synthetic_state(omega)
-        a1 = multi_pair_amplitude(pa, vac, [0], [0]).amplitude
-        a2 = multi_pair_amplitude(pa, vac, [0, 1], [0, 1]).amplitude
+        a1 = multi_pair_amplitude(pa, vac, [0], [0])
+        a2 = multi_pair_amplitude(pa, vac, [0, 1], [0, 1])
         assert abs(a2) > abs(a1)
         rep = sector_observables(pa, vac, self.basis(), self.numerics())
         assert rep.c[2] > rep.c[1]
@@ -333,16 +346,18 @@ class TestSectorObservables:
         rep = sector_observables(pa, vac, basis,
                                  NumericsParams(n_cut=1, prune_threshold=0.0,
                                                 n_sector_max=2))
-        assert rep.s_plus[1] == pytest.approx(basis.spin_z_plus[0], abs=1e-14)
-        assert rep.s_minus[1] == pytest.approx(basis.spin_z_minus[1], abs=1e-14)
-        assert rep.h_plus[1] == pytest.approx(basis.helicity_plus[0], abs=1e-14)
-        assert rep.h_minus[1] == pytest.approx(basis.helicity_minus[1], abs=1e-14)
+        e, p = basis.plus_indices[0], basis.minus_indices[1]
+        assert rep.s_plus[1] == pytest.approx(basis.spin_z[e], abs=1e-14)
+        assert rep.s_minus[1] == pytest.approx(basis.spin_z[p], abs=1e-14)
+        assert rep.h_plus[1] == pytest.approx(basis.helicity[e], abs=1e-14)
+        assert rep.h_minus[1] == pytest.approx(basis.helicity[p], abs=1e-14)
         assert 2 not in rep.s_plus  # c_2 = 0 -> omitted
 
     def test_balanced_spins_cancel(self):
         basis = self.basis()
-        up = [i for i in range(6) if basis.spin_z_plus[i] > 0]
-        down = [i for i in range(6) if basis.spin_z_plus[i] < 0]
+        spin_e = basis.spin_z[basis.plus_indices]
+        up = [i for i in range(6) if spin_e[i] > 0]
+        down = [i for i in range(6) if spin_e[i] < 0]
         omega = np.zeros((6, 6), dtype=complex)
         omega[up[0], up[0]] = 0.3
         omega[down[0], down[0]] = 0.3
@@ -357,10 +372,12 @@ class TestSectorObservables:
         # exactly two spin-up and two spin-down electron (and positron)
         # labels retained: every 4-pair state sums its spins to exactly zero
         basis = self.basis()
-        e_up = [i for i in range(6) if basis.spin_z_plus[i] > 0][:2]
-        e_dn = [i for i in range(6) if basis.spin_z_plus[i] < 0][:2]
-        p_up = [i for i in range(6) if basis.spin_z_minus[i] > 0][:2]
-        p_dn = [i for i in range(6) if basis.spin_z_minus[i] < 0][:2]
+        spin_e = basis.spin_z[basis.plus_indices]
+        spin_p = basis.spin_z[basis.minus_indices]
+        e_up = [i for i in range(6) if spin_e[i] > 0][:2]
+        e_dn = [i for i in range(6) if spin_e[i] < 0][:2]
+        p_up = [i for i in range(6) if spin_p[i] > 0][:2]
+        p_dn = [i for i in range(6) if spin_p[i] < 0][:2]
         omega = np.zeros((6, 6), dtype=complex)
         for e, p in zip(e_up, p_up):
             omega[e, p] = 0.8
@@ -384,15 +401,34 @@ class TestSinglePairList:
         pa, vac = synthetic_state(omega)
         numerics = NumericsParams(n_cut=1, prune_threshold=1e-6)
         pairs = single_pair_list(pa, vac, numerics)
-        assert [(p.electrons[0], p.positrons[0]) for p in pairs] == \
-            [(1, 2), (0, 0), (3, 3)]
-        top = single_pair_list(pa, vac, numerics)[:2]
-        assert len(top) == 2
-        assert abs(top[0].amplitude) >= abs(top[1].amplitude)
+        assert [(e, p) for e, p, _ in pairs] == [(1, 2), (0, 0), (3, 3)]
+        assert [prob for _, _, prob in pairs] == [
+            abs(vac.c_v * omega[e, p]) ** 2 for e, p, _ in pairs]
         # |omega|^2 = 1e-4 falls below a 1e-2 threshold
         tight = NumericsParams(n_cut=1, prune_threshold=1e-2)
-        assert [(p.electrons[0], p.positrons[0])
-                for p in single_pair_list(pa, vac, tight)] == [(1, 2), (0, 0)]
+        assert [(e, p) for e, p, _ in single_pair_list(pa, vac, tight)] == \
+            [(1, 2), (0, 0)]
+
+    def test_ties_ordered_by_labels_whatever_the_roundoff(self):
+        # four probabilities equal to ~1e-15 relative, as in a degenerate
+        # quadruple; which of them roundoff makes largest must not matter
+        slots = [(3, 0), (0, 2), (2, 3), (1, 1)]
+        wiggle = [1.0, 1.0 + 2e-15, 1.0 - 1e-15, 1.0 + 1e-15]
+        numerics = NumericsParams(n_cut=1, prune_threshold=0.0)
+        lists = []
+        for perm in ([0, 1, 2, 3], [2, 0, 3, 1]):
+            omega = np.zeros((4, 4), dtype=complex)
+            omega[0, 3] = 0.5                       # a distinct top pair
+            for (e, p), w in zip(slots, np.array(wiggle)[perm]):
+                omega[e, p] = 0.3 * w
+            pa, vac = synthetic_state(omega)
+            lists.append(single_pair_list(pa, vac, numerics))
+        first, second = lists
+        expected = [(0, 3), (0, 2), (1, 1), (2, 3), (3, 0)]
+        assert [(e, p) for e, p, _ in first][:5] == expected
+        assert [(e, p) for e, p, _ in second][:5] == expected
+        for (_, _, a), (_, _, b) in zip(first, second):
+            assert a == pytest.approx(b, rel=1e-14)
 
 
 angle = st.one_of(st.just(0.0), st.floats(0.1, 1.2))
@@ -419,8 +455,10 @@ class TestClosedFormAgainstEnumeration:
                                                 n_sector_max=k_max))
         c_ref, (s_e, h_e), (s_p, h_p) = brute_force_sectors(
             pa.omega, vac.probability,
-            [modes.spin_z_plus, modes.helicity_plus],
-            [modes.spin_z_minus, modes.helicity_minus])
+            [modes.spin_z[modes.plus_indices],
+             modes.helicity[modes.plus_indices]],
+            [modes.spin_z[modes.minus_indices],
+             modes.helicity[modes.minus_indices]])
 
         assert rep.c[0] == vac.probability
         assert np.max(np.abs(rep.c - c_ref[:k_max + 1])) <= 1e-12

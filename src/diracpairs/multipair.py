@@ -90,24 +90,32 @@ def vacuum_amplitude(g: GBlocks) -> VacuumAmplitude:
     return VacuumAmplitude(c_v=complex(sign * np.exp(logdet)))
 
 
+def check_labels(kind: str, labels, count: int) -> list[int]:
+    """``labels`` as ints; a non-integer (bool, float) or one outside
+    [0, count) raises ValueError."""
+    out = []
+    for label in labels:
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            raise ValueError(f"{kind} label {label!r} is not an integer")
+        if not 0 <= label < count:
+            raise ValueError(f"unknown {kind} label {label}")
+        out.append(int(label))
+    return out
+
+
 def multi_pair_amplitude(pairs: PairAmplitudes, vac: VacuumAmplitude,
                          electrons, positrons) -> complex:
     """Amplitude of the multi-pair state with the given mode labels.
 
-    Labels outside the half basis raise ValueError; repeated labels give a
-    bitwise-zero amplitude rather than an error; unsorted label lists
-    permute the rows and columns of the omega submatrix, so its determinant
-    carries the fermionic sign.
+    Labels that are not integers in the half basis raise ValueError;
+    repeated labels give a bitwise-zero amplitude rather than an error;
+    unsorted label lists permute the rows and columns of the omega
+    submatrix, so its determinant carries the fermionic sign.
     """
-    electrons = [int(m) for m in electrons]
-    positrons = [int(n) for n in positrons]
+    electrons = check_labels("electron", electrons, pairs.omega.shape[0])
+    positrons = check_labels("positron", positrons, pairs.omega.shape[1])
     if len(electrons) != len(positrons) or not electrons:
         raise ValueError("need equally many electron and positron labels, N >= 1")
-    for kind, labels, count in zip(("electron", "positron"),
-                                   (electrons, positrons), pairs.omega.shape):
-        for label in labels:
-            if not 0 <= label < count:
-                raise ValueError(f"unknown {kind} label {label}")
     if len(set(electrons)) != len(electrons) or len(set(positrons)) != len(positrons):
         return 0j
     sub = pairs.omega[np.ix_(electrons, positrons)]

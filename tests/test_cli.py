@@ -2,11 +2,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import diracpairs
 from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
                         SweepSpec, UnitarityError, WindowParams,
                         config_from_dict, config_to_dict, field_from_si,
@@ -435,6 +438,20 @@ class TestCommandLine:
         assert "_meta" in data
         config = config_from_dict(data)
         assert config.field.omega == 0.746
+
+    def test_module_entry_point(self):
+        # `python -m diracpairs` runs the CLI with nothing on stderr (the
+        # module form of cli.py warned that it was already imported)
+        src = os.path.dirname(os.path.dirname(diracpairs.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracpairs", "preset", "--name", "fig2",
+             "--emit-config"], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert config_from_dict(json.loads(proc.stdout)).field.omega == 0.746
 
     def test_preset_unknown_name_exit_2(self, capsys):
         assert main(["preset", "--name", "fig9", "--emit-config"]) == 2

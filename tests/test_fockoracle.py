@@ -1,10 +1,9 @@
 import math
 from dataclasses import replace
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 
 from diracpairs import (FieldParams, FockBasis, FockDimensionError,
@@ -30,46 +29,111 @@ def small_config(plateau=1, ramp=1, steps_per_cycle=96):
         numerics=NumericsParams(n_cut=1, steps_per_cycle=steps_per_cycle))
 
 
+def oracle_basis():
+    """The n_cut = 1 mode table: 12 modes, plus and minus interleaved."""
+    return build_basis(NumericsParams(n_cut=1), FIG2_FIELD)
+
+
+def fock_of(basis):
+    return FockBasis(basis.plus_indices, basis.minus_indices)
+
+
+def block_fock(m):
+    """m electron modes 0..m-1, then m positron modes m..2m-1."""
+    return FockBasis(range(m), range(m, 2 * m))
+
+
+def dense_annihilators(d):
+    """Textbook Jordan-Wigner c_i over all 2^d occupations, the state
+    index being the mask (bit i = mode i): Z on the modes before i."""
+    lower, z, one = (sparse.csr_matrix(np.array(m, dtype=float)) for m in
+                     ([[0, 1], [0, 0]], [[1, 0], [0, -1]], [[1, 0], [0, 1]]))
+    ops = []
+    for i in range(d):
+        c = sparse.csr_matrix(np.ones((1, 1)))
+        for k in reversed(range(d)):    # most significant bit first
+            c = sparse.kron(c, one if k > i else lower if k == i else z,
+                            format="csr")
+        ops.append(c)
+    return ops
+
+
 class TestFockBasis:
     def test_charge_zero_dimension(self):
-        fock = FockBasis(6, 6)
+        fock = fock_of(oracle_basis())
         assert fock.dim == sum(math.comb(6, n) ** 2 for n in range(7))
         assert fock.dim == math.comb(12, 6)
+        # N pairs: N of 6 electron modes filled and N of 6 sea modes emptied
+        assert np.bincount(fock.pair_counts).tolist() == [
+            math.comb(6, n) ** 2 for n in range(7)]
 
     def test_index_round_trip(self):
-        fock = FockBasis(3, 3)
-        for i, (e, p) in enumerate(fock.patterns):
-            assert fock.index(e, p) == i
-            assert e.bit_count() == p.bit_count() == fock.pair_count(i)
+        fock = FockBasis([0, 1, 4], [2, 3, 5])
+        assert np.array_equal(fock.index[fock.masks], np.arange(fock.dim))
+        assert np.count_nonzero(fock.index >= 0) == fock.dim == math.comb(6, 3)
+        assert fock.masks[fock.index[fock.sea]] == 0b101100
+        for mask, occ, pairs in zip(fock.masks.tolist(), fock.occupations,
+                                    fock.pair_counts):
+            assert mask.bit_count() == 3
+            assert occ.tolist() == [mask >> i & 1 for i in range(6)]
+            electrons = sum(mask >> i & 1 for i in fock.plus)
+            holes = sum(1 - (mask >> i & 1) for i in fock.minus)
+            assert electrons == holes == pairs
 
 
 class TestKetConvention:
     def test_sign_closed_form(self):
-        # applying ascending electron creators then descending positron
-        # creators gives sign (-1)^{N(N+1)/2}
-        for n in range(1, 5):
-            electrons = list(range(n))
-            positrons = list(range(n))
-            e, p, sign = _ket_sign(electrons, positrons)
-            assert e.bit_count() == p.bit_count() == n
-            assert sign == (-1) ** (n * (n + 1) // 2)
+        # electrons ahead of positrons in the mode order: the ascending
+        # electron creators c+_m pass m electrons, the descending positron
+        # creators c_{M+n} pass N electrons and n sea modes, so the ket
+        # b+_{n1}..b+_{nN} a+_{mN}..a+_{m1} |0> is (-1)^N times its mask
+        m = 5
+        fock = block_fock(m)
+        for n in range(1, m + 1):
+            bits, sign = _ket_sign(fock, list(range(n)), list(range(n)))
+            assert bits == fock.sea ^ ((1 << n) - 1) ^ (((1 << n) - 1) << m)
+            assert sign == (-1) ** n
 
     def test_repeated_label_returns_none(self):
-        assert _ket_sign([0, 0], [0, 1]) is None
-        assert _ket_sign([0, 1], [2, 2]) is None
+        fock = block_fock(3)
+        assert _ket_sign(fock, [0, 0], [0, 1]) is None
+        assert _ket_sign(fock, [0, 1], [2, 2]) is None
+        assert _ket_sign(fock, [1, 0], [2, 1]) is not None
+
+    def test_matches_dense_operator_products(self):
+        # the ket from the textbook operators on the interleaved n_cut = 1
+        # table, label lists in any order: sign times the basis vector
+        basis = oracle_basis()
+        fock = fock_of(basis)
+        c = dense_annihilators(basis.dim)
+        rng = np.random.default_rng(4)
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            electrons = rng.permutation(6)[:n].tolist()
+            positrons = rng.permutation(6)[:n].tolist()
+            ket = np.zeros(1 << basis.dim)
+            ket[fock.sea] = 1.0
+            for m in electrons:                  # a+_m = c+_plus[m]
+                ket = c[fock.plus[m]].T @ ket
+            for p in reversed(positrons):        # b+_n = c_minus[n]
+                ket = c[fock.minus[p]] @ ket
+            bits, sign = _ket_sign(fock, electrons, positrons)
+            expected = np.zeros(1 << basis.dim)
+            expected[bits] = sign
+            assert np.array_equal(ket, expected)
 
 
 class TestSecondQuantize:
     def basis(self):
-        return build_basis(NumericsParams(n_cut=1), FIG2_FIELD)
+        return oracle_basis()
 
     def test_free_hamiltonian_vacuum_phase(self):
-        # free evolution: the scalar tr(H--) drives the vacuum phase
+        # free evolution: the sea's energy tr(H--) drives the vacuum phase
         basis = self.basis()
         h = np.diag(basis.energies).astype(complex)
         h_many = second_quantize(h, basis)
-        fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)
-        vac_idx = fock.index(0, 0)
+        fock = fock_of(basis)
+        vac_idx = fock.index[fock.sea]
         tr_minus = basis.energies[basis.minus_indices].sum()
         assert h_many[vac_idx, vac_idx] == pytest.approx(tr_minus, rel=1e-14)
         t = 0.37
@@ -78,19 +142,24 @@ class TestSecondQuantize:
             np.exp(-1j * tr_minus * t), abs=1e-12)
 
     def test_free_many_body_energies(self):
-        # diagonal entries are (sum of occupied |E|) + tr(H--)
+        # diagonal entries are tr(H--) + sum over electrons of E
+        # - sum over holes in the sea of E, each |E| counted positive
         basis = self.basis()
         h = np.diag(basis.energies).astype(complex)
-        h_many = second_quantize(h, basis).toarray()
-        fock = FockBasis(basis.n_electron_modes, basis.n_positron_modes)
+        h_sparse = second_quantize(h, basis)
+        h_many = h_sparse.toarray()
+        fock = fock_of(basis)
         e_plus = basis.energies[basis.plus_indices]
         e_minus = basis.energies[basis.minus_indices]
         off_diag = h_many - np.diag(np.diag(h_many))
         assert np.max(np.abs(off_diag)) == 0.0
-        for i, (e_bits, p_bits) in enumerate(fock.patterns):
+        assert h_sparse.nnz == fock.dim
+        for i, mask in enumerate(fock.masks.tolist()):
             expected = e_minus.sum()
-            expected += sum(e_plus[m] for m in range(6) if e_bits >> m & 1)
-            expected -= sum(e_minus[n] for n in range(6) if p_bits >> n & 1)
+            expected += sum(e_plus[m] for m in range(6)
+                            if mask >> fock.plus[m] & 1)
+            expected -= sum(e_minus[n] for n in range(6)
+                            if not mask >> fock.minus[n] & 1)
             assert h_many[i, i] == pytest.approx(expected, rel=1e-13)
 
     def test_hermiticity(self):
@@ -103,7 +172,7 @@ class TestSecondQuantize:
 
     def test_single_coupling_selection(self):
         # one +- matrix element: only pair creation/annihilation between the
-        # corresponding modes (plus the scalar diagonal)
+        # corresponding modes, and no diagonal (tr(H--) = 0 stores nothing)
         basis = self.basis()
         h = np.zeros((12, 12), dtype=complex)
         m, n = 2, 1  # electron half-index 2, positron half-index 1
@@ -111,15 +180,29 @@ class TestSecondQuantize:
         h[basis.plus_indices[m], basis.minus_indices[n]] = v
         h[basis.minus_indices[n], basis.plus_indices[m]] = v.conjugate()
         h_many = second_quantize(h, basis).tocoo()
-        fock = FockBasis(6, 6)
+        fock = fock_of(basis)
+        pair = (1 << int(basis.plus_indices[m])) | (1 << int(basis.minus_indices[n]))
+        # creation from every state with plus[m] empty and minus[n] filled
+        # (5 particles over the other 10 modes), and back
+        assert h_many.nnz == 2 * math.comb(10, 5)
         for r, c, val in zip(h_many.row, h_many.col, h_many.data):
-            if r == c:
-                continue  # scalar tr(H--) = 0 here, so none expected anyway
-            e_r, p_r = fock.patterns[r]
-            e_c, p_c = fock.patterns[c]
-            assert e_r ^ e_c == 1 << m
-            assert p_r ^ p_c == 1 << n
+            assert fock.masks[r] ^ fock.masks[c] == pair
             assert abs(val) == pytest.approx(abs(v), rel=1e-14)
+
+    def test_matches_dense_jordan_wigner(self):
+        # sum_ij h_ij c+_i c_j from the textbook operators on all 2^12
+        # occupations, restricted to the sector: equal to roundoff
+        basis = self.basis()
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        h = (z + z.conj().T) / 2
+        fock = fock_of(basis)
+        c = dense_annihilators(basis.dim)
+        full = sum(h[i, j] * (c[i].T.tocsr() @ c[j])
+                   for i in range(12) for j in range(12))
+        sector = full[fock.masks][:, fock.masks].toarray()
+        h_many = second_quantize(h, basis, fock).toarray()
+        assert np.max(np.abs(h_many - sector)) < 1e-13
 
     def test_dimension_cap(self):
         basis = build_basis(NumericsParams(n_cut=2), FIG2_FIELD)
@@ -147,10 +230,10 @@ class TestTwoModeToy:
         self.t = 1.7
 
     def evolve(self):
-        fock = FockBasis(6, 6)
+        fock = fock_of(self.basis)
         h_many = second_quantize(self.h, self.basis)
         psi = np.zeros(fock.dim, dtype=complex)
-        psi[fock.index(0, 0)] = 1.0
+        psi[fock.index[fock.sea]] = 1.0
         psi = expm(-1j * self.t * h_many.toarray()) @ psi
         return ManyBodyState(amplitudes=psi, fock=fock)
 
@@ -170,9 +253,9 @@ class TestTwoModeToy:
         assert abs(fock_amp) > 1e-3  # the toy actually creates pairs
 
     def test_two_level_closed_form(self):
-        # the pair sector reduces to a 2x2 Rabi problem over the patterns
-        # {vacuum, (e_m, p_n)}; a+_m b+_n |0> = +(pattern vector), so the
-        # pattern-basis coupling is +v, and the ket b+ a+ |0> flips sign
+        # the pair sector reduces to a 2x2 Rabi problem over
+        # {|0>, a+_m b+_n |0>}, where the coupling is +v (the h_mn a+_m b+_n
+        # term of Gamma(h)), and the ket b+ a+ |0> flips sign
         state = self.evolve()
         e_plus = self.basis.energies[self.basis.plus_indices[self.m]]
         e_minus = self.basis.energies[self.basis.minus_indices[self.n]]
@@ -181,7 +264,7 @@ class TestTwoModeToy:
                        [self.v, tr_minus + e_plus - e_minus]])
         u2 = expm(-1j * self.t * h2)
         assert vacuum_overlap(state) == pytest.approx(u2[0, 0], abs=1e-12)
-        ket_sign = -1.0  # b+ a+ |0> = -(pattern basis vector)
+        ket_sign = -1.0  # b+ a+ |0> = -a+ b+ |0>
         assert read_amplitude(state, [self.m], [self.n]) == pytest.approx(
             ket_sign * u2[1, 0], abs=1e-12)
 
@@ -217,24 +300,30 @@ class TestPropagateVacuum:
             vac.probability, abs=1e-8)
 
     def test_charge_conservation_structural(self):
+        # every entry joins states with as many electrons as sea holes, and
+        # one term c+_i c_j creates or annihilates at most one pair
         config = small_config()
         basis = build_basis(config.numerics, config.field)
-        fock = FockBasis(6, 6)
+        fock = fock_of(basis)
         t = 0.9 * config.field.cycle_duration
         coupling = (envelope(0.9, config.window)
                     * np.exp(-1j * config.field.omega * t))
         h = assemble_hamiltonian(coupling, basis, config.field)
         h_many = second_quantize(h, basis, fock).tocoo()
+        occ = fock.occupations
+        electrons = occ[:, fock.plus].sum(axis=1)
+        holes = (1 - occ[:, fock.minus]).sum(axis=1)
         for r, c in zip(h_many.row, h_many.col):
-            assert fock.patterns[r][0].bit_count() == fock.patterns[r][1].bit_count()
-            assert fock.patterns[c][0].bit_count() == fock.patterns[c][1].bit_count()
+            assert electrons[r] == holes[r] and electrons[c] == holes[c]
+            assert abs(electrons[r] - electrons[c]) <= 1
+            assert bin(fock.masks[r] ^ fock.masks[c]).count("1") in (0, 2)
 
     def test_linear_in_the_field_coupling(self):
         # Gamma(H0) + c Gamma(K) + conj(c) Gamma(K)^dag, the operator the
         # oracle steps with, is Gamma(H) of the assembled H
         config = small_config()
         basis = build_basis(config.numerics, config.field)
-        fock = FockBasis(6, 6)
+        fock = fock_of(basis)
         h0 = second_quantize(np.diag(basis.energies).astype(complex), basis, fock)
         k = second_quantize(field_coupling(basis, config.field), basis, fock)
         rng = np.random.default_rng(8)
@@ -247,26 +336,55 @@ class TestPropagateVacuum:
 
 class TestReadAmplitude:
     def make_state(self):
-        fock = FockBasis(3, 3)
+        fock = block_fock(3)
         rng = np.random.default_rng(33)
         amp = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
         return ManyBodyState(amplitudes=amp, fock=fock)
 
     def test_vacuum_has_no_pairs(self):
-        fock = FockBasis(3, 3)
+        fock = block_fock(3)
         amp = np.zeros(fock.dim, dtype=complex)
-        amp[fock.index(0, 0)] = 1.0
+        amp[fock.index[fock.sea]] = 1.0
         state = ManyBodyState(amplitudes=amp, fock=fock)
         assert read_amplitude(state, [0], [1]) == 0.0
+        assert vacuum_overlap(state) == 1.0
 
     def test_repeated_label_bitwise_zero(self):
         state = self.make_state()
-        assert read_amplitude(state, [1, 1], [0, 2]) == 0.0
+        for electrons, positrons in (([1, 1], [0, 2]), ([0, 2], [1, 1]),
+                                     ([0, 1], [2])):   # the last off-sector
+            amp = read_amplitude(state, electrons, positrons)
+            assert type(amp) is complex and amp == 0j
+        assert read_amplitude(state, [1, 0], [0, 2]) != 0j
 
     def test_unknown_label(self):
         state = self.make_state()
         with pytest.raises(ValueError, match="unknown"):
             read_amplitude(state, [7], [0])
+        with pytest.raises(ValueError, match="^unknown positron label -1$"):
+            read_amplitude(state, [0], [-1])
+
+    @pytest.mark.parametrize("electrons, positrons, kind", [
+        ([1.7], [0], "electron"), ([True], [0], "electron"),
+        ([0], [np.float64(1.0)], "positron"), ([0], [np.bool_(True)], "positron"),
+    ])
+    def test_non_integer_label_rejected(self, electrons, positrons, kind):
+        # int() used to turn 1.7 and True into mode 1
+        state = self.make_state()
+        with pytest.raises(ValueError, match=f"^{kind} label .* is not an integer$"):
+            read_amplitude(state, electrons, positrons)
+
+    def test_numpy_integer_labels_accepted(self):
+        state = self.make_state()
+        assert read_amplitude(state, np.array([2, 0]), [np.int32(1), 2]) == \
+            read_amplitude(state, [2, 0], [1, 2])
+
+    def test_swapping_labels_flips_sign(self):
+        state = self.make_state()
+        base = read_amplitude(state, [0, 1, 2], [0, 1, 2])
+        assert read_amplitude(state, [1, 0, 2], [0, 1, 2]) == -base
+        assert read_amplitude(state, [0, 1, 2], [2, 1, 0]) == -base
+        assert read_amplitude(state, [2, 0, 1], [1, 2, 0]) == base
 
     def test_amplitude_table_covers_all_sectors(self):
         state = self.make_state()
@@ -277,22 +395,25 @@ class TestReadAmplitude:
         assert counts == {1: 9, 2: 9, 3: 1}
 
 
-def cross_path_differences(config):
-    """(max |determinant-path - oracle| over C_v and all N <= 2 amplitudes,
-    max |c_N - sector_probabilities_exact|) on an n_cut = 1 run."""
+def both_paths(config):
+    """(basis, pair amplitudes, vacuum amplitude, oracle state) of one run."""
     basis = build_basis(config.numerics, config.field)
     g = extract_g_blocks(propagate(config, basis), basis, config)
-    pa = pair_amplitudes(g)
-    vac = vacuum_amplitude(g)
-    state = propagate_vacuum(config, basis)
+    return (basis, pair_amplitudes(g), vacuum_amplitude(g),
+            propagate_vacuum(config, basis))
 
+
+def cross_path_differences(config):
+    """(max |determinant-path - oracle| over C_v and all 923 canonical
+    amplitudes, N = 1..6, max |c_N - sector_probabilities_exact|) on an
+    n_cut = 1 run."""
+    basis, pa, vac, state = both_paths(config)
+    table = amplitude_table(state)
+    assert len(table) == math.comb(12, 6) - 1
     worst = abs(vacuum_overlap(state) - vac.c_v)
-    for n in (1, 2):
-        for es in combinations(range(6), n):
-            for ps in combinations(range(6), n):
-                det_amp = multi_pair_amplitude(pa, vac, es, ps)
-                fock_amp = read_amplitude(state, es, ps)
-                worst = max(worst, abs(det_amp - fock_amp))
+    for n, es, ps, fock_amp in table:
+        det_amp = multi_pair_amplitude(pa, vac, es, ps)
+        worst = max(worst, abs(det_amp - fock_amp))
     numerics = replace(config.numerics, prune_threshold=0.0, n_sector_max=6)
     rep = sector_observables(pa, vac, basis, numerics)
     exact = sector_probabilities_exact(state)
@@ -307,6 +428,21 @@ class TestCrossPathEquivalence:
             small_config(plateau=1, ramp=1, steps_per_cycle=96))
         assert amplitudes < 1e-8
         assert sectors < 1e-8
+
+    def test_unsorted_labels_agree_and_swaps_flip_sign(self):
+        # the labels are applied in the order given on both paths
+        config = small_config(plateau=1, ramp=1, steps_per_cycle=64)
+        basis, pa, vac, state = both_paths(config)
+        for electrons, positrons in (([1, 0], [0, 1]), ([0, 1], [1, 0]),
+                                     ([2, 0, 1], [1, 2, 0])):
+            det_amp = multi_pair_amplitude(pa, vac, electrons, positrons)
+            fock_amp = read_amplitude(state, electrons, positrons)
+            assert abs(fock_amp) > 1e-12
+            assert abs(det_amp - fock_amp) < 1e-8 * max(1.0, abs(det_amp))
+            swapped = [electrons[1], electrons[0]] + electrons[2:]
+            assert multi_pair_amplitude(pa, vac, swapped, positrons) == \
+                pytest.approx(-det_amp, rel=1e-12)
+            assert read_amplitude(state, swapped, positrons) == -fock_amp
 
 
 @st.composite

@@ -197,6 +197,24 @@ class TestMultiPairAmplitude:
                            match=f"^unknown {kind} label {label}$"):
             multi_pair_amplitude(pa, vac, electrons, positrons)
 
+    @pytest.mark.parametrize("electrons, positrons, kind", [
+        ([1.7], [0], "electron"), ([True], [0], "electron"),
+        ([0], [np.float64(1.0)], "positron"), ([0, 1], [2, np.bool_(0)], "positron"),
+    ])
+    def test_non_integer_label_is_rejected(self, electrons, positrons, kind):
+        # int() used to turn 1.7 and True into mode 1
+        pa, vac = synthetic_state(np.ones((4, 4)) * 0.1)
+        with pytest.raises(ValueError,
+                           match=f"^{kind} label .* is not an integer$"):
+            multi_pair_amplitude(pa, vac, electrons, positrons)
+
+    def test_numpy_integer_labels_accepted(self):
+        rng = np.random.default_rng(4)
+        pa, vac = synthetic_state(rng.normal(size=(4, 4)) + 0j)
+        assert multi_pair_amplitude(pa, vac, np.array([2, 0]),
+                                    [np.int32(1), np.uint8(3)]) == \
+            multi_pair_amplitude(pa, vac, [2, 0], [1, 3])
+
     def test_unsorted_input_sign_is_parity_product(self):
         rng = np.random.default_rng(3)
         pa, vac = synthetic_state(rng.normal(size=(4, 4))

@@ -21,7 +21,8 @@ print(f"omega = {config.field.omega} m0, xi = {xi(config.field):.3f}, "
 
 basis = build_basis(config.numerics, config.field)
 u = propagate(config, basis)
-print(f"propagated {u.steps} steps, unitarity defect {u.unitarity_defect:.1e}")
+print(f"propagated: {u.steps} step exponentials evaluated, "
+      f"unitarity defect {u.unitarity_defect:.1e}")
 
 g = extract_g_blocks(u, basis, config)
 pairs = pair_amplitudes(g)

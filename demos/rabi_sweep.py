@@ -12,19 +12,19 @@ import numpy as np
 
 from diracpairs import (build_basis, cycle_compose, extract_g_blocks,
                         figure_configs, pair_amplitudes, propagator_segments,
-                        vacuum_amplitude)
+                        vacuum_amplitude, with_plateau)
 
 config, _ = figure_configs()["fig2"]
 basis = build_basis(config.numerics, config.field)
 u_on, u_cycle, u_off = propagator_segments(config, basis)
 print(f"segment propagators ready ({u_on.steps + u_cycle.steps + u_off.steps}"
-      f" grid steps spanned)")
+      f" step exponentials evaluated)")
 
 plateaus = np.arange(0, 121)
 rows = []
 for j in plateaus:
     u = cycle_compose(u_on, u_cycle, u_off, int(j))
-    g = extract_g_blocks(u, basis)
+    g = extract_g_blocks(u, basis, with_plateau(config, int(j)))
     pairs = pair_amplitudes(g)
     vac = vacuum_amplitude(g)
     probs = np.abs(vac.c_v * pairs.omega) ** 2

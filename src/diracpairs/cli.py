@@ -182,7 +182,8 @@ def run_sweep(spec: SweepSpec) -> dict:
     Every point composes its plateau from the turn-on, one-cycle and
     turn-off propagators, which are integrated again only when a point
     differs from the previous one in more than its plateau length.  Failed
-    points are recorded with their error string and the sweep continues.
+    points are recorded with their error string and the sweep continues; a
+    point file that cannot be read back is redone.
     """
     if not spec.values:
         raise ValidationError("spec.values: must be non-empty")
@@ -199,9 +200,12 @@ def run_sweep(spec: SweepSpec) -> dict:
     for value, config in zip(spec.values, configs):
         tag = config_hash(config) + key_suffix
         cache = os.path.join(points_dir, f"{tag}.json")
-        if os.path.exists(cache):
+        try:
             with open(cache) as fh:
                 row = row_from_dict(json.load(fh))
+        except (FileNotFoundError, ValueError):
+            pass    # not cached, or a write cut short: redo the point
+        else:
             # the same point may have been cached by a sweep along another axis
             rows.append(replace(row, sweep_value=float(value)))
             continue
@@ -225,8 +229,10 @@ def run_sweep(spec: SweepSpec) -> dict:
                             plateau_cycles=config.window.plateau_cycles,
                             total_cycles=config.window.total_cycles,
                             error=f"{type(exc).__name__}: {exc}")
-        with open(cache, "w") as fh:
+        # written whole or not at all, so an interrupted sweep can resume
+        with open(cache + ".tmp", "w") as fh:
             json.dump(row_to_dict(row), fh, sort_keys=True)
+        os.replace(cache + ".tmp", cache)
         rows.append(row)
 
     k = spec.base.numerics.n_sector_max

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import UnitarityError, ValidationError
-from .fieldmodel import beam_amplitudes, carrier, envelope
+from .fieldmodel import beam_amplitudes, carrier
 from .modebasis import ALPHA, ModeBasis
 from .physconfig import FieldParams, RunConfig, with_plateau
 
@@ -51,7 +51,8 @@ FOLD_TOL = 1e-14
 
 @dataclass(frozen=True)
 class Propagator:
-    """Dense unitary over the mode basis, t0 -> t1 (times in cycles)."""
+    """Dense unitary over the mode basis, t0 -> t1 (times in cycles), and
+    ``steps``, the number of step exponentials evaluated to build it."""
 
     matrix: np.ndarray
     t_span_cycles: tuple
@@ -166,8 +167,8 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     on that window and each midpoint step maps to its mirror as
     E -> D E^T D, so only [0, R] and the half cycle [R, R + 1/2] are
     integrated: u_off = D u_on^T D and u_cycle = D u_half^T D u_half.
-    Otherwise the three spans are integrated.  Either way ``steps`` is the
-    number of grid steps a segment spans.
+    Otherwise the three spans are integrated.  Either way ``steps`` counts
+    the step exponentials evaluated; a mirror adds none.
     """
     ramp = config.window.ramp_cycles
     one = with_plateau(config, 1)
@@ -180,8 +181,11 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     fold = (np.max(np.abs(d[:, None] * k.conj() * d - k))
             <= FOLD_TOL * np.max(np.abs(k)))
 
-    def checked(part, m, t0, t1):
-        steps = round((t1 - t0) * config.numerics.steps_per_cycle)
+    def segment(part, t0, t1, m=None, steps=0):
+        if m is None:
+            # an out-of-range step overflows; the unitarity gate reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                m, steps = _integrate(basis, one, float(t0), float(t1))
         defect = unitarity_defect(m)
         if not defect <= DEFAULT_UNITARITY_TOL:    # NaN fails too
             raise UnitarityError(
@@ -193,23 +197,17 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
         return Propagator(matrix=m, t_span_cycles=(float(t0), float(t1)),
                           steps=steps, unitarity_defect=defect)
 
-    def span(part, t0, t1):
-        # an out-of-range time step overflows in the step exponentials;
-        # the NaN-aware unitarity gate in ``checked`` reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = _integrate(basis, one, float(t0), float(t1))[0]
-        return checked(part, m, t0, t1)
-
     def mirror(u):
-        return d[:, None] * u.T * d
+        return d[:, None] * u.matrix.T * d
 
-    u_on = span("on", 0, ramp)
+    u_on = segment("on", 0, ramp)
     if not fold:
-        return (u_on, span("cycle", ramp, ramp + 1),
-                span("off", ramp + 1, 2 * ramp + 1))
-    half = span("half-cycle", ramp, ramp + 0.5).matrix
-    return (u_on, checked("cycle", mirror(half) @ half, ramp, ramp + 1),
-            checked("off", mirror(u_on.matrix), ramp + 1, 2 * ramp + 1))
+        return (u_on, segment("cycle", ramp, ramp + 1),
+                segment("off", ramp + 1, 2 * ramp + 1))
+    half = segment("half-cycle", ramp, ramp + 0.5)
+    return (u_on, segment("cycle", ramp, ramp + 1, mirror(half) @ half.matrix,
+                          half.steps),
+            segment("off", ramp + 1, 2 * ramp + 1, mirror(u_on)))
 
 
 def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,
@@ -224,25 +222,22 @@ def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,
         raise ValidationError("cycle_compose: plateau cycle count j must be >= 0")
     q, lam = u_cycle.floquet
     matrix = (u_off.matrix @ q * lam ** j) @ (q.conj().T @ u_on.matrix)
-    ramp = u_on.t_span_cycles[1]
-    total = 2 * ramp + j
-    steps = u_on.steps + j * u_cycle.steps + u_off.steps
-    return Propagator(matrix=matrix, t_span_cycles=(0.0, total), steps=steps,
+    total = 2 * u_on.t_span_cycles[1] + j
+    return Propagator(matrix=matrix, t_span_cycles=(0.0, total),
+                      steps=u_on.steps + u_cycle.steps + u_off.steps,
                       unitarity_defect=unitarity_defect(matrix))
 
 
-def extract_g_blocks(u: Propagator, basis: ModeBasis, config: RunConfig = None) -> GBlocks:
+def extract_g_blocks(u: Propagator, basis: ModeBasis, config: RunConfig) -> GBlocks:
     """Band-sector submatrices of the propagator.
 
-    Requires the field to be off at both endpoints so the in/out eigenbases
-    coincide with the free basis; extraction is then pure submatrix
-    selection.
+    Requires ``u`` to span the window of ``config``, whose envelope is off
+    at both endpoints, so the in/out eigenbases coincide with the free
+    basis; extraction is then pure submatrix selection.
     """
-    if config is not None:
-        for t_c in u.t_span_cycles:
-            if envelope(t_c, config.window) != 0.0:
-                raise ValidationError(
-                    "extract_g_blocks: envelope must vanish at both endpoints")
+    if u.t_span_cycles != (0.0, float(config.window.total_cycles)):
+        raise ValidationError("extract_g_blocks: u must span the window, "
+                              "whose envelope vanishes at both endpoints")
     m = u.matrix
     plus, minus = basis.plus_indices, basis.minus_indices
     g_pm = m[np.ix_(plus, minus)]

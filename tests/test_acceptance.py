@@ -292,7 +292,7 @@ def test_criterion_10_rabi_like_non_monotonicity():
     trajectories = []
     for j in range(0, 121):
         u = cycle_compose(*segments, j)
-        g = extract_g_blocks(u, basis)
+        g = extract_g_blocks(u, basis, with_plateau(config, j))
         pairs = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
         trajectories.append(np.abs(vac.c_v * pairs.omega) ** 2)

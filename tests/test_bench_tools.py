@@ -6,14 +6,19 @@ and ``bench/tracer.py`` reads ``Propagator.steps`` from the propagators that
 show when the reference is next regenerated or a traced run is made.
 """
 
+import json
+import os
+import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracpairs import (Propagator, build_basis, config_from_dict,
-                        propagator_segments, run_once)
+from diracpairs import (Propagator, SweepSpec, WindowParams, build_basis,
+                        config_from_dict, figure_configs, propagator_segments,
+                        run_once, sweep_spec_to_dict)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,3 +57,26 @@ def test_tracer_reads_segment_steps(bench_tools):
     assert all(isinstance(p, Propagator) for p in segments)
     steps = tracer.NOTES["dynamics.propagator_segments"](segments)
     assert steps == sum(p.steps for p in segments) > 0
+
+
+def test_traced_sweep_counts_each_exponential_once(tmp_path):
+    # a plateau sweep integrates its segments once; the traced step count
+    # must match the Hamiltonians assembled, one per step exponential
+    config, _ = figure_configs()["fig2"]
+    config = replace(config, window=WindowParams(ramp_cycles=1,
+                                                 plateau_cycles=0),
+                     numerics=replace(config.numerics, n_cut=1,
+                                      steps_per_cycle=64))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(sweep_spec_to_dict(SweepSpec(
+        base=config, sweep_axis="plateau_cycles", values=[0, 1, 2]))))
+    result = tmp_path / "result.json"
+    env = {**os.environ, "DIRACPAIRS_OUTDIR": str(tmp_path / "out"),
+           "PYTHONPATH": str(BENCH.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "rep.py"), "cli", "--result", str(result),
+         "--trace", "--", "sweep", "--spec", str(spec)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["dynamics.steps"] == layers["dynamics.assemble.calls"] == 96

@@ -15,7 +15,7 @@ from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
                         config_from_dict, config_to_dict, field_from_si,
                         figure_configs, run_once, run_sweep, with_plateau)
 from diracpairs.cli import (csv_header, csv_row, main, row_from_dict,
-                            row_to_dict)
+                            row_to_dict, sweep_spec_to_dict)
 
 
 def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
@@ -201,6 +201,30 @@ class TestSweep:
         assert first == second
         for p in points:
             assert os.path.getmtime(tmp_path / "points" / p) == stamps[p]
+
+    def test_interrupted_sweep_resumes(self, tmp_path):
+        # a sweep killed while writing a point leaves a file cut short; one
+        # of another shape is no more readable: both are redone
+        spec = SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                         values=[0, 1, 2], outputs=str(tmp_path / "out"))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(sweep_spec_to_dict(spec)))
+
+        def sweep():
+            assert main(["sweep", "--spec", str(spec_path)]) == 0
+            return [(tmp_path / "out" / f"sweep_plateau_cycles.{ext}")
+                    .read_bytes() for ext in ("csv", "json")]
+
+        first = sweep()
+        cut, misshapen = sorted((tmp_path / "out" / "points").iterdir())[:2]
+        whole = {p: p.read_bytes() for p in (cut, misshapen)}
+        cut.write_bytes(whole[cut][:len(whole[cut]) // 2])
+        misshapen.write_text(json.dumps({"plateau_cycles": "one"}))
+        assert sweep() == first
+        for path in (cut, misshapen):
+            assert path.read_bytes() == whole[path]
+            row_from_dict(json.loads(path.read_text()))
+        assert len(os.listdir(tmp_path / "out" / "points")) == 3
 
     def test_cache_key_has_scheme_version_and_emit_flags(self, tmp_path,
                                                          monkeypatch):

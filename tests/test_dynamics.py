@@ -117,11 +117,15 @@ class TestPropagate:
         assert np.max(np.abs(u.matrix - expected)) < 1e-11
 
     def test_unitarity_and_metadata(self):
+        # the folded run evaluates ramp + 1/2 cycles of step exponentials
         config = make_config(plateau=2)
         basis = build_basis(config.numerics, config.field)
         u = propagate(config, basis)
         assert u.unitarity_defect < 1e-10
-        assert u.steps == config.window.total_cycles * config.numerics.steps_per_cycle
+        assert type(u.steps) is int
+        assert u.steps == ((config.window.ramp_cycles + 0.5)
+                           * config.numerics.steps_per_cycle)
+        assert u.t_span_cycles == (0.0, float(config.window.total_cycles))
         assert unitarity_defect(u.matrix) == u.unitarity_defect
 
     def test_tolerance_failure_raises_with_diagnosis(self, monkeypatch):
@@ -204,6 +208,12 @@ class TestCycleCompose:
         with pytest.raises(ValidationError):
             cycle_compose(*self.segments, -1)
 
+    def test_steps_are_those_of_the_segments(self):
+        # composing evaluates no step exponential, whatever the plateau
+        total = sum(seg.steps for seg in self.segments)
+        assert [cycle_compose(*self.segments, j).steps
+                for j in (0, 7, 120)] == [total] * 3
+
 
 class TestTimeReversalFold:
     """The second half of the one-cycle-plateau window is the transpose
@@ -217,15 +227,18 @@ class TestTimeReversalFold:
 
     @staticmethod
     def integrated_spans(monkeypatch):
-        spans = []
+        """([(t0, t1)], [steps]) of every ``_integrate`` call from now on."""
+        spans, counts = [], []
         real = dynamics._integrate
 
         def spy(basis, config, t0, t1):
             spans.append((t0, t1))
-            return real(basis, config, t0, t1)
+            u, steps = real(basis, config, t0, t1)
+            counts.append(steps)
+            return u, steps
 
         monkeypatch.setattr(dynamics, "_integrate", spy)
-        return spans
+        return spans, counts
 
     @pytest.mark.parametrize("name, k0", [
         ("fig2", (0.0, 0.0, 0.0)), ("fig4", (0.0, 0.0, 0.0)),
@@ -234,17 +247,21 @@ class TestTimeReversalFold:
         config = self.preset(name, k0)
         basis = build_basis(config.numerics, config.field)
         ramp = config.window.ramp_cycles
-        spans = self.integrated_spans(monkeypatch)
+        spans, counts = self.integrated_spans(monkeypatch)
         segments = propagator_segments(config, basis)
         assert spans == [(0.0, ramp), (ramp, ramp + 0.5)]
+        # the mirrored cycle costs the half cycle it is built from, the
+        # mirrored turn-off nothing
+        spc = config.numerics.steps_per_cycle
+        assert [seg.steps for seg in segments] == [ramp * spc, spc // 2, 0]
+        assert sum(seg.steps for seg in segments) == sum(counts)
 
         one = with_plateau(config, 1)
         edges = (0.0, float(ramp), ramp + 1.0, 2.0 * ramp + 1.0)
         for seg, t0, t1 in zip(segments, edges, edges[1:]):
-            direct, steps = _integrate(basis, one, t0, t1)
+            direct, _ = _integrate(basis, one, t0, t1)
             assert np.max(np.abs(seg.matrix - direct)) <= 1e-12
             assert seg.t_span_cycles == (t0, t1)
-            assert seg.steps == steps
             assert seg.unitarity_defect == unitarity_defect(seg.matrix)
 
     def test_transverse_k0y_integrates_the_whole_window(self, monkeypatch):
@@ -253,11 +270,43 @@ class TestTimeReversalFold:
         config = self.preset("fig4", (0.21, -0.13, 0.05))
         basis = build_basis(config.numerics, config.field)
         ramp = config.window.ramp_cycles
-        spans = self.integrated_spans(monkeypatch)
+        spans, _ = self.integrated_spans(monkeypatch)
         propagator_segments(config, basis)
         assert spans == [(0.0, ramp), (ramp, ramp + 1),
                          (ramp + 1, 2 * ramp + 1)]
         assert sum(t1 - t0 for t0, t1 in spans) == 2 * ramp + 1
+
+    @pytest.mark.parametrize("name, k0", [
+        ("fig2", (0.0, 0.0, 0.0)), ("fig4", (0.0, 0.0, 0.0)),
+        ("fig2", (0.0, 0.0, 0.0013)), ("fig4", (0.0, 0.0, 0.0013)),
+        ("fig4", (0.21, -0.13, 0.05))])
+    def test_steps_count_the_exponentials_evaluated(self, monkeypatch, name,
+                                                    k0):
+        # each segment reports the Hamiltonians assembled since the segment
+        # before it was built, one per step exponential
+        config = self.preset(name, k0)
+        basis = build_basis(config.numerics, config.field)
+        assembled, built = [], {}
+        real_assemble, real_propagator = (dynamics.assemble_hamiltonian,
+                                          dynamics.Propagator)
+
+        def assemble(*args):
+            assembled.append(args[0])
+            return real_assemble(*args)
+
+        def propagator(**fields):
+            built[fields["t_span_cycles"]] = len(assembled)
+            return real_propagator(**fields)
+
+        monkeypatch.setattr(dynamics, "assemble_hamiltonian", assemble)
+        monkeypatch.setattr(dynamics, "Propagator", propagator)
+        segments = propagator_segments(config, basis)
+        before = 0
+        for seg in segments:
+            assert type(seg.steps) is int
+            assert seg.steps == built[seg.t_span_cycles] - before
+            before = built[seg.t_span_cycles]
+        assert sum(seg.steps for seg in segments) == len(assembled) > 0
 
 
 class TestGBlocks:
@@ -289,6 +338,16 @@ class TestGBlocks:
                       steps=u.steps, unitarity_defect=u.unitarity_defect)
         with pytest.raises(ValidationError, match="envelope"):
             extract_g_blocks(bad, basis, config)
+
+    @pytest.mark.parametrize("plateau", [1, 5])
+    def test_propagator_of_another_window_rejected(self, plateau):
+        # the envelope is also off past the end of the window, so only the
+        # span tells a longer propagator apart
+        config = make_config(n_cut=1, steps_per_cycle=64, plateau=2)
+        basis = build_basis(config.numerics, config.field)
+        u = propagate(with_plateau(config, plateau), basis)
+        with pytest.raises(ValidationError, match="envelope"):
+            extract_g_blocks(u, basis, config)
 
     def test_truncation_edge_decay(self):
         # converged truncation: edge rows of |g_pm| are far below the interior

@@ -24,8 +24,7 @@ from .modebasis import (ModeBasis, build_basis, free_spinors,
                         free_hamiltonian, ALPHA, BETA, SIGMA_BIG)
 from .dynamics import (Propagator, GBlocks, assemble_hamiltonian, propagate,
                        propagator_segments, cycle_compose, extract_g_blocks,
-                       unitarity_defect, dump_complex_matrix,
-                       load_complex_matrix)
+                       unitarity_defect)
 from .multipair import (PairAmplitudes, VacuumAmplitude, SectorReport,
                         pair_amplitudes, vacuum_amplitude,
                         multi_pair_amplitude, single_pair_list,

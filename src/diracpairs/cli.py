@@ -4,7 +4,8 @@ Results go out as one CSV per sweep (plot-ready time series, column set a
 function of n_sector_max only) plus one JSON with full per-point detail.
 Sweep points are content-addressed by config hash, readout scheme version
 and emit flags under ``<outputs>/points/`` so a rerun reuses finished
-points byte-identically.
+points byte-identically; with ``emit.gdump`` each point also stores its
+propagator as ``<tag>-u.npy``.
 The ``DIRACPAIRS_OUTDIR`` environment variable overrides the output
 directory.
 
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,7 +38,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
 # Part of every sweep point's cache key; bump whenever the readout of an
 # unchanged config or the row format changes, so points cached by an older
 # scheme are redone.
-SCHEME_VERSION = 11
+SCHEME_VERSION = 12
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
@@ -176,6 +178,20 @@ def _point_config(spec: SweepSpec, value) -> RunConfig:
     raise ValidationError(f"spec.sweep_axis: unknown axis {spec.sweep_axis!r}")
 
 
+def _write_whole(path: str, write) -> None:
+    """``write(fh)`` into a binary temporary file of its own next to
+    ``path``, then rename it into place: the file is written whole or not
+    at all, and sweeps that write the same point never share a temporary."""
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def run_sweep(spec: SweepSpec) -> dict:
     """Run all sweep points; returns {"csv": path, "json": path}.
 
@@ -220,19 +236,15 @@ def run_sweep(spec: SweepSpec) -> dict:
             g = dynamics.extract_g_blocks(u, basis, config)
             row = _readout(config, basis, u, g, float(value))
             if gdump:
-                for name, matrix in (("u", u.matrix), ("gpm", g.g_pm),
-                                     ("gmm", g.g_mm)):
-                    dynamics.dump_complex_matrix(
-                        os.path.join(points_dir, f"{tag}-{name}.bin"), matrix)
+                _write_whole(os.path.join(points_dir, f"{tag}-u.npy"),
+                             lambda fh: np.save(fh, u.matrix))
         except (ValidationError, NumericalToleranceError) as exc:
             row = ResultRow(sweep_value=float(value),
                             plateau_cycles=config.window.plateau_cycles,
                             total_cycles=config.window.total_cycles,
                             error=f"{type(exc).__name__}: {exc}")
-        # written whole or not at all, so an interrupted sweep can resume
-        with open(cache + ".tmp", "w") as fh:
-            json.dump(row_to_dict(row), fh, sort_keys=True)
-        os.replace(cache + ".tmp", cache)
+        text = json.dumps(row_to_dict(row), sort_keys=True)
+        _write_whole(cache, lambda fh: fh.write(text.encode()))
         rows.append(row)
 
     k = spec.base.numerics.n_sector_max
@@ -351,15 +363,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_preset(args) -> int:
+    _check_flag("--emit-config", args.emit_config,
+                "given: emitting the config is all preset does")
     presets = figure_configs()
     if args.name not in presets:
         raise ValidationError(f"preset: unknown name {args.name!r}; "
                               f"have {sorted(presets)}")
     config, meta = presets[args.name]
-    if args.emit_config:
-        text = json.dumps({**config_to_dict(config), "_meta": meta},
-                          indent=2, sort_keys=True)
-        _write_text(text + "\n", args.out)
+    text = json.dumps({**config_to_dict(config), "_meta": meta},
+                      indent=2, sort_keys=True)
+    _write_text(text + "\n", args.out)
     return 0
 
 

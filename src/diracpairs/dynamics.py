@@ -32,7 +32,6 @@ plateau length.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -79,7 +78,6 @@ class GBlocks:
 
     g_pm: np.ndarray   # band plus  <- band minus
     g_mm: np.ndarray   # band minus <- band minus
-    column_defect: float = 0.0
 
 
 @lru_cache(maxsize=8)
@@ -238,28 +236,6 @@ def extract_g_blocks(u: Propagator, basis: ModeBasis, config: RunConfig) -> GBlo
     if u.t_span_cycles != (0.0, float(config.window.total_cycles)):
         raise ValidationError("extract_g_blocks: u must span the window, "
                               "whose envelope vanishes at both endpoints")
-    m = u.matrix
     plus, minus = basis.plus_indices, basis.minus_indices
-    g_pm = m[np.ix_(plus, minus)]
-    g_mm = m[np.ix_(minus, minus)]
-    col_sums = np.sum(np.abs(g_pm) ** 2, axis=0) + np.sum(np.abs(g_mm) ** 2, axis=0)
-    return GBlocks(g_pm=g_pm, g_mm=g_mm,
-                   column_defect=float(np.max(np.abs(col_sums - 1.0))))
-
-
-# ---------------------------------------------------------------------------
-# Binary dumps: uint64 rows, uint64 cols, then row-major complex128 payload.
-# ---------------------------------------------------------------------------
-
-def dump_complex_matrix(path, m: np.ndarray) -> None:
-    m = np.ascontiguousarray(m, dtype=complex)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        fh.write(m.tobytes())
-
-
-def load_complex_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype=complex)
-    return data.reshape(rows, cols).copy()
+    return GBlocks(g_pm=u.matrix[np.ix_(plus, minus)],
+                   g_mm=u.matrix[np.ix_(minus, minus)])

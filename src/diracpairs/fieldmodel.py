@@ -38,36 +38,30 @@ JONES_LEFT = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
 JONES_RIGHT = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
 
 
-def envelope(t_cycles: float, window: WindowParams) -> float:
-    """Window value at a time given in laser cycles.
-
-    Zero outside [0, 2*ramp + plateau], sin^2 ramps, flat plateau; C^1 at
-    the joints because sin^2 has zero slope there.
-    """
-    ramp = window.ramp_cycles
+def _ramp_time(t_cycles: float, window: WindowParams) -> float:
+    """tau = min(t, T - t, R) inside the window (0, T), 0 outside, so that
+    env(T - t) = env(t) by construction."""
     total = window.total_cycles
     if t_cycles <= 0.0 or t_cycles >= total:
         return 0.0
-    if t_cycles < ramp:
-        return math.sin(math.pi * t_cycles / (2.0 * ramp)) ** 2
-    if t_cycles <= total - ramp:
-        return 1.0
-    return math.sin(math.pi * (total - t_cycles) / (2.0 * ramp)) ** 2
+    return min(t_cycles, total - t_cycles, window.ramp_cycles)
+
+
+def envelope(t_cycles: float, window: WindowParams) -> float:
+    """sin^2(pi tau / 2R) at a time in cycles: zero outside [0, T], sin^2
+    ramps, flat plateau; C^1 at the joints, where sin^2 has zero slope."""
+    tau = _ramp_time(t_cycles, window)
+    return math.sin(math.pi * tau / (2.0 * window.ramp_cycles)) ** 2
 
 
 def envelope_derivative(t_cycles: float, window: WindowParams) -> float:
-    """d(envelope)/dt with t in cycles."""
-    ramp = window.ramp_cycles
-    total = window.total_cycles
-    if t_cycles <= 0.0 or t_cycles >= total:
+    """d(envelope)/dt with t in cycles; negative while tau = T - t < t."""
+    tau, ramp = _ramp_time(t_cycles, window), window.ramp_cycles
+    if tau >= ramp or tau <= 0.0:
         return 0.0
-    if t_cycles < ramp:
-        arg = math.pi * t_cycles / (2.0 * ramp)
-        return math.pi / ramp * math.sin(arg) * math.cos(arg)
-    if t_cycles <= total - ramp:
-        return 0.0
-    arg = math.pi * (total - t_cycles) / (2.0 * ramp)
-    return -math.pi / ramp * math.sin(arg) * math.cos(arg)
+    arg = math.pi * tau / (2.0 * ramp)
+    slope = math.pi / ramp * math.sin(arg) * math.cos(arg)
+    return slope if tau == t_cycles else -slope
 
 
 def beam_amplitudes(field: FieldParams) -> tuple:

@@ -2,20 +2,25 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diracpairs
 from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
-                        SweepSpec, UnitarityError, WindowParams,
-                        config_from_dict, config_to_dict, field_from_si,
-                        figure_configs, run_once, run_sweep, with_plateau)
-from diracpairs.cli import (csv_header, csv_row, main, row_from_dict,
-                            row_to_dict, sweep_spec_to_dict)
+                        SweepSpec, UnitarityError, WindowParams, build_basis,
+                        config_from_dict, config_hash, config_to_dict,
+                        cycle_compose, field_from_si, figure_configs,
+                        propagator_segments, run_once, run_sweep,
+                        with_plateau)
+from diracpairs.cli import (build_parser, csv_header, csv_row, main,
+                            row_from_dict, row_to_dict, sweep_spec_to_dict)
 
 
 def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
@@ -236,7 +241,7 @@ class TestSweep:
 
         def poison_points(outdir):
             # stand-in for rows an older readout or other emit flags left
-            for path in (outdir / "points").iterdir():
+            for path in (outdir / "points").glob("*.json"):
                 row = json.loads(path.read_text())
                 row.update(c=[], pair_list=[], error="stale cached row")
                 path.write_text(json.dumps(row))
@@ -262,7 +267,22 @@ class TestSweep:
         rows = sweep_rows(spec_in(no_gdump, gdump=True))
         assert all(r.error == "" and r.pair_list for r in rows)
         assert len([f for f in os.listdir(no_gdump / "points")
-                    if f.endswith(".bin")]) == 6
+                    if f.endswith("-u.npy")]) == 2
+
+        # points an older scheme cached with its dumps (in another format)
+        # are redone, and each gets its propagator dump
+        old_dumps = tmp_path / "old_dumps"
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod, "SCHEME_VERSION", cli_mod.SCHEME_VERSION - 1)
+            sweep_rows(spec_in(old_dumps, gdump=True))
+        for path in (old_dumps / "points").glob("*-u.npy"):
+            path.rename(path.with_suffix(".bin"))
+        poison_points(old_dumps)
+        rows = sweep_rows(spec_in(old_dumps, gdump=True))
+        assert all(r.error == "" and r.pair_list for r in rows)
+        current = f"-v{cli_mod.SCHEME_VERSION}-g-u.npy"
+        assert len([f for f in os.listdir(old_dumps / "points")
+                    if f.endswith(current)]) == 2
 
     def test_cached_point_takes_the_current_sweep_value(self, tmp_path):
         # plateau_cycles = 2 and k0_z = 0 name the same config, so the k0_z
@@ -350,10 +370,12 @@ class TestSweep:
         # moving the subspace origin changes the pair content
         assert rows[0].cv_abs2 != rows[1].cv_abs2
         # gdump holds on every sweep axis, not only plateau_cycles
-        dumped = [f for f in os.listdir(tmp_path / "points")
-                  if f.endswith(".bin")]
-        assert sorted(f.rsplit("-", 1)[1] for f in dumped) == \
-            ["gmm.bin", "gmm.bin", "gpm.bin", "gpm.bin", "u.bin", "u.bin"]
+        dumped = sorted(f for f in os.listdir(tmp_path / "points")
+                        if not f.endswith(".json"))
+        assert [f.rsplit("-", 1)[1] for f in dumped] == ["u.npy", "u.npy"]
+        for f in dumped:
+            m = np.load(tmp_path / "points" / f)
+            assert m.shape == (12, 12) and m.dtype == np.complex128
 
     def test_emit_flags_control_outputs(self, tmp_path):
         config = desk_config(plateau=1)
@@ -367,13 +389,67 @@ class TestSweep:
         assert row["pair_list"]
         assert len(row["c"]) == 3 and all(x is not None for x in row["c"])
         dumped = [f for f in os.listdir(tmp_path / "points")
-                  if f.endswith(".bin")]
-        assert {f.rsplit("-", 1)[1] for f in dumped} == \
-            {"u.bin", "gpm.bin", "gmm.bin"}
-        from diracpairs import load_complex_matrix
-        u_file = next(f for f in dumped if f.endswith("u.bin"))
-        m = load_complex_matrix(tmp_path / "points" / u_file)
-        assert m.shape == (12, 12)
+                  if not f.endswith(".json")]
+        assert [f.rsplit("-", 1)[1] for f in dumped] == ["u.npy"]
+        m = np.load(tmp_path / "points" / dumped[0])
+        assert m.shape == (12, 12) and m.dtype == np.complex128
+
+    def test_gdump_stores_the_propagator_alone(self, tmp_path):
+        import diracpairs.cli as cli_mod
+        config = desk_config()
+        values = [0, 57, 120]
+        run_sweep(SweepSpec(base=config, sweep_axis="plateau_cycles",
+                            values=values, outputs=str(tmp_path),
+                            emit={"gdump": True}))
+        basis = build_basis(config.numerics, config.field)
+        segments = propagator_segments(with_plateau(config, 0), basis)
+        names = set()
+        for j in values:
+            tag = (f"{config_hash(with_plateau(config, j))}"
+                   f"-v{cli_mod.SCHEME_VERSION}-g")
+            names |= {f"{tag}.json", f"{tag}-u.npy"}
+            dumped = np.load(tmp_path / "points" / f"{tag}-u.npy")
+            composed = cycle_compose(*segments, j).matrix
+            assert dumped.dtype == composed.dtype == np.complex128
+            assert dumped.shape == composed.shape
+            assert dumped.tobytes() == composed.tobytes()
+        assert set(os.listdir(tmp_path / "points")) == names
+
+    @pytest.mark.parametrize("gdump", [False, True])
+    def test_concurrent_sweeps_share_points(self, tmp_path, monkeypatch,
+                                            gdump):
+        # fig2 and fig3 have one config, so their sweeps into one output
+        # directory write the same point files; here a second sweep runs to
+        # completion just before the first renames its first file
+        spec = SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                         values=[0, 1, 2], outputs=str(tmp_path / "shared"),
+                         emit={"gdump": gdump})
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(sweep_spec_to_dict(spec)))
+        rename = os.replace
+        nested = []
+
+        def interleaved(src, dst):
+            if not nested:
+                nested.append(dst)
+                assert main(["sweep", "--spec", str(spec_path)]) == 0
+            rename(src, dst)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", interleaved)
+            assert main(["sweep", "--spec", str(spec_path)]) == 0
+        assert nested
+        monkeypatch.setenv("DIRACPAIRS_OUTDIR", str(tmp_path / "solo"))
+        assert main(["sweep", "--spec", str(spec_path)]) == 0
+
+        def tree(outdir):
+            return {str(p.relative_to(outdir)): p.read_bytes()
+                    for p in outdir.rglob("*") if p.is_file()}
+
+        shared = tree(tmp_path / "shared")
+        assert shared == tree(tmp_path / "solo")
+        assert len(shared) == 2 + 3 * (2 if gdump else 1)
+        assert not any(name.endswith(".tmp") for name in shared)
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -479,6 +555,33 @@ class TestCommandLine:
 
     def test_preset_unknown_name_exit_2(self, capsys):
         assert main(["preset", "--name", "fig9", "--emit-config"]) == 2
+
+    def test_preset_without_emit_config_exit_2(self, capsys):
+        # emitting is all the command does, so without the flag it would
+        # silently do nothing
+        assert main(["preset", "--name", "fig2"]) == 2
+        captured = capsys.readouterr()
+        assert "--emit-config: must be given" in captured.err
+        assert captured.out == ""
+
+    def test_readme_commands_parse(self):
+        # every command line in the README's sh blocks is one the parser
+        # takes, and together they show every subcommand
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+            for line in block.splitlines():
+                words = shlex.split(line, comments=True)
+                if words[:1] == ["diracpairs"]:
+                    commands.append(words[1:])
+                elif words[:3] == ["python", "-m", "diracpairs"]:
+                    commands.append(words[3:])
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+        subcommands = next(a.choices for a in parser._actions
+                           if a.dest == "command")
+        assert {argv[0] for argv in commands} == set(subcommands)
 
     def test_run_writes_outputs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DIRACPAIRS_OUTDIR", str(tmp_path / "out"))

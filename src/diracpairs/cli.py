@@ -199,7 +199,8 @@ def run_sweep(spec: SweepSpec) -> dict:
     turn-off propagators, which are integrated again only when a point
     differs from the previous one in more than its plateau length.  Failed
     points are recorded with their error string and the sweep continues; a
-    point file that cannot be read back is redone.
+    point file that cannot be read back, or with gdump on a point without
+    its dump, is redone.
     """
     if not spec.values:
         raise ValidationError("spec.values: must be non-empty")
@@ -216,12 +217,15 @@ def run_sweep(spec: SweepSpec) -> dict:
     for value, config in zip(spec.values, configs):
         tag = config_hash(config) + key_suffix
         cache = os.path.join(points_dir, f"{tag}.json")
+        dump = os.path.join(points_dir, f"{tag}-u.npy")
         try:
             with open(cache) as fh:
                 row = row_from_dict(json.load(fh))
         except (FileNotFoundError, ValueError):
-            pass    # not cached, or a write cut short: redo the point
-        else:
+            row = None    # not cached, or a write cut short: redo the point
+        # with gdump on, a point whose dump is gone is redone as well
+        if row is not None and (not gdump or row.error
+                                or os.path.exists(dump)):
             # the same point may have been cached by a sweep along another axis
             rows.append(replace(row, sweep_value=float(value)))
             continue
@@ -236,8 +240,7 @@ def run_sweep(spec: SweepSpec) -> dict:
             g = dynamics.extract_g_blocks(u, basis, config)
             row = _readout(config, basis, u, g, float(value))
             if gdump:
-                _write_whole(os.path.join(points_dir, f"{tag}-u.npy"),
-                             lambda fh: np.save(fh, u.matrix))
+                _write_whole(dump, lambda fh: np.save(fh, u.matrix))
         except (ValidationError, NumericalToleranceError) as exc:
             row = ResultRow(sweep_value=float(value),
                             plateau_cycles=config.window.plateau_cycles,

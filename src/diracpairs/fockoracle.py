@@ -17,19 +17,19 @@ list carries the permutation sign that the determinant path gives it.
 Gamma is linear in h and takes h^dag to Gamma(h)^dag.  With
 H(t) = H0 + c(t) K + h.c. (see ``dynamics``), Gamma(H0) and Gamma(K) are
 built once, and the vacuum is stepped with Gamma(H0) + c Gamma(K) +
-conj(c) Gamma(K)^dag along the same (c, dt) midpoint sequence as the
-chain integrator, directly over the full window.  Only small bases are
-accepted: this is a test oracle, not a solver.
+conj(c) Gamma(K)^dag along the chain integrator's (c, dt) midpoint steps
+over the full window, by a Taylor series of one order per run.  Only small
+bases are accepted: this is a test oracle, not a solver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import expm_multiply
 
 from .dynamics import field_coupling, midpoint_steps
 from .errors import FockDimensionError, NormDriftError
@@ -39,6 +39,8 @@ from .physconfig import RunConfig
 
 MAX_SINGLE_PARTICLE_DIM = 16
 NORM_TOL = 1e-8
+TAYLOR_TOL = 1e-14      # summed truncation bound over all steps of a run
+SUBSTEP_BOUND = 4.0     # theta: largest ||-i dt H||_1 of one Taylor step
 
 
 def _mask(modes) -> int:
@@ -109,20 +111,30 @@ def second_quantize(h: np.ndarray, basis: ModeBasis,
 def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     """Evolve |0> over the full window with the midpoint rule.
 
-    Second quantization is linear, so the many-body Hamiltonian of each
-    step is Gamma(H0) + c Gamma(K) + conj(c) Gamma(K)^dag, with Gamma(H0)
-    and Gamma(K) built once on one sparsity pattern, so that a step only
-    rewrites the data of one matrix.  The (c, dt) steps are those of
-    ``dynamics.midpoint_steps``, taken directly through all 2*ramp +
-    plateau cycles with no composition and no time-reversal fold, so the
-    oracle is an independent reference for the composed propagator and the
-    comparison is free of discretization error.
+    The (c, dt) steps are ``dynamics.midpoint_steps`` through every cycle,
+    with no composition or fold: the oracle is an independent reference.  A
+    step sets one matrix's data to -i dt (Gamma(H0) + c Gamma(K) + h.c.) and
+    sums its Taylor series to one order m for the run.  With the bound b =
+    max|dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 + ||Gamma(K)^dag||_1)),
+    a step is s = ceil(b / SUBSTEP_BOUND) equal sub-steps (exact for constant
+    H) and m is the least with len(steps) s (b/s)^(m+1)/(m+1)! < TAYLOR_TOL.
     """
     check_dimension(basis)
     fock = FockBasis(basis.plus_indices, basis.minus_indices)
-    h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)
-    k = second_quantize(field_coupling(basis, config.field), basis, fock)
+    with np.errstate(invalid="ignore"):     # a non-finite H fails the bound
+        h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)
+        k = second_quantize(field_coupling(basis, config.field), basis, fock)
     terms = (h0, k, k.conj().T.tocsr())
+    steps = list(midpoint_steps(config, 0.0, float(config.window.total_cycles)))
+    n_h0, n_k, n_kdag = (abs(m).sum(axis=0).max() for m in terms)
+    bound = (max(abs(dt) for _, dt in steps)
+             * (n_h0 + max(abs(c) for c, _ in steps) * (n_k + n_kdag)))
+    if not math.isfinite(bound):
+        raise NormDriftError("fockoracle: the many-body H0 or K is not finite")
+    splits = max(1, math.ceil(bound / SUBSTEP_BOUND))
+    order, tail = 0, bound / splits     # tail: b^(m+1)/(m+1)! at m = order
+    while len(steps) * splits * tail >= TAYLOR_TOL:
+        order, tail = order + 1, tail * bound / splits / (order + 2)
     # summed magnitudes keep every stored entry: no cancellation drops one
     op = sum(abs(m) for m in terms).astype(complex)
     pattern = op.tocoo()
@@ -131,12 +143,15 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
 
     psi = np.zeros(fock.dim, dtype=complex)
     psi[fock.index[fock.sea]] = 1.0
-    for c, dt in midpoint_steps(config, 0.0, float(config.window.total_cycles)):
-        op.data[:] = -1.0j * dt * (h0 + c * k + np.conj(c) * k_dag)
-        psi = expm_multiply(op, psi)
+    for c, dt in steps:
+        op.data[:] = (-1.0j * dt / splits) * (h0 + c * k + np.conj(c) * k_dag)
+        for _ in range(splits):
+            term = psi
+            for j in range(1, order + 1):
+                psi = psi + (term := op @ term / j)
 
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:     # NaN fails too
         raise NormDriftError(
             f"fockoracle: norm drift {drift:.3e} exceeds {NORM_TOL:.1e}")
     return ManyBodyState(amplitudes=psi, fock=fock, norm_drift=drift)

@@ -415,6 +415,52 @@ class TestSweep:
             assert dumped.tobytes() == composed.tobytes()
         assert set(os.listdir(tmp_path / "points")) == names
 
+    def test_gdump_point_without_its_dump_is_redone(self, tmp_path,
+                                                    monkeypatch):
+        import diracpairs.cli as cli_mod
+        config = desk_config()
+        spec = SweepSpec(base=config, sweep_axis="plateau_cycles",
+                         values=[0, 1, 2], outputs=str(tmp_path),
+                         emit={"gdump": True})
+        paths = run_sweep(spec)
+        first = {name: Path(path).read_bytes() for name, path in paths.items()}
+        tag = f"{config_hash(with_plateau(config, 1))}-v{cli_mod.SCHEME_VERSION}-g"
+        (tmp_path / "points" / f"{tag}-u.npy").unlink()
+        composed = []
+        compose = cli_mod.dynamics.cycle_compose
+
+        def counted(*args):
+            composed.append(args[-1])
+            return compose(*args)
+
+        monkeypatch.setattr(cli_mod.dynamics, "cycle_compose", counted)
+        assert {name: Path(path).read_bytes()
+                for name, path in run_sweep(spec).items()} == first
+        assert composed == [1]
+        basis = build_basis(config.numerics, config.field)
+        segments = propagator_segments(with_plateau(config, 0), basis)
+        dumped = np.load(tmp_path / "points" / f"{tag}-u.npy")
+        assert dumped.tobytes() == compose(*segments, 1).matrix.tobytes()
+
+    def test_gdump_error_point_stays_cached(self, tmp_path, monkeypatch):
+        # a failed point has no dump to look for
+        import diracpairs.cli as cli_mod
+        spec = SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                         values=[0, -3], outputs=str(tmp_path),
+                         emit={"gdump": True})
+        first = Path(run_sweep(spec)["json"]).read_bytes()
+        assert len(os.listdir(tmp_path / "points")) == 3
+        validated = []
+        validate = cli_mod.validate
+
+        def spy(config):
+            validated.append(config.window.plateau_cycles)
+            return validate(config)
+
+        monkeypatch.setattr(cli_mod, "validate", spy)
+        assert Path(run_sweep(spec)["json"]).read_bytes() == first
+        assert validated == [1]      # the spec's base alone: no point redone
+
     @pytest.mark.parametrize("gdump", [False, True])
     def test_concurrent_sweeps_share_points(self, tmp_path, monkeypatch,
                                             gdump):
@@ -552,6 +598,17 @@ class TestCommandLine:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert config_from_dict(json.loads(proc.stdout)).field.omega == 0.746
+
+    def test_cli_import_leaves_sparse_linalg_out(self):
+        # scipy.sparse.linalg costs import time and memory, and nothing in
+        # the package needs it
+        src = os.path.dirname(os.path.dirname(diracpairs.__file__))
+        code = ("import sys, diracpairs.cli; "
+                "assert 'scipy.sparse.linalg' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_preset_unknown_name_exit_2(self, capsys):
         assert main(["preset", "--name", "fig9", "--emit-config"]) == 2
@@ -719,6 +776,16 @@ class TestCommandLine:
         lines = table.read_text().splitlines()
         assert lines[0] == "N,electrons,positrons,re,im"
         assert len(lines) > 100  # all charge-zero sectors of the 6+6 basis
+
+    def test_oracle_check_norm_drift_exit_3(self, tmp_path, capsys,
+                                            monkeypatch):
+        import diracpairs.fockoracle as fockoracle_mod
+        monkeypatch.setattr(fockoracle_mod, "NORM_TOL", 0.0)
+        cfg_path = self.write_config(tmp_path, desk_config())
+        assert main(["oracle-check", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical tolerance failure: ")
+        assert "norm drift" in err
 
     def test_dump_basis_columns(self, tmp_path):
         cfg_path = self.write_config(tmp_path, desk_config())

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
+import diracpairs.fockoracle as fockoracle_mod
 from diracpairs import (FieldParams, FockBasis, FockDimensionError,
-                        HelicityRelation, assemble_hamiltonian, envelope,
+                        HelicityRelation, NormDriftError, assemble_hamiltonian,
+                        envelope, figure_configs,
                         NumericsParams, RunConfig, WindowParams, build_basis,
                         extract_g_blocks, field_from_si, multi_pair_amplitude,
                         pair_amplitudes, propagate, propagate_vacuum,
                         read_amplitude, second_quantize,
                         sector_observables, sector_probabilities_exact,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
-from diracpairs.dynamics import field_coupling
+from diracpairs.dynamics import field_coupling, midpoint_steps
 from diracpairs.fockoracle import ManyBodyState, _ket_sign
 from diracpairs.physconfig import validate
 
@@ -252,24 +255,112 @@ class TestTwoModeToy:
         assert fock_amp == pytest.approx(det_amp, abs=1e-12)
         assert abs(fock_amp) > 1e-3  # the toy actually creates pairs
 
-    def test_two_level_closed_form(self):
+    def closed_form(self):
+        """(<0|out>, <b+_n a+_m 0|out>) of the 2x2 Rabi problem."""
         # the pair sector reduces to a 2x2 Rabi problem over
         # {|0>, a+_m b+_n |0>}, where the coupling is +v (the h_mn a+_m b+_n
         # term of Gamma(h)), and the ket b+ a+ |0> flips sign
-        state = self.evolve()
         e_plus = self.basis.energies[self.basis.plus_indices[self.m]]
         e_minus = self.basis.energies[self.basis.minus_indices[self.n]]
         tr_minus = self.basis.energies[self.basis.minus_indices].sum()
         h2 = np.array([[tr_minus, np.conj(self.v)],
                        [self.v, tr_minus + e_plus - e_minus]])
         u2 = expm(-1j * self.t * h2)
-        assert vacuum_overlap(state) == pytest.approx(u2[0, 0], abs=1e-12)
         ket_sign = -1.0  # b+ a+ |0> = -a+ b+ |0>
+        return u2[0, 0], ket_sign * u2[1, 0]
+
+    def test_two_level_closed_form(self):
+        state = self.evolve()
+        vacuum, pair = self.closed_form()
+        assert vacuum_overlap(state) == pytest.approx(vacuum, abs=1e-12)
         assert read_amplitude(state, [self.m], [self.n]) == pytest.approx(
-            ket_sign * u2[1, 0], abs=1e-12)
+            pair, abs=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_oracle_stepping_reaches_closed_form(self, monkeypatch, n_steps):
+        # the toy's constant h as the oracle's H0 + c K + conj(c) K^dag with
+        # c = v, stepped by propagate_vacuum: its Taylor order and sub-step
+        # rule (b = 13.6 for the single step, so 4 sub-steps) must reach
+        # the closed form; a looser truncation target drops terms, and the
+        # norm gate sees it
+        k = np.zeros_like(self.h)
+        k[self.basis.plus_indices[self.m], self.basis.minus_indices[self.n]] = 1
+        monkeypatch.setattr(fockoracle_mod, "field_coupling", lambda *_: k)
+        monkeypatch.setattr(fockoracle_mod, "midpoint_steps", lambda *_: [
+            (self.v, self.t / n_steps)] * n_steps)
+        vacuum, pair = self.closed_form()
+        state = propagate_vacuum(small_config(), self.basis)
+        assert vacuum_overlap(state) == pytest.approx(vacuum, abs=1e-12)
+        assert read_amplitude(state, [self.m], [self.n]) == pytest.approx(
+            pair, abs=1e-12)
+        monkeypatch.setattr(fockoracle_mod, "TAYLOR_TOL", 1e-4)
+        with pytest.raises(NormDriftError, match="norm drift"):
+            propagate_vacuum(small_config(), self.basis)
+
+
+def bench_oracle_config():
+    """The benchmark's oracle_check input at seed 0: fig2 at n_cut 1 and 256
+    steps per cycle over ramp 1 and plateau 2, b = 0.366."""
+    config = figure_configs()["fig2"][0]
+    return validate(replace(
+        config, window=WindowParams(ramp_cycles=1, plateau_cycles=2),
+        numerics=replace(config.numerics, n_cut=1, steps_per_cycle=256,
+                         prune_threshold=0.0, n_sector_max=6)))
+
+
+def stepping_terms(config, basis):
+    """(Fock basis, Gamma(H0), Gamma(K), the whole window's (c, dt) steps)."""
+    fock = fock_of(basis)
+    h0 = second_quantize(np.diag(basis.energies).astype(complex), basis, fock)
+    k = second_quantize(field_coupling(basis, config.field), basis, fock)
+    steps = list(midpoint_steps(config, 0.0, float(config.window.total_cycles)))
+    return fock, h0, k, steps
+
+
+def step_bound(config, basis):
+    """max|dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 + ||Gamma(K)^dag||_1))
+    over the midpoint steps of the whole window."""
+    _, h0, k, steps = stepping_terms(config, basis)
+    return (max(abs(dt) for _, dt in steps)
+            * (abs(h0).sum(axis=0).max() + max(abs(c) for c, _ in steps)
+               * (abs(k).sum(axis=0).max() + abs(k).sum(axis=1).max())))
+
+
+def expm_multiply_state(config, basis):
+    """The vacuum stepped by scipy's expm_multiply, one call per midpoint
+    step: the stepping the fixed-order Taylor loop replaced."""
+    fock, h0, k, steps = stepping_terms(config, basis)
+    k_dag = k.conj().T.tocsr()
+    psi = np.zeros(fock.dim, dtype=complex)
+    psi[fock.index[fock.sea]] = 1.0
+    for c, dt in steps:
+        psi = expm_multiply(-1j * dt * (h0 + c * k + np.conj(c) * k_dag), psi)
+    return psi
 
 
 class TestPropagateVacuum:
+    @pytest.mark.parametrize("make_config, splits", [
+        (bench_oracle_config, False),
+        (lambda: oracle_config(1), True),       # b = 6.74 over 160 steps
+    ], ids=["bench-input", "past-substep-bound"])
+    def test_matches_expm_multiply_stepping(self, make_config, splits):
+        config = make_config()
+        basis = build_basis(config.numerics, config.field)
+        bound = step_bound(config, basis)
+        assert (bound > fockoracle_mod.SUBSTEP_BOUND) == splits
+        state = propagate_vacuum(config, basis)
+        reference = expm_multiply_state(config, basis)
+        assert np.max(np.abs(state.amplitudes - reference)) <= 1e-13
+
+    def test_non_finite_hamiltonian_refused(self):
+        # validate accepts k0 = 1e200, whose energies overflow to inf
+        config = figure_configs()["fig2"][0]
+        config = validate(replace(config, numerics=replace(
+            config.numerics, n_cut=1, k0_offset=(0.0, 0.0, 1e200))))
+        basis = build_basis(config.numerics, config.field)
+        with pytest.raises(NormDriftError, match="H0 or K is not finite"):
+            propagate_vacuum(config, basis)
+
     def test_zero_field_stays_vacuum_with_sea_phase(self):
         config = small_config()
         field = replace(config.field, e_peak=0.0)
@@ -445,15 +536,11 @@ class TestCrossPathEquivalence:
             assert read_amplitude(state, swapped, positrons) == -fock_amp
 
 
-@st.composite
-def oracle_configs(draw):
-    """Small runs around the two presets: either helicity relation, any
+def oracle_config(seed):
+    """A small run around the two presets: either helicity relation, any
     polarization angle, k0 shifted along z and, in about a third of the
-    draws, transverse (k0_y != 0 disables the time-reversal fold).
-
-    The values come from a drawn seed, which spreads 20 examples over the
-    whole box more evenly than hypothesis's own mutations of a few."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    seeds, transverse (k0_y != 0 disables the time-reversal fold)."""
+    rng = np.random.default_rng(seed)
     transverse = rng.integers(3) == 0
     relation = rng.choice(list(HelicityRelation))
     alpha_plus = rng.uniform(0.0, math.pi / 2)
@@ -470,6 +557,13 @@ def oracle_configs(draw):
                             plateau_cycles=int(rng.integers(0, 4))),
         numerics=NumericsParams(n_cut=1, steps_per_cycle=32,
                                 k0_offset=tuple(map(float, k0)))))
+
+
+@st.composite
+def oracle_configs(draw):
+    """``oracle_config`` of a drawn seed, which spreads 20 examples over the
+    whole box more evenly than hypothesis's own mutations of a few."""
+    return oracle_config(draw(st.integers(0, 2 ** 32 - 1)))
 
 
 class TestOracleProperty:

@@ -2,10 +2,11 @@
 
 Results go out as one CSV per sweep (plot-ready time series, column set a
 function of n_sector_max only) plus one JSON with full per-point detail.
-Sweep points are content-addressed by config hash, readout scheme version
-and emit flags under ``<outputs>/points/`` so a rerun reuses finished
-points byte-identically; with ``emit.gdump`` each point also stores its
-propagator as ``<tag>-u.npy``.
+Sweep points are cached as ``<outputs>/points/<code digest>/<config
+hash>.json``, so a rerun reuses finished points byte-identically and any
+change to the package's source or to numpy's or scipy's version recomputes
+them; with ``emit.gdump`` each point also stores its propagator next to its
+row as ``<config hash>-u.npy``.
 The ``DIRACPAIRS_OUTDIR`` environment variable overrides the output
 directory.
 
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import hashlib
 import json
 import math
 import os
@@ -25,6 +28,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy
 
 from . import dynamics, fockoracle, multipair
 from .errors import NumericalToleranceError, ValidationError
@@ -34,11 +38,6 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          HelicityRelation, config_from_dict, config_to_dict,
                          config_hash, field_from_si, validate, with_plateau,
                          _parse, _plain)
-
-# Part of every sweep point's cache key; bump whenever the readout of an
-# unchanged config or the row format changes, so points cached by an older
-# scheme are redone.
-SCHEME_VERSION = 12
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 
@@ -73,7 +72,8 @@ class SweepSpec:
     sweep_axis: str              # plateau_cycles | alpha_plus | k0_z
     values: list[float]
     outputs: str = "out"
-    emit: dict[str, bool] = field(default_factory=dict)  # gdump; other keys ignored
+    # gdump, which is not part of a point's cache key; other keys are ignored
+    emit: dict[str, bool] = field(default_factory=dict)
 
 
 def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
@@ -192,6 +192,19 @@ def _write_whole(path: str, write) -> None:
     os.replace(tmp, path)
 
 
+@functools.cache
+def _code_digest() -> str:
+    """Hash of the package's sources and numpy's and scipy's versions: the
+    point cache's directory, so points of other code are never read back."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            digest.update(f"{name}\0".encode() + fh.read() + b"\0")
+    digest.update(f"{np.__version__}\0{scipy.__version__}".encode())
+    return digest.hexdigest()[:16]
+
+
 def run_sweep(spec: SweepSpec) -> dict:
     """Run all sweep points; returns {"csv": path, "json": path}.
 
@@ -207,15 +220,14 @@ def run_sweep(spec: SweepSpec) -> dict:
     validate(spec.base)
     configs = [_point_config(spec, value) for value in spec.values]
     outdir = os.environ.get("DIRACPAIRS_OUTDIR", spec.outputs)
-    points_dir = os.path.join(outdir, "points")
+    points_dir = os.path.join(outdir, "points", _code_digest())
     os.makedirs(points_dir, exist_ok=True)
     gdump = bool(spec.emit.get("gdump", False))
-    key_suffix = f"-v{SCHEME_VERSION}-{'g' if gdump else ''}"
 
     segments_for = None
     rows = []
     for value, config in zip(spec.values, configs):
-        tag = config_hash(config) + key_suffix
+        tag = config_hash(config)
         cache = os.path.join(points_dir, f"{tag}.json")
         dump = os.path.join(points_dir, f"{tag}-u.npy")
         try:

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,6 +31,51 @@ def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
         window=WindowParams(ramp_cycles=1, plateau_cycles=plateau),
         numerics=NumericsParams(n_cut=n_cut, steps_per_cycle=steps,
                                 n_sector_max=n_sector_max))
+
+
+def points_dir(outdir):
+    """The one ``points/<code digest>/`` directory under a sweep's outputs."""
+    (digest_dir,) = (Path(outdir) / "points").iterdir()
+    return digest_dir
+
+
+def file_tree(root):
+    """Relative path -> bytes of every file under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in Path(root).rglob("*") if p.is_file()}
+
+
+@pytest.fixture
+def composed(monkeypatch):
+    """Plateau lengths of the sweep points composed, not read from cache."""
+    import diracpairs.cli as cli_mod
+    calls = []
+    compose = cli_mod.dynamics.cycle_compose
+
+    def counted(*args):
+        calls.append(args[-1])
+        return compose(*args)
+
+    monkeypatch.setattr(cli_mod.dynamics, "cycle_compose", counted)
+    return calls
+
+
+# Runs `sweep --spec ARGV[1]` with cycle_compose counted and reports, as the
+# last line of its output, which cli module ran and the points it composed.
+SWEEP_COUNTING_COMPOSE = """\
+import json, sys
+from diracpairs import cli
+composed = []
+compose = cli.dynamics.cycle_compose
+
+def counted(*args):
+    composed.append(args[-1])
+    return compose(*args)
+
+cli.dynamics.cycle_compose = counted
+assert cli.main(["sweep", "--spec", sys.argv[1]]) == 0
+print(json.dumps({"cli": cli.__file__, "composed": composed}))
+"""
 
 
 class TestFigureConfigs:
@@ -191,21 +237,20 @@ class TestSweep:
         assert row.cv_abs2 == pytest.approx(direct.cv_abs2, abs=1e-12)
         assert np.allclose(row.c, direct.c, atol=1e-12)
 
-    def test_resumability_reuses_points(self, tmp_path):
+    def test_resumability_reuses_points(self, tmp_path, composed):
         config = desk_config()
         spec = SweepSpec(base=config, sweep_axis="plateau_cycles",
                          values=[0, 1, 2], outputs=str(tmp_path))
         paths = run_sweep(spec)
-        with open(paths["csv"]) as fh:
-            first = fh.read()
-        points = sorted(os.listdir(tmp_path / "points"))
-        stamps = {p: os.path.getmtime(tmp_path / "points" / p) for p in points}
+        first = {name: Path(path).read_bytes() for name, path in paths.items()}
+        points = points_dir(tmp_path)
+        stamps = {p: p.stat().st_mtime_ns for p in points.iterdir()}
+        assert len(stamps) == 3 and composed == [0, 1, 2]
         paths = run_sweep(spec)
-        with open(paths["csv"]) as fh:
-            second = fh.read()
-        assert first == second
-        for p in points:
-            assert os.path.getmtime(tmp_path / "points" / p) == stamps[p]
+        assert {name: Path(path).read_bytes()
+                for name, path in paths.items()} == first
+        assert composed == [0, 1, 2]     # the rerun composed nothing
+        assert {p: p.stat().st_mtime_ns for p in points.iterdir()} == stamps
 
     def test_interrupted_sweep_resumes(self, tmp_path):
         # a sweep killed while writing a point leaves a file cut short; one
@@ -221,7 +266,7 @@ class TestSweep:
                     .read_bytes() for ext in ("csv", "json")]
 
         first = sweep()
-        cut, misshapen = sorted((tmp_path / "out" / "points").iterdir())[:2]
+        cut, misshapen = sorted(points_dir(tmp_path / "out").iterdir())[:2]
         whole = {p: p.read_bytes() for p in (cut, misshapen)}
         cut.write_bytes(whole[cut][:len(whole[cut]) // 2])
         misshapen.write_text(json.dumps({"plateau_cycles": "one"}))
@@ -229,60 +274,127 @@ class TestSweep:
         for path in (cut, misshapen):
             assert path.read_bytes() == whole[path]
             row_from_dict(json.loads(path.read_text()))
-        assert len(os.listdir(tmp_path / "out" / "points")) == 3
+        assert len(os.listdir(points_dir(tmp_path / "out"))) == 3
 
-    def test_cache_key_has_scheme_version_and_emit_flags(self, tmp_path,
-                                                         monkeypatch):
+    def test_points_of_other_code_are_not_read(self, tmp_path, monkeypatch):
+        # points cached under another code digest stand in for points an
+        # older numerical scheme computed
         import diracpairs.cli as cli_mod
-
-        def sweep_rows(spec):
-            with open(run_sweep(spec)["json"]) as fh:
-                return [row_from_dict(r) for r in json.load(fh)["rows"]]
-
-        def poison_points(outdir):
-            # stand-in for rows an older readout or other emit flags left
-            for path in (outdir / "points").glob("*.json"):
-                row = json.loads(path.read_text())
-                row.update(c=[], pair_list=[], error="stale cached row")
-                path.write_text(json.dumps(row))
-
-        def spec_in(outdir, **emit):
-            return SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
-                             values=[0, 1], outputs=str(outdir),
-                             emit={"sectors": True, "pairs": True,
-                                   "gdump": False, **emit})
-
-        old_scheme = tmp_path / "old_scheme"
+        spec = SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                         values=[0, 1], outputs=str(tmp_path))
+        older = "0" * 16
         with monkeypatch.context() as m:
-            m.setattr(cli_mod, "SCHEME_VERSION", cli_mod.SCHEME_VERSION - 1)
-            sweep_rows(spec_in(old_scheme))
-        poison_points(old_scheme)
-        rows = sweep_rows(spec_in(old_scheme))
+            m.setattr(cli_mod, "_code_digest", lambda: older)
+            run_sweep(spec)
+        for path in points_dir(tmp_path).glob("*.json"):
+            row = json.loads(path.read_text())
+            row.update(c=[], pair_list=[], error="stale cached row")
+            path.write_text(json.dumps(row))
+        stale = file_tree(tmp_path / "points" / older)
+        with open(run_sweep(spec)["json"]) as fh:
+            rows = [row_from_dict(r) for r in json.load(fh)["rows"]]
         assert all(r.error == "" and r.pair_list for r in rows)
+        # the older directory is left as it was, beside the current one
+        assert file_tree(tmp_path / "points" / older) == stale
+        assert sorted(os.listdir(tmp_path / "points")) == sorted(
+            [older, cli_mod._code_digest()])
 
-        # "sectors" and "pairs" are ignored keys; gdump is the only flag
-        no_gdump = tmp_path / "no_gdump"
-        sweep_rows(spec_in(no_gdump))
-        poison_points(no_gdump)
-        rows = sweep_rows(spec_in(no_gdump, gdump=True))
-        assert all(r.error == "" and r.pair_list for r in rows)
-        assert len([f for f in os.listdir(no_gdump / "points")
-                    if f.endswith("-u.npy")]) == 2
+    def test_code_digest_covers_every_module_and_library(self, tmp_path,
+                                                         monkeypatch):
+        import scipy
+        import diracpairs.cli as cli_mod
+        copy = tmp_path / "diracpairs"
+        shutil.copytree(Path(cli_mod.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(cli_mod, "__file__", str(copy / "cli.py"))
+        digest = cli_mod._code_digest.__wrapped__   # uncached: reads the copy
+        assert digest() == cli_mod._code_digest()
+        modules = sorted(copy.glob("*.py"))
+        assert {m.name for m in modules} >= {"__init__.py", "__main__.py",
+                                             "cli.py", "dynamics.py"}
+        seen = {digest()}
+        for module in modules:
+            text = module.read_bytes()
+            module.write_bytes(text[:-1] + b" ")   # one byte: the last newline
+            seen.add(digest())
+            module.write_bytes(text)
+        for library in (np, scipy):
+            with monkeypatch.context() as m:
+                m.setattr(library, "__version__", "0.0")
+                seen.add(digest())
+        assert len(seen) == 1 + len(modules) + 2
+        assert all(re.fullmatch("[0-9a-f]{16}", d) for d in seen)
 
-        # points an older scheme cached with its dumps (in another format)
-        # are redone, and each gets its propagator dump
-        old_dumps = tmp_path / "old_dumps"
-        with monkeypatch.context() as m:
-            m.setattr(cli_mod, "SCHEME_VERSION", cli_mod.SCHEME_VERSION - 1)
-            sweep_rows(spec_in(old_dumps, gdump=True))
-        for path in (old_dumps / "points").glob("*-u.npy"):
-            path.rename(path.with_suffix(".bin"))
-        poison_points(old_dumps)
-        rows = sweep_rows(spec_in(old_dumps, gdump=True))
-        assert all(r.error == "" and r.pair_list for r in rows)
-        current = f"-v{cli_mod.SCHEME_VERSION}-g-u.npy"
-        assert len([f for f in os.listdir(old_dumps / "points")
-                    if f.endswith(current)]) == 2
+    def test_source_edit_recomputes_every_point(self, tmp_path):
+        # a copy of the package, imported in a subprocess in place of this one
+        copy = tmp_path / "copy"
+        shutil.copytree(Path(diracpairs.__file__).parent, copy / "diracpairs",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        spec = SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                         values=[0, 1, 2], outputs=str(tmp_path / "out"))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(sweep_spec_to_dict(spec)))
+        env = {**os.environ, "PYTHONPATH": str(copy),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        env.pop("DIRACPAIRS_OUTDIR", None)
+
+        def sweep():
+            proc = subprocess.run(
+                [sys.executable, "-c", SWEEP_COUNTING_COMPOSE, str(spec_path)],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+                check=True)
+            report = json.loads(proc.stdout.splitlines()[-1])
+            assert Path(report["cli"]).resolve() == (
+                copy / "diracpairs" / "cli.py").resolve()
+            return report["composed"], [
+                (tmp_path / "out" / f"sweep_plateau_cycles.{ext}").read_bytes()
+                for ext in ("csv", "json")]
+
+        composed, first = sweep()
+        assert composed == [0, 1, 2]
+        older = points_dir(tmp_path / "out")
+        cached = file_tree(older)
+        assert sweep() == ([], first)        # no edit: every point is a hit
+
+        module = copy / "diracpairs" / "multipair.py"
+        text = module.read_bytes()
+        at = text.index(b"    # ") + 6
+        edited = text[:at] + text[at:at + 1].swapcase() + text[at + 1:]
+        assert edited != text
+        module.write_bytes(edited)           # one byte of a comment
+        assert sweep() == ([0, 1, 2], first)
+        assert file_tree(older) == cached
+        assert len(os.listdir(tmp_path / "out" / "points")) == 2
+
+    def test_gdump_sweep_dumps_points_cached_without(self, tmp_path,
+                                                     composed):
+        # rows do not depend on gdump: a gdump sweep over points cached
+        # without it redoes exactly the points that lack a dump and rewrites
+        # their rows byte for byte
+        spec = SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                         values=[0, 1, 2], outputs=str(tmp_path))
+        csv = Path(run_sweep(spec)["csv"]).read_bytes()
+        rows = file_tree(points_dir(tmp_path))
+        del composed[:]
+        paths = run_sweep(replace(spec, emit={"gdump": True}))
+        assert composed == [0, 1, 2]
+        assert Path(paths["csv"]).read_bytes() == csv
+        points = file_tree(points_dir(tmp_path))
+        assert set(points) == set(rows) | {
+            name.replace(".json", "-u.npy") for name in rows}
+        assert {name: points[name] for name in rows} == rows
+
+    def test_plain_sweep_reuses_gdump_points(self, tmp_path, composed):
+        spec = SweepSpec(base=desk_config(), sweep_axis="plateau_cycles",
+                         values=[0, 1, 2], outputs=str(tmp_path),
+                         emit={"gdump": True})
+        csv = Path(run_sweep(spec)["csv"]).read_bytes()
+        points = file_tree(points_dir(tmp_path))
+        del composed[:]
+        paths = run_sweep(replace(spec, emit={}))
+        assert composed == []
+        assert Path(paths["csv"]).read_bytes() == csv
+        assert file_tree(points_dir(tmp_path)) == points
 
     def test_cached_point_takes_the_current_sweep_value(self, tmp_path):
         # plateau_cycles = 2 and k0_z = 0 name the same config, so the k0_z
@@ -296,7 +408,7 @@ class TestSweep:
                 rows[axis] = row_from_dict(json.load(fh)["rows"][0])
             with open(paths["csv"]) as fh:
                 assert fh.read().splitlines()[1].split(",")[0] == repr(float(value))
-        assert len(os.listdir(tmp_path / "points")) == 1
+        assert len(os.listdir(points_dir(tmp_path))) == 1
         assert rows["k0_z"].sweep_value == 0.0
         assert rows["k0_z"].c == rows["plateau_cycles"].c
 
@@ -370,11 +482,11 @@ class TestSweep:
         # moving the subspace origin changes the pair content
         assert rows[0].cv_abs2 != rows[1].cv_abs2
         # gdump holds on every sweep axis, not only plateau_cycles
-        dumped = sorted(f for f in os.listdir(tmp_path / "points")
+        dumped = sorted(f for f in os.listdir(points_dir(tmp_path))
                         if not f.endswith(".json"))
         assert [f.rsplit("-", 1)[1] for f in dumped] == ["u.npy", "u.npy"]
         for f in dumped:
-            m = np.load(tmp_path / "points" / f)
+            m = np.load(points_dir(tmp_path) / f)
             assert m.shape == (12, 12) and m.dtype == np.complex128
 
     def test_emit_flags_control_outputs(self, tmp_path):
@@ -388,14 +500,13 @@ class TestSweep:
         # "sectors" and "pairs" are no longer flags: unknown keys are ignored
         assert row["pair_list"]
         assert len(row["c"]) == 3 and all(x is not None for x in row["c"])
-        dumped = [f for f in os.listdir(tmp_path / "points")
+        dumped = [f for f in os.listdir(points_dir(tmp_path))
                   if not f.endswith(".json")]
         assert [f.rsplit("-", 1)[1] for f in dumped] == ["u.npy"]
-        m = np.load(tmp_path / "points" / dumped[0])
+        m = np.load(points_dir(tmp_path) / dumped[0])
         assert m.shape == (12, 12) and m.dtype == np.complex128
 
     def test_gdump_stores_the_propagator_alone(self, tmp_path):
-        import diracpairs.cli as cli_mod
         config = desk_config()
         values = [0, 57, 120]
         run_sweep(SweepSpec(base=config, sweep_axis="plateau_cycles",
@@ -405,42 +516,34 @@ class TestSweep:
         segments = propagator_segments(with_plateau(config, 0), basis)
         names = set()
         for j in values:
-            tag = (f"{config_hash(with_plateau(config, j))}"
-                   f"-v{cli_mod.SCHEME_VERSION}-g")
+            tag = config_hash(with_plateau(config, j))
             names |= {f"{tag}.json", f"{tag}-u.npy"}
-            dumped = np.load(tmp_path / "points" / f"{tag}-u.npy")
+            dumped = np.load(points_dir(tmp_path) / f"{tag}-u.npy")
             composed = cycle_compose(*segments, j).matrix
             assert dumped.dtype == composed.dtype == np.complex128
             assert dumped.shape == composed.shape
             assert dumped.tobytes() == composed.tobytes()
-        assert set(os.listdir(tmp_path / "points")) == names
+        assert set(os.listdir(points_dir(tmp_path))) == names
 
     def test_gdump_point_without_its_dump_is_redone(self, tmp_path,
-                                                    monkeypatch):
-        import diracpairs.cli as cli_mod
+                                                    composed):
         config = desk_config()
         spec = SweepSpec(base=config, sweep_axis="plateau_cycles",
                          values=[0, 1, 2], outputs=str(tmp_path),
                          emit={"gdump": True})
         paths = run_sweep(spec)
         first = {name: Path(path).read_bytes() for name, path in paths.items()}
-        tag = f"{config_hash(with_plateau(config, 1))}-v{cli_mod.SCHEME_VERSION}-g"
-        (tmp_path / "points" / f"{tag}-u.npy").unlink()
-        composed = []
-        compose = cli_mod.dynamics.cycle_compose
-
-        def counted(*args):
-            composed.append(args[-1])
-            return compose(*args)
-
-        monkeypatch.setattr(cli_mod.dynamics, "cycle_compose", counted)
+        tag = config_hash(with_plateau(config, 1))
+        dump = points_dir(tmp_path) / f"{tag}-u.npy"
+        dump.unlink()
+        del composed[:]
         assert {name: Path(path).read_bytes()
                 for name, path in run_sweep(spec).items()} == first
         assert composed == [1]
         basis = build_basis(config.numerics, config.field)
         segments = propagator_segments(with_plateau(config, 0), basis)
-        dumped = np.load(tmp_path / "points" / f"{tag}-u.npy")
-        assert dumped.tobytes() == compose(*segments, 1).matrix.tobytes()
+        dumped = np.load(dump)
+        assert dumped.tobytes() == cycle_compose(*segments, 1).matrix.tobytes()
 
     def test_gdump_error_point_stays_cached(self, tmp_path, monkeypatch):
         # a failed point has no dump to look for
@@ -449,7 +552,7 @@ class TestSweep:
                          values=[0, -3], outputs=str(tmp_path),
                          emit={"gdump": True})
         first = Path(run_sweep(spec)["json"]).read_bytes()
-        assert len(os.listdir(tmp_path / "points")) == 3
+        assert len(os.listdir(points_dir(tmp_path))) == 3
         validated = []
         validate = cli_mod.validate
 
@@ -488,12 +591,8 @@ class TestSweep:
         monkeypatch.setenv("DIRACPAIRS_OUTDIR", str(tmp_path / "solo"))
         assert main(["sweep", "--spec", str(spec_path)]) == 0
 
-        def tree(outdir):
-            return {str(p.relative_to(outdir)): p.read_bytes()
-                    for p in outdir.rglob("*") if p.is_file()}
-
-        shared = tree(tmp_path / "shared")
-        assert shared == tree(tmp_path / "solo")
+        shared = file_tree(tmp_path / "shared")
+        assert shared == file_tree(tmp_path / "solo")
         assert len(shared) == 2 + 3 * (2 if gdump else 1)
         assert not any(name.endswith(".tmp") for name in shared)
 

@@ -237,7 +237,7 @@ class TestTwoModeToy:
         h_many = second_quantize(self.h, self.basis)
         psi = np.zeros(fock.dim, dtype=complex)
         psi[fock.index[fock.sea]] = 1.0
-        psi = expm(-1j * self.t * h_many.toarray()) @ psi
+        psi = expm_multiply(-1j * self.t * h_many, psi)
         return ManyBodyState(amplitudes=psi, fock=fock)
 
     def test_matches_determinant_path_with_sign(self):

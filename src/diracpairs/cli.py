@@ -69,7 +69,7 @@ class ResultRow:
 @dataclass
 class SweepSpec:
     base: RunConfig
-    sweep_axis: str              # plateau_cycles | alpha_plus | k0_z
+    sweep_axis: str              # dotted path to a config leaf, or an alias
     values: list[float]
     outputs: str = "out"
     # gdump, which is not part of a point's cache key; other keys are ignored
@@ -161,21 +161,29 @@ def row_from_dict(d: dict) -> ResultRow:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _point_config(spec: SweepSpec, value) -> RunConfig:
-    base = spec.base
-    if spec.sweep_axis == "plateau_cycles":
-        if not float(value).is_integer():
-            raise ValidationError(f"spec.values: plateau_cycles value "
-                                  f"{value!r} is not an integer")
-        return with_plateau(base, int(value))
-    if spec.sweep_axis == "alpha_plus":
-        return replace(base, field=replace(base.field,
-                                           alpha_plus=float(value)))
-    if spec.sweep_axis == "k0_z":
-        k0 = (base.numerics.k0_offset[0], base.numerics.k0_offset[1],
-              float(value))
-        return replace(base, numerics=replace(base.numerics, k0_offset=k0))
-    raise ValidationError(f"spec.sweep_axis: unknown axis {spec.sweep_axis!r}")
+AXIS_ALIASES = {"plateau_cycles": "window.plateau_cycles",
+                "alpha_plus": "field.alpha_plus", "k0_z": "numerics.k0_offset.2"}
+
+
+def _leaves(node, path=""):
+    """(dotted path, container, key) of each scalar leaf of a JSON form."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", node, key
+
+
+def _point_config(spec: SweepSpec, i: int) -> RunConfig:
+    """The base with the leaf that ``spec.sweep_axis`` names set to
+    ``spec.values[i]``, read back through the schema, which checks its type."""
+    data = config_to_dict(spec.base)
+    for path, node, key in _leaves(data):
+        if path == AXIS_ALIASES.get(spec.sweep_axis, spec.sweep_axis):
+            node[key] = spec.values[i]
+            return _parse(RunConfig, data, f"spec.values[{i}]")
+    raise ValidationError("spec.sweep_axis: must name a scalar config leaf")
 
 
 def _write_whole(path: str, write) -> None:
@@ -218,7 +226,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     if not spec.values:
         raise ValidationError("spec.values: must be non-empty")
     validate(spec.base)
-    configs = [_point_config(spec, value) for value in spec.values]
+    configs = [_point_config(spec, i) for i in range(len(spec.values))]
     outdir = os.environ.get("DIRACPAIRS_OUTDIR", spec.outputs)
     points_dir = os.path.join(outdir, "points", _code_digest())
     os.makedirs(points_dir, exist_ok=True)

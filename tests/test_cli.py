@@ -20,8 +20,9 @@ from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
                         cycle_compose, field_from_si, figure_configs,
                         propagator_segments, run_once, run_sweep,
                         with_plateau)
-from diracpairs.cli import (build_parser, csv_header, csv_row, main,
-                            row_from_dict, row_to_dict, sweep_spec_to_dict)
+from diracpairs.cli import (AXIS_ALIASES, build_parser, csv_header, csv_row,
+                            main, row_from_dict, row_to_dict,
+                            sweep_spec_to_dict)
 
 
 def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
@@ -224,6 +225,70 @@ class TestMomentumMirror:
                    for v in getattr(up, attr).values()) > 1e-4
 
 
+    @pytest.mark.parametrize("name", ["fig2", "fig4"])
+    def test_k0x_mirror_through_the_sweep_axis(self, tmp_path, name):
+        # k0_x -> -k0_x at k0_y = 0 keeps c_N, spin_z and helicity, on the
+        # electron and the positron side alike
+        config, _ = figure_configs()[name]
+        base = replace(config, window=WindowParams(ramp_cycles=2,
+                                                   plateau_cycles=3),
+                       numerics=replace(config.numerics, n_cut=2,
+                                        steps_per_cycle=128,
+                                        k0_offset=(0.0, 0.0, 0.0013)))
+        spec = SweepSpec(base=base, sweep_axis="numerics.k0_offset.0",
+                         values=[0.21, -0.21], outputs=str(tmp_path))
+        with open(run_sweep(spec)["json"]) as fh:
+            up, down = [row_from_dict(r) for r in json.load(fh)["rows"]]
+        assert up.error == down.error == ""
+        assert len(os.listdir(points_dir(tmp_path))) == 2
+        assert np.max(np.abs(np.subtract(up.c, down.c))) <= 1e-11
+        for attr in ("s_plus", "s_minus", "h_plus", "h_minus"):
+            a, b = getattr(up, attr), getattr(down, attr)
+            assert a.keys() == b.keys()
+            assert max(abs(a[n] - b[n]) for n in a) <= 1e-11
+            assert max(abs(v) for v in a.values()) > 1e-4
+
+
+class TestFieldStrengthAxis:
+    """Sweeps along field.e_peak, the axis from the multiphoton to the
+    multi-pair regime."""
+
+    @staticmethod
+    def base():
+        config, _ = figure_configs()["fig2"]
+        return replace(config, window=WindowParams(ramp_cycles=2,
+                                                   plateau_cycles=0),
+                       numerics=replace(config.numerics, n_cut=2,
+                                        steps_per_cycle=128))
+
+    def test_weak_field_slope_is_multiphoton(self, tmp_path):
+        # pair creation needs 3 photons (3 x 0.746 > 2), so at weak fields
+        # c_1 grows as E^6: each doubling of E multiplies it by about 2^6.
+        # The ramps read lower at the weakest field (2^4.95 measured, the
+        # same to 0.01 at n_cut 3 with 256 steps per cycle).
+        base = self.base()
+        e = base.field.e_peak
+        spec = SweepSpec(base=base, sweep_axis="field.e_peak",
+                         values=[e / 8, e / 4, e / 2], outputs=str(tmp_path))
+        with open(run_sweep(spec)["json"]) as fh:
+            c1 = [r["c"][1] for r in json.load(fh)["rows"]]
+        slopes = [math.log2(b / a) for a, b in zip(c1, c1[1:])]
+        assert all(4.5 <= s <= 6.5 for s in slopes), slopes
+
+    def test_single_point_is_the_run_row(self, tmp_path):
+        base = self.base()
+        e_peak = base.field.e_peak / 4
+        spec = SweepSpec(base=base, sweep_axis="field.e_peak", values=[e_peak],
+                         outputs=str(tmp_path))
+        with open(run_sweep(spec)["json"]) as fh:
+            (row,) = json.load(fh)["rows"]
+        assert row.pop("sweep_value") == e_peak
+        direct = row_to_dict(run_once(replace(
+            base, field=replace(base.field, e_peak=e_peak))))
+        assert direct.pop("sweep_value") is None
+        assert row == direct
+
+
 class TestSweep:
     def test_plateau_singleton_matches_run_once(self, tmp_path):
         config = desk_config(plateau=0)
@@ -396,12 +461,15 @@ class TestSweep:
         assert Path(paths["csv"]).read_bytes() == csv
         assert file_tree(points_dir(tmp_path)) == points
 
-    def test_cached_point_takes_the_current_sweep_value(self, tmp_path):
-        # plateau_cycles = 2 and k0_z = 0 name the same config, so the k0_z
-        # sweep reads the point the plateau sweep cached
+    def test_cached_point_takes_the_current_sweep_value(self, tmp_path,
+                                                        composed):
+        # plateau_cycles = 2, k0_z = 0 and the dotted spelling of the k0_z
+        # alias at 0 name the same config, so the later sweeps read the
+        # point the plateau sweep cached
         base = desk_config(plateau=2)
         rows = {}
-        for axis, value in (("plateau_cycles", 2), ("k0_z", 0.0)):
+        for axis, value in (("plateau_cycles", 2), ("k0_z", 0.0),
+                            ("numerics.k0_offset.2", 0.0)):
             paths = run_sweep(SweepSpec(base=base, sweep_axis=axis,
                                         values=[value], outputs=str(tmp_path)))
             with open(paths["json"]) as fh:
@@ -409,8 +477,27 @@ class TestSweep:
             with open(paths["csv"]) as fh:
                 assert fh.read().splitlines()[1].split(",")[0] == repr(float(value))
         assert len(os.listdir(points_dir(tmp_path))) == 1
+        assert composed == [2]
         assert rows["k0_z"].sweep_value == 0.0
         assert rows["k0_z"].c == rows["plateau_cycles"].c
+        assert rows["numerics.k0_offset.2"] == rows["k0_z"]
+
+    @pytest.mark.parametrize("alias", sorted(AXIS_ALIASES))
+    def test_dotted_spelling_reuses_the_alias_points(self, tmp_path, composed,
+                                                     alias):
+        values = {"plateau_cycles": [0, 1, 3], "alpha_plus": [0.1, 0.4],
+                  "k0_z": [0.0, 0.02]}[alias]
+        spec = SweepSpec(base=desk_config(), sweep_axis=alias, values=values,
+                         outputs=str(tmp_path))
+        csv = Path(run_sweep(spec)["csv"]).read_bytes()
+        points = file_tree(points_dir(tmp_path))
+        del composed[:]
+        dotted = replace(spec, sweep_axis=AXIS_ALIASES[alias])
+        paths = run_sweep(dotted)
+        assert composed == []
+        assert Path(paths["csv"]).read_bytes() == csv
+        assert Path(paths["csv"]).name == f"sweep_{AXIS_ALIASES[alias]}.csv"
+        assert file_tree(points_dir(tmp_path)) == points
 
     def test_alpha_sweep_spin_selection(self, tmp_path):
         # opposite helicity: zero average spin exactly at linear polarization,
@@ -453,6 +540,8 @@ class TestSweep:
     @pytest.mark.parametrize("axis, values, factorizations", [
         ("plateau_cycles", [0, 1, 2, 5, 9], 1),
         ("k0_z", [0.0, 0.05, 0.1], 3),
+        ("window.plateau_cycles", [0, 1, 2, 5, 9], 1),
+        ("numerics.k0_offset.2", [0.0, 0.05, 0.1], 3),
     ])
     def test_one_schur_factorization_per_segment_set(
             self, tmp_path, monkeypatch, axis, values, factorizations):
@@ -638,6 +727,21 @@ MALFORMED = {
                      "spec.sweep_axis"),
     "plateau_fraction": ("sweep", lambda s: s.update(values=[2.5]),
                          "spec.values"),
+    **{f"axis_{name}": ("sweep", lambda s, axis=axis: s.update(
+        sweep_axis=axis), "spec.sweep_axis") for name, axis in [
+        ("negative_index", "numerics.k0_offset.-1"),
+        ("index_out_of_range", "numerics.k0_offset.3"),
+        ("zero_padded_index", "numerics.k0_offset.02"),
+        ("list_node", "numerics.k0_offset"),
+        ("dict_node", "field"),
+        ("parent_dir", "../x"),
+        ("empty", ""),
+        ("missing_key", "window.plateau"),
+        ("below_a_leaf", "field.omega.x"),
+        ("field_shorthand", "field.e_si_v_per_m")]},
+    "axis_value_type": ("sweep", lambda s: s.update(
+        sweep_axis="field.helicity_relation"),
+        "spec.values[0].field.helicity_relation"),
     "alpha_minus_inconsistent": ("run", lambda d: d["field"].update(
         alpha_minus=0.3), "config.field.alpha_minus: inconsistent with "
         "alpha_plus and helicity_relation"),
@@ -769,7 +873,8 @@ class TestCommandLine:
         in_path.write_text(json.dumps(data))
         flag = "--config" if command == "run" else "--spec"
         assert main([command, flag, str(in_path)]) == 2
-        assert path in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flags, message", [

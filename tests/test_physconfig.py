@@ -11,6 +11,7 @@ from diracpairs import (E_SCHWINGER_V_PER_M, FieldParams, HelicityRelation,
                         WindowParams, config_from_dict, config_to_dict,
                         config_hash, field_from_si, figure_configs,
                         sweep_spec_from_dict, validate, validation_errors, xi)
+from diracpairs.cli import AXIS_ALIASES, SweepSpec, _leaves, _point_config
 
 
 def make_config(**overrides):
@@ -185,6 +186,7 @@ JSON_VALUES = st.recursive(
     JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
 FIG2 = config_to_dict(figure_configs()["fig2"][0])
+FIG2_LEAVES = {path: node[key] for path, node, key in _leaves(FIG2)}
 
 
 def _containers(node, path=()):
@@ -243,3 +245,27 @@ class TestStrictInput:
             sweep_spec_from_dict(data)
         except ValidationError as exc:
             assert all(":" in v for v in exc.violations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FIG2_LEAVES) + sorted(AXIS_ALIASES))
+           | st.text(max_size=24)
+           | st.builds(".".join, st.lists(st.sampled_from(
+               ["field", "window", "numerics", "k0_offset", "e_peak", "0",
+                "2", "3", "-1", "01", ""]) | st.text(max_size=4),
+               max_size=4)),
+           st.floats() | st.integers())
+    def test_sweep_point_on_any_axis(self, axis, value):
+        spec = SweepSpec(base=config_from_dict(FIG2), sweep_axis=axis,
+                         values=[value])
+        try:
+            point = _point_config(spec, 0)
+        except ValidationError as exc:
+            assert all(":" in v for v in exc.violations)
+            return
+        # the point differs from the base in the one leaf the axis names
+        leaf = AXIS_ALIASES.get(axis, axis)
+        assert leaf in FIG2_LEAVES
+        got = {path: node[key] for path, node, key
+               in _leaves(config_to_dict(point))}
+        assert {p: v for p, v in got.items() if p != leaf} == \
+            {p: v for p, v in FIG2_LEAVES.items() if p != leaf}

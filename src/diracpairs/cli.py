@@ -1,7 +1,7 @@
 """Run/sweep orchestration, result files, figure presets, and the CLI.
 
-Results go out as one CSV per sweep (plot-ready time series, column set a
-function of n_sector_max only) plus one JSON with full per-point detail.
+Results go out as one CSV per sweep (plot-ready time series, columns up to
+its points' largest n_sector_max) plus one JSON with full per-point detail.
 Sweep points are cached as ``<outputs>/points/<code digest>/<config
 hash>.json``, so a rerun reuses finished points byte-identically and any
 change to the package's source or to numpy's or scipy's version recomputes
@@ -270,7 +270,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         _write_whole(cache, lambda fh: fh.write(text.encode()))
         rows.append(row)
 
-    k = spec.base.numerics.n_sector_max
+    k = max(config.numerics.n_sector_max for config in configs)
     csv_path = os.path.join(outdir, f"sweep_{spec.sweep_axis}.csv")
     json_path = os.path.join(outdir, f"sweep_{spec.sweep_axis}.json")
     with open(csv_path, "w") as fh:

@@ -13,13 +13,14 @@ basis and field.
 
 Propagation uses the exponential midpoint rule.  ``midpoint_steps`` gives
 the (c, dt) sequence of a time span, the one step scheme that both this
-chain integrator and the Fock oracle read; each dense step exponential is
-evaluated by eigendecomposition of the Hermitian H, so every step is
-unitary to roundoff.  Every propagator of the window is composed from
-the turn-on, one plateau cycle and the turn-off, the consecutive spans of
-the window with a one-cycle plateau: c(t + 1) = c(t) on the plateau, so a
-plateau of j whole cycles is Q diag(lambda^j) Q^dag, read from the Floquet
-form (one complex Schur factorization) of the one-cycle propagator.
+chain integrator and the Fock oracle read, with ``taylor_order`` the one
+Taylor rule of both: a dense step is a Taylor polynomial with squaring on
+the ``coupled_blocks`` of H, unitary to TAYLOR_TOL over a span.  Every
+propagator of the window is composed from the turn-on, one plateau cycle
+and the turn-off, the consecutive spans of the window with a one-cycle
+plateau: c(t + 1) = c(t) on the plateau, so a plateau of j whole cycles is
+Q diag(lambda^j) Q^dag, read from the Floquet form (one complex Schur
+factorization) of the one-cycle propagator.
 
 That window, of T = 2*ramp + 1 cycles, is time-reversal symmetric:
 c(T - t) = conj(c(t)).  Where the coupling is too, D conj(K) D = K with
@@ -44,6 +45,8 @@ from .modebasis import ALPHA, ModeBasis
 from .physconfig import FieldParams, RunConfig, with_plateau
 
 DEFAULT_UNITARITY_TOL = 1e-10
+TAYLOR_TOL = 1e-14      # summed truncation bound over all steps of a span
+SUBSTEP_BOUND = 4.0     # theta: largest ||-i dt H||_1 of one Taylor piece
 # D conj(K) D = K to this fraction of max|K| selects the time-reversal fold.
 FOLD_TOL = 1e-14
 
@@ -95,6 +98,28 @@ def field_coupling(basis: ModeBasis, field: FieldParams) -> np.ndarray:
             + np.where(step == -1, lowering, 0.0))
 
 
+@lru_cache(maxsize=8)
+def coupled_blocks(basis: ModeBasis, field: FieldParams) -> tuple:
+    """Components of K's nonzero pattern, which H = H0 + c K + h.c. never
+    couples: their modes as one (n, size) array per size, smallest first."""
+    k = field_coupling(basis, field)
+    reach = (k != 0) | (k.T != 0) | np.eye(basis.dim, dtype=bool)
+    for _ in range(basis.dim.bit_length()):     # paths up to 2^that long
+        reach = reach @ reach
+    blocks = np.unique(reach, axis=0)       # one row per component
+    return tuple(np.nonzero(blocks[blocks.sum(1) == s])[1].reshape(-1, s)
+                 for s in np.unique(blocks.sum(1)))
+
+
+def taylor_order(bound: float, parts: int, n_steps: int) -> int:
+    """Least order m with n_steps parts (b/parts)^(m+1)/(m+1)! < TAYLOR_TOL:
+    n_steps exponentials of norm <= b, each taken as ``parts`` pieces."""
+    order, tail = 0, bound / parts      # (b/parts)^(m+1)/(m+1)! at m = order
+    while n_steps * parts * tail >= TAYLOR_TOL:
+        order, tail = order + 1, tail * bound / parts / (order + 2)
+    return order
+
+
 def assemble_hamiltonian(c: complex, basis: ModeBasis,
                          field: FieldParams) -> np.ndarray:
     """H = H0 + c K + conj(c) K^dag over the mode basis."""
@@ -123,12 +148,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
 
 
-def _step_exponential(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for Hermitian H via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1.0j * w * dt)) @ v.conj().T
-
-
 def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
                t1_cycles: float) -> tuple:
     """Time-ordered midpoint product over [t0, t1] in cycles.
@@ -136,13 +155,32 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     Supports t1 < t0 (reversed stepping).  Returns (matrix, n_steps).
     Over the whole window of ``config`` it is the direct reference that
     composed propagators are tested against.
+
+    A step exp(A), A = -i dt H, is the Taylor polynomial of A / 2^s squared
+    s times on each group of ``coupled_blocks``; b = |dt| (max|H0| + ||K||_1
+    + ||K^dag||_1) >= ||A||_1 (|c| <= 1) sets the least s with b / 2^s <=
+    SUBSTEP_BOUND and the order ``taylor_order(b, 2^s, n_steps)``.
     """
+    span = t1_cycles - t0_cycles        # the grid of ``midpoint_steps``
+    n_steps = max(1, round(abs(span) * config.numerics.steps_per_cycle))
+    dt = span / n_steps * config.field.cycle_duration
+    k = np.abs(field_coupling(basis, config.field))
+    bound = abs(dt) * (max(abs(basis.energies)) + k.sum(0).max() + k.sum(1).max())
+    if not np.isfinite(bound):      # the unitarity gate reports the NaN
+        return np.full((basis.dim, basis.dim), np.nan, dtype=complex), 0
+    squarings = int(np.ceil(np.log2(max(bound / SUBSTEP_BOUND, 1.0))))
+    order = taylor_order(bound, 2 ** squarings, n_steps)
+    scale = -1.0j * dt / 2 ** squarings
+    blocks = coupled_blocks(basis, config.field)
     u = np.eye(basis.dim, dtype=complex)
-    n_steps = 0
-    for n_steps, (c, dt) in enumerate(
-            midpoint_steps(config, t0_cycles, t1_cycles), 1):
+    for c, _ in midpoint_steps(config, t0_cycles, t1_cycles):
         h = assemble_hamiltonian(c, basis, config.field)
-        u = _step_exponential(h, dt) @ u
+        for b in blocks:
+            a = term = scale * h[b[:, :, None], b[:, None, :]]
+            e = a + np.eye(b.shape[1])
+            for j in range(2, order + 1):   # * (1 / j): dividing is slower
+                e += (term := term @ a * (1.0 / j))
+            u[b] = np.linalg.matrix_power(e, 2 ** squarings) @ u[b]
     return u, n_steps
 
 
@@ -189,8 +227,9 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
             raise UnitarityError(
                 f"{part} segment unitarity defect {defect:.3e} exceeds "
                 f"{DEFAULT_UNITARITY_TOL:.1e} after {steps} steps at "
-                f"steps_per_cycle={config.numerics.steps_per_cycle}; each step "
-                "is unitary to roundoff, so more steps cannot restore it: H was "
+                f"steps_per_cycle={config.numerics.steps_per_cycle}; a span is "
+                f"unitary to {TAYLOR_TOL:.0e} plus roundoff growing with |dt| ||H||, "
+                "so unless that is large more steps cannot restore it: H was "
                 "non-finite or non-Hermitian, or roundoff accumulated")
         return Propagator(matrix=m, t_span_cycles=(float(t0), float(t1)),
                           steps=steps, unitarity_defect=defect)

@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .dynamics import field_coupling, midpoint_steps
+from .dynamics import SUBSTEP_BOUND, field_coupling, midpoint_steps, taylor_order
 from .errors import FockDimensionError, NormDriftError
 from .modebasis import ModeBasis
 from .multipair import check_labels
@@ -39,8 +39,6 @@ from .physconfig import RunConfig
 
 MAX_SINGLE_PARTICLE_DIM = 16
 NORM_TOL = 1e-8
-TAYLOR_TOL = 1e-14      # summed truncation bound over all steps of a run
-SUBSTEP_BOUND = 4.0     # theta: largest ||-i dt H||_1 of one Taylor step
 
 
 def _mask(modes) -> int:
@@ -117,7 +115,7 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     sums its Taylor series to one order m for the run.  With the bound b =
     max|dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 + ||Gamma(K)^dag||_1)),
     a step is s = ceil(b / SUBSTEP_BOUND) equal sub-steps (exact for constant
-    H) and m is the least with len(steps) s (b/s)^(m+1)/(m+1)! < TAYLOR_TOL.
+    H) and m is ``dynamics.taylor_order(b, s, len(steps))``.
     """
     check_dimension(basis)
     fock = FockBasis(basis.plus_indices, basis.minus_indices)
@@ -132,9 +130,7 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     if not math.isfinite(bound):
         raise NormDriftError("fockoracle: the many-body H0 or K is not finite")
     splits = max(1, math.ceil(bound / SUBSTEP_BOUND))
-    order, tail = 0, bound / splits     # tail: b^(m+1)/(m+1)! at m = order
-    while len(steps) * splits * tail >= TAYLOR_TOL:
-        order, tail = order + 1, tail * bound / splits / (order + 2)
+    order = taylor_order(bound, splits, len(steps))
     # summed magnitudes keep every stored entry: no cancellation drops one
     op = sum(abs(m) for m in terms).astype(complex)
     pattern = op.tocoo()

@@ -302,6 +302,22 @@ class TestSweep:
         assert row.cv_abs2 == pytest.approx(direct.cv_abs2, abs=1e-12)
         assert np.allclose(row.c, direct.c, atol=1e-12)
 
+    def test_sector_columns_reach_the_largest_point_sector_max(self, tmp_path):
+        # a sweep along n_sector_max writes the columns of its largest point,
+        # not of the base, and leaves a smaller point's extra sectors empty
+        spec = SweepSpec(base=desk_config(n_sector_max=2),
+                         sweep_axis="numerics.n_sector_max", values=[1, 4],
+                         outputs=str(tmp_path))
+        with open(run_sweep(spec)["csv"]) as fh:
+            header, *lines = fh.read().splitlines()
+        assert header == csv_header(4)
+        small, large = (dict(zip(header.split(","), line.split(",")))
+                        for line in lines)
+        assert small["c_1"] != "" and small["h_plus_1"] != ""
+        assert all(small[f"{name}_{n}"] == "" for n in (2, 3, 4) for name in
+                   ("c", "s_plus", "s_minus", "h_plus", "h_minus"))
+        assert all(large[f"c_{n}"] != "" for n in (1, 2, 3, 4))
+
     def test_resumability_reuses_points(self, tmp_path, composed):
         config = desk_config()
         spec = SweepSpec(base=config, sweep_axis="plateau_cycles",

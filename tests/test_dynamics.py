@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -129,7 +130,7 @@ class TestPropagate:
 
     def test_tolerance_failure_raises_with_diagnosis(self, monkeypatch):
         # the message names the step setting but does not suggest refining
-        # it: each step exponential is unitary to roundoff
+        # it at a small |dt| ||H||: a span is unitary to TAYLOR_TOL there
         config = make_config(plateau=2)
         basis = build_basis(config.numerics, config.field)
         monkeypatch.setattr(dynamics, "DEFAULT_UNITARITY_TOL", 1e-18)
@@ -306,6 +307,114 @@ class TestTimeReversalFold:
             assert seg.steps == built[seg.t_span_cycles] - before
             before = built[seg.t_span_cycles]
         assert sum(seg.steps for seg in segments) == len(assembled) > 0
+
+
+def eigh_product(basis, config, t0, t1):
+    """The midpoint product with each step exponential taken from the
+    eigendecomposition of the dense H: unitary to roundoff at any |dt|."""
+    u = np.eye(basis.dim, dtype=complex)
+    for c, dt in dynamics.midpoint_steps(config, t0, t1):
+        w, v = np.linalg.eigh(assemble_hamiltonian(c, basis, config.field))
+        u = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u
+    return u
+
+
+def step_bound(basis, config):
+    """b = |dt| (max|H0| + ||K||_1 + ||K^dag||_1) of one step of ``config``."""
+    k = np.abs(dynamics.field_coupling(basis, config.field))
+    dt = config.field.cycle_duration / config.numerics.steps_per_cycle
+    return dt * (np.max(np.abs(basis.energies)) + k.sum(axis=0).max()
+                 + k.sum(axis=1).max())
+
+
+class TestTaylorBlocks:
+    """Dense steps are Taylor polynomials on the connected components of
+    K's nonzero pattern, checked against the eigh product."""
+
+    CASES = {"fig2": ("fig2", (0.0, 0.0, 0.0), None),
+             "fig4": ("fig4", (0.0, 0.0, 0.0), None),
+             "fig2_k0z": ("fig2", (0.0, 0.0, 0.0013), None),
+             "fig4_k0z": ("fig4", (0.0, 0.0, 0.0013), None),
+             "fig2_transverse": ("fig2", (0.21, -0.13, 0.05), None),
+             "fig4_transverse": ("fig4", (0.21, -0.13, 0.05), None),
+             "fig2_alpha0": ("fig2", (0.0, 0.0, 0.0), 0.0)}
+
+    @classmethod
+    def case(cls, name, n_cut=2):
+        preset, k0, alpha_plus = cls.CASES[name]
+        config, _ = figure_configs()[preset]
+        config = replace(config, numerics=replace(
+            config.numerics, n_cut=n_cut, steps_per_cycle=64, k0_offset=k0))
+        if alpha_plus is not None:
+            config = replace(config, field=replace(config.field,
+                                                   alpha_plus=alpha_plus))
+        return config, build_basis(config.numerics, config.field)
+
+    @pytest.mark.parametrize("n_cut", [2, 4])
+    @pytest.mark.parametrize("name", ["fig2", "fig4", "fig2_k0z", "fig4_k0z"])
+    def test_k0_along_z_splits_by_parity(self, name, n_cut):
+        # P = (-1)^n sigma commutes with H(t) when k0 lies along z: two
+        # halves, each of one parity
+        config, basis = self.case(name, n_cut)
+        (group,) = dynamics.coupled_blocks(basis, config.field)
+        assert group.shape == (2, basis.dim // 2)
+        parity = (-1.0) ** basis.n * np.where(basis.spin_up, 1, -1)
+        signs = sorted(tuple(set(parity[block])) for block in group)
+        assert signs == [(-1.0,), (1.0,)]
+
+    @pytest.mark.parametrize("name, sizes", [
+        ("fig2_transverse", {20: 1}), ("fig4_transverse", {20: 1}),
+        ("fig2_alpha0", {1: 4, 4: 4})])
+    def test_block_sizes(self, name, sizes):
+        config, basis = self.case(name)
+        groups = dynamics.coupled_blocks(basis, config.field)
+        assert {g.shape[1]: len(g) for g in groups} == sizes
+        assert np.array_equal(np.sort(np.concatenate(
+            [g.ravel() for g in groups])), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_hamiltonian_vanishes_between_blocks(self, name):
+        config, basis = self.case(name)
+        block_of = np.empty(basis.dim, dtype=int)
+        blocks = [block for group in dynamics.coupled_blocks(
+            basis, config.field) for block in group]
+        for i, block in enumerate(blocks):
+            block_of[block] = i
+        apart = block_of[:, None] != block_of[None, :]
+        rng = np.random.default_rng(7)
+        for c in rng.normal(size=5) + 1j * rng.normal(size=5):
+            h = assemble_hamiltonian(c, basis, config.field)
+            assert np.all(h[apart] == 0.0)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_integrate_matches_eigh_product(self, name):
+        config, basis = self.case(name)
+        t1 = config.window.ramp_cycles + 1.0
+        u, steps = _integrate(basis, config, 0.0, t1)
+        assert steps == t1 * config.numerics.steps_per_cycle
+        assert np.max(np.abs(u - eigh_product(basis, config, 0.0, t1))) <= 1e-11
+
+    @pytest.mark.parametrize("scale, squarings, tol", [
+        ({"e_peak": 40 * FIG2_FIELD.e_peak}, 3, 1e-12),
+        ({"omega": 0.06}, 5, 1e-12),
+        ({"omega": 1e-2}, 10, 5e-11)], ids=["e_peak_x40", "omega_0.06",
+                                           "omega_1e-2"])
+    def test_extreme_steps_square_in_bounded_time(self, scale, squarings, tol):
+        # 16 steps per cycle put ||-i dt H||_1 far past SUBSTEP_BOUND; the
+        # squarings keep the cost to a few products per step.  Each squaring
+        # doubles the roundoff of the step it squares: ten of them leave
+        # about 5e-12 (b = 2446), where the eigh product stays at roundoff
+        config = make_config(steps_per_cycle=16, ramp=2, plateau=1,
+                             field=replace(FIG2_FIELD, **scale))
+        basis = build_basis(config.numerics, config.field)
+        bound = step_bound(basis, config)
+        assert np.ceil(np.log2(bound / dynamics.SUBSTEP_BOUND)) == squarings
+        total = float(config.window.total_cycles)
+        start = time.perf_counter()
+        u, _ = _integrate(basis, config, 0.0, total)
+        assert time.perf_counter() - start < 1.0
+        assert np.max(np.abs(u - eigh_product(basis, config, 0.0, total))) <= tol
+        assert unitarity_defect(u) <= tol
 
 
 class TestGBlocks:

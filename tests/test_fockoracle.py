@@ -7,6 +7,7 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
+import diracpairs.dynamics as dynamics_mod
 import diracpairs.fockoracle as fockoracle_mod
 from diracpairs import (FieldParams, FockBasis, FockDimensionError,
                         HelicityRelation, NormDriftError, assemble_hamiltonian,
@@ -293,7 +294,8 @@ class TestTwoModeToy:
         assert vacuum_overlap(state) == pytest.approx(vacuum, abs=1e-12)
         assert read_amplitude(state, [self.m], [self.n]) == pytest.approx(
             pair, abs=1e-12)
-        monkeypatch.setattr(fockoracle_mod, "TAYLOR_TOL", 1e-4)
+        # the one Taylor rule lives in dynamics, shared with the dense steps
+        monkeypatch.setattr(dynamics_mod, "TAYLOR_TOL", 1e-4)
         with pytest.raises(NormDriftError, match="norm drift"):
             propagate_vacuum(small_config(), self.basis)
 
@@ -347,7 +349,7 @@ class TestPropagateVacuum:
         config = make_config()
         basis = build_basis(config.numerics, config.field)
         bound = step_bound(config, basis)
-        assert (bound > fockoracle_mod.SUBSTEP_BOUND) == splits
+        assert (bound > dynamics_mod.SUBSTEP_BOUND) == splits
         state = propagate_vacuum(config, basis)
         reference = expm_multiply_state(config, basis)
         assert np.max(np.abs(state.amplitudes - reference)) <= 1e-13

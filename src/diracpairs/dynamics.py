@@ -15,12 +15,20 @@ Propagation uses the exponential midpoint rule.  ``midpoint_steps`` gives
 the (c, dt) sequence of a time span, the one step scheme that both this
 chain integrator and the Fock oracle read, with ``taylor_order`` the one
 Taylor rule of both: a dense step is a Taylor polynomial with squaring on
-the ``coupled_blocks`` of H, unitary to TAYLOR_TOL over a span.  Every
-propagator of the window is composed from the turn-on, one plateau cycle
-and the turn-off, the consecutive spans of the window with a one-cycle
-plateau: c(t + 1) = c(t) on the plateau, so a plateau of j whole cycles is
-Q diag(lambda^j) Q^dag, read from the Floquet form (one complex Schur
-factorization) of the one-cycle propagator.
+the ``coupled_blocks`` of H, unitary to TAYLOR_TOL over a span.  H0 is
+diagonal, so on a block group that polynomial is 1 + sum c^p conj(c)^q M_pq
+with the M_pq built once per span; the step exponentials of a chunk of
+carriers are one product of their monomials with the M_pq, and U is kept as
+its blocks, one product per step.  The 1 is added to each step apart from
+that product: folded into M_00 its rounding repeats identically at every
+step, and the defect of the fig2 turn-on grows coherently from 4e-14 to
+5e-13.
+
+Every propagator of the window is composed from the turn-on, one plateau
+cycle and the turn-off, the consecutive spans of the window with a
+one-cycle plateau: c(t + 1) = c(t) on the plateau, so a plateau of j whole
+cycles is Q diag(lambda^j) Q^dag, read from the Floquet form (one complex
+Schur factorization) of the one-cycle propagator.
 
 That window, of T = 2*ramp + 1 cycles, is time-reversal symmetric:
 c(T - t) = conj(c(t)).  Where the coupling is too, D conj(K) D = K with
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 from scipy import linalg
@@ -49,6 +58,7 @@ TAYLOR_TOL = 1e-14      # summed truncation bound over all steps of a span
 SUBSTEP_BOUND = 4.0     # theta: largest ||-i dt H||_1 of one Taylor piece
 # D conj(K) D = K to this fraction of max|K| selects the time-reversal fold.
 FOLD_TOL = 1e-14
+_CHUNK = 64             # steps whose exponentials are formed together
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,29 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
 
 
+def _taylor_terms(h0: np.ndarray, k: np.ndarray, scale: complex,
+                  order: int) -> tuple:
+    """(p, q, m) with sum_i c^p[i] conj(c)^q[i] m[i] the Taylor polynomial
+    to ``order``, less its 1, of A = scale (diag(h0) + c k + conj(c) k^dag).
+
+    h0 is an (n, s) and k an (n, s, s) stack of blocks, and m[i] an (n, s, s)
+    stack.  T_j = A T_{j-1} / j is carried split by powers of c and conj(c).
+    """
+    d, x = scale * h0[..., None], scale * k     # d * t = scale diag(h0) t
+    y = scale * k.conj().swapaxes(-1, -2)
+    term, total = {(0, 0): np.eye(k.shape[-1])}, {}
+    for j in range(1, order + 1):
+        parts = {}
+        for (p, q), t in term.items():
+            for key, part in (((p, q), d * t), ((p + 1, q), x @ t),
+                              ((p, q + 1), y @ t)):
+                parts[key] = parts.get(key, 0) + part
+        term = {key: t * (1.0 / j) for key, t in parts.items()}
+        total = {key: total.get(key, 0) + t for key, t in term.items()}
+    p, q = np.array(list(total)).T
+    return p, q, np.array(list(total.values()))
+
+
 def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
                t1_cycles: float) -> tuple:
     """Time-ordered midpoint product over [t0, t1] in cycles.
@@ -159,12 +192,16 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     A step exp(A), A = -i dt H, is the Taylor polynomial of A / 2^s squared
     s times on each group of ``coupled_blocks``; b = |dt| (max|H0| + ||K||_1
     + ||K^dag||_1) >= ||A||_1 (|c| <= 1) sets the least s with b / 2^s <=
-    SUBSTEP_BOUND and the order ``taylor_order(b, 2^s, n_steps)``.
+    SUBSTEP_BOUND and the order ``taylor_order(b, 2^s, n_steps)``.  The
+    polynomial is expanded in c and conj(c) once per span (``_taylor_terms``),
+    so the steps of a chunk of _CHUNK carriers come from one product of their
+    monomials with the coefficients, plus the 1; U is kept as its blocks.
     """
     span = t1_cycles - t0_cycles        # the grid of ``midpoint_steps``
     n_steps = max(1, round(abs(span) * config.numerics.steps_per_cycle))
     dt = span / n_steps * config.field.cycle_duration
-    k = np.abs(field_coupling(basis, config.field))
+    coupling = field_coupling(basis, config.field)
+    k = np.abs(coupling)
     bound = abs(dt) * (max(abs(basis.energies)) + k.sum(0).max() + k.sum(1).max())
     if not np.isfinite(bound):      # the unitarity gate reports the NaN
         return np.full((basis.dim, basis.dim), np.nan, dtype=complex), 0
@@ -172,15 +209,24 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     order = taylor_order(bound, 2 ** squarings, n_steps)
     scale = -1.0j * dt / 2 ** squarings
     blocks = coupled_blocks(basis, config.field)
-    u = np.eye(basis.dim, dtype=complex)
-    for c, _ in midpoint_steps(config, t0_cycles, t1_cycles):
-        h = assemble_hamiltonian(c, basis, config.field)
-        for b in blocks:
-            a = term = scale * h[b[:, :, None], b[:, None, :]]
-            e = a + np.eye(b.shape[1])
-            for j in range(2, order + 1):   # * (1 / j): dividing is slower
-                e += (term := term @ a * (1.0 / j))
-            u[b] = np.linalg.matrix_power(e, 2 ** squarings) @ u[b]
+    terms = [_taylor_terms(basis.energies[b],
+                           coupling[b[:, :, None], b[:, None, :]], scale, order)
+             for b in blocks]
+    ubs = [np.tile(np.eye(b.shape[1], dtype=complex), (len(b), 1, 1))
+           for b in blocks]
+    carriers = (c for c, _ in midpoint_steps(config, t0_cycles, t1_cycles))
+    while (cs := np.fromiter(islice(carriers, _CHUNK), complex)).size:
+        powers = cs[:, None] ** np.arange(order + 1)
+        for i, (p, q, m) in enumerate(terms):
+            e = np.tensordot(powers[:, p] * powers[:, q].conj(), m, axes=1)
+            e += np.eye(m.shape[-1])    # the 1 apart: see the module docstring
+            for _ in range(squarings):
+                e = e @ e
+            for step in e:
+                ubs[i] = step @ ubs[i]
+    u = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for b, ub in zip(blocks, ubs):
+        u[b[:, :, None], b[:, None, :]] = ub
     return u, n_steps
 
 

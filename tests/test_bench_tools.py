@@ -61,7 +61,7 @@ def test_tracer_reads_segment_steps(bench_tools):
 
 def test_traced_sweep_counts_each_exponential_once(tmp_path):
     # a plateau sweep integrates its segments once; the traced step count
-    # must match the Hamiltonians assembled, one per step exponential
+    # must match the carriers taken, one per midpoint step exponential
     config, _ = figure_configs()["fig2"]
     config = replace(config, window=WindowParams(ramp_cycles=1,
                                                  plateau_cycles=0),
@@ -79,4 +79,6 @@ def test_traced_sweep_counts_each_exponential_once(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     layers = json.loads(result.read_text())["layers"]
-    assert layers["dynamics.steps"] == layers["dynamics.assemble.calls"] == 96
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    carriers = sum(span[0] == "fieldmodel.carrier" for span in spans)
+    assert layers["dynamics.steps"] == carriers == 96

@@ -131,14 +131,14 @@ class TestRunOnce:
         # half of the window is the mirror of the first, so a run integrates
         # ramp + 1/2 cycles whatever its plateau_cycles
         import diracpairs.dynamics as dynamics_mod
-        real = dynamics_mod.assemble_hamiltonian
+        real = dynamics_mod.carrier
         calls = []
 
-        def counted(*args):
+        def counted(*args):     # one carrier per midpoint step consumed
             calls.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(dynamics_mod, "assemble_hamiltonian", counted)
+        monkeypatch.setattr(dynamics_mod, "carrier", counted)
         config = desk_config(plateau=3)
         run_once(config)
         assert len(calls) == ((config.window.ramp_cycles + 0.5)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -282,23 +283,22 @@ class TestTimeReversalFold:
         ("fig4", (0.21, -0.13, 0.05))])
     def test_steps_count_the_exponentials_evaluated(self, monkeypatch, name,
                                                     k0):
-        # each segment reports the Hamiltonians assembled since the segment
-        # before it was built, one per step exponential
+        # each segment reports the midpoint steps consumed since the segment
+        # before it was built, one carrier per step exponential
         config = self.preset(name, k0)
         basis = build_basis(config.numerics, config.field)
-        assembled, built = [], {}
-        real_assemble, real_propagator = (dynamics.assemble_hamiltonian,
-                                          dynamics.Propagator)
+        taken, built = [], {}
+        real_carrier, real_propagator = dynamics.carrier, dynamics.Propagator
 
-        def assemble(*args):
-            assembled.append(args[0])
-            return real_assemble(*args)
+        def carrier_at(*args):
+            taken.append(args[0])
+            return real_carrier(*args)
 
         def propagator(**fields):
-            built[fields["t_span_cycles"]] = len(assembled)
+            built[fields["t_span_cycles"]] = len(taken)
             return real_propagator(**fields)
 
-        monkeypatch.setattr(dynamics, "assemble_hamiltonian", assemble)
+        monkeypatch.setattr(dynamics, "carrier", carrier_at)
         monkeypatch.setattr(dynamics, "Propagator", propagator)
         segments = propagator_segments(config, basis)
         before = 0
@@ -306,7 +306,7 @@ class TestTimeReversalFold:
             assert type(seg.steps) is int
             assert seg.steps == built[seg.t_span_cycles] - before
             before = built[seg.t_span_cycles]
-        assert sum(seg.steps for seg in segments) == len(assembled) > 0
+        assert sum(seg.steps for seg in segments) == len(taken) > 0
 
 
 def eigh_product(basis, config, t0, t1):
@@ -317,6 +317,15 @@ def eigh_product(basis, config, t0, t1):
         w, v = np.linalg.eigh(assemble_hamiltonian(c, basis, config.field))
         u = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u
     return u
+
+
+def taylor_sum(a, order):
+    """1 + sum_{j <= order} a^j / j!, summed term by term."""
+    term = total = np.eye(a.shape[-1])
+    for j in range(1, order + 1):
+        term = term @ a / j
+        total = total + term
+    return total
 
 
 def step_bound(basis, config):
@@ -338,6 +347,17 @@ class TestTaylorBlocks:
              "fig2_transverse": ("fig2", (0.21, -0.13, 0.05), None),
              "fig4_transverse": ("fig4", (0.21, -0.13, 0.05), None),
              "fig2_alpha0": ("fig2", (0.0, 0.0, 0.0), 0.0)}
+
+    # field change, squarings and tolerance of steps far past SUBSTEP_BOUND
+    EXTREMES = {"e_peak_x40": ({"e_peak": 40 * FIG2_FIELD.e_peak}, 3, 1e-12),
+                "omega_0.06": ({"omega": 0.06}, 5, 1e-12),
+                "omega_1e-2": ({"omega": 1e-2}, 10, 5e-11)}
+
+    @classmethod
+    def extreme(cls, name):
+        config = make_config(steps_per_cycle=16, ramp=2, plateau=1,
+                             field=replace(FIG2_FIELD, **cls.EXTREMES[name][0]))
+        return config, build_basis(config.numerics, config.field)
 
     @classmethod
     def case(cls, name, n_cut=2):
@@ -394,19 +414,14 @@ class TestTaylorBlocks:
         assert steps == t1 * config.numerics.steps_per_cycle
         assert np.max(np.abs(u - eigh_product(basis, config, 0.0, t1))) <= 1e-11
 
-    @pytest.mark.parametrize("scale, squarings, tol", [
-        ({"e_peak": 40 * FIG2_FIELD.e_peak}, 3, 1e-12),
-        ({"omega": 0.06}, 5, 1e-12),
-        ({"omega": 1e-2}, 10, 5e-11)], ids=["e_peak_x40", "omega_0.06",
-                                           "omega_1e-2"])
-    def test_extreme_steps_square_in_bounded_time(self, scale, squarings, tol):
+    @pytest.mark.parametrize("name", list(EXTREMES))
+    def test_extreme_steps_square_in_bounded_time(self, name):
         # 16 steps per cycle put ||-i dt H||_1 far past SUBSTEP_BOUND; the
         # squarings keep the cost to a few products per step.  Each squaring
         # doubles the roundoff of the step it squares: ten of them leave
         # about 5e-12 (b = 2446), where the eigh product stays at roundoff
-        config = make_config(steps_per_cycle=16, ramp=2, plateau=1,
-                             field=replace(FIG2_FIELD, **scale))
-        basis = build_basis(config.numerics, config.field)
+        _, squarings, tol = self.EXTREMES[name]
+        config, basis = self.extreme(name)
         bound = step_bound(basis, config)
         assert np.ceil(np.log2(bound / dynamics.SUBSTEP_BOUND)) == squarings
         total = float(config.window.total_cycles)
@@ -415,6 +430,75 @@ class TestTaylorBlocks:
         assert time.perf_counter() - start < 1.0
         assert np.max(np.abs(u - eigh_product(basis, config, 0.0, total))) <= tol
         assert unitarity_defect(u) <= tol
+
+    @pytest.mark.parametrize("name", list(CASES) + list(EXTREMES))
+    def test_expansion_in_c_matches_taylor_sum(self, name):
+        # the span's coefficients give, at any |c| <= 1, the Taylor
+        # polynomial of A = -i dt H(c) / 2^s that a direct sum gives
+        config, basis = (self.case if name in self.CASES else self.extreme)(name)
+        bound = step_bound(basis, config)
+        parts = 2 ** int(np.ceil(np.log2(max(bound / dynamics.SUBSTEP_BOUND,
+                                             1.0))))
+        order = dynamics.taylor_order(bound, parts, config.window.total_cycles
+                                      * config.numerics.steps_per_cycle)
+        scale = (-1j * config.field.cycle_duration
+                 / config.numerics.steps_per_cycle / parts)
+        rng = np.random.default_rng(5)
+        cs = np.concatenate([[0.0, 1.0, np.exp(2.1j)], np.sqrt(
+            rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6))])
+        k = dynamics.field_coupling(basis, config.field)
+        for b in dynamics.coupled_blocks(basis, config.field):
+            pair = (b[:, :, None], b[:, None, :])
+            p, q, m = dynamics._taylor_terms(basis.energies[b], k[pair], scale,
+                                             order)
+            for c in cs:
+                a = scale * assemble_hamiltonian(c, basis, config.field)[pair]
+                expanded = np.tensordot(c ** p * np.conj(c) ** q, m, axes=1)
+                assert np.max(np.abs(np.eye(b.shape[1]) + expanded
+                                     - taylor_sum(a, order))) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["fig2_k0z", "fig2_alpha0"])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_length_leaves_the_span_unchanged(self, monkeypatch, name,
+                                                    chunk):
+        # 83 steps, a prime: a chunk of 7 or of the default 64 leaves a short
+        # last chunk, and a chunk of 1 forms each step alone
+        config, basis = self.case(name)
+        u, steps = _integrate(basis, config, 0.0, 1.3)
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+        again, _ = _integrate(basis, config, 0.0, 1.3)
+        assert steps == 83
+        assert np.max(np.abs(again - u)) <= 1e-14
+
+    @staticmethod
+    def fig2_ramp():
+        """(basis, config, ramp) of the fig2 preset: n_cut 4, 1024 steps per
+        cycle, a turn-on of 5,120 steps."""
+        config, _ = figure_configs()["fig2"]
+        assert config.numerics.n_cut == 4
+        basis = build_basis(config.numerics, config.field)
+        return basis, with_plateau(config, 1), config.window.ramp_cycles
+
+    def test_fig2_ramp_stays_unitary(self):
+        # the 1 of every step is added apart from the expanded terms; folded
+        # into them, its rounding repeats at every step and the defect grows
+        # coherently (5e-13 measured, against 4e-14)
+        basis, config, ramp = self.fig2_ramp()
+        u, _ = _integrate(basis, config, 0.0, ramp)
+        assert unitarity_defect(u) <= 1e-13
+
+    def test_fig2_ramp_memory_is_bounded(self):
+        # the steps of one chunk live at once: 64 of them peak near 2 MB,
+        # 256 near 6 MB
+        basis, config, ramp = self.fig2_ramp()
+        _integrate(basis, config, 0.0, 0.01)    # the lru caches
+        tracemalloc.start()
+        try:
+            _integrate(basis, config, 0.0, ramp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestGBlocks:

@@ -54,7 +54,7 @@ for n in (1, 2):
 print(f"\nchecked {checked} amplitudes with N <= 2: "
       f"max |difference| = {worst:.2e}")
 
-rep = sector_observables(pairs, vac, basis, config.numerics)
+rep = sector_observables(g, basis, config.numerics)
 exact = sector_probabilities_exact(state)
 print("\npair-number probabilities, both routes:")
 for n in range(7):

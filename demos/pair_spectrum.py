@@ -2,9 +2,10 @@
 
 Propagates the fig2 preset over its window, inverts the propagator blocks
 into the relative pair-amplitude matrix, and prints the vacuum
-persistence, the strongest single-pair states (note the four-fold
-degeneracy), the pair-number probabilities, and the averaged spin and
-helicity per sector.
+persistence and the strongest single-pair states (note the four-fold
+degeneracy).  The pair-number probabilities and the averaged spin and
+helicity per sector are read from the singular values of the blocks,
+with no inverse.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ for e, p, prob in single_pair_list(pairs, vac, config.numerics)[:8]:
     print(f"  e {basis.label(basis.plus_indices[e]):>3}  "
           f"p {basis.label(basis.minus_indices[p]):>3}   {prob:.6f}")
 
-report = sector_observables(pairs, vac, basis, config.numerics)
+report = sector_observables(g, basis, config.numerics)
 print("\npair-number sectors:")
 print(f"  {'N':>2} {'c_N':>12} {'s+':>10} {'s-':>10} {'h+':>10} {'h-':>10}")
 for n in range(len(report.c)):

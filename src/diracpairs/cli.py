@@ -80,7 +80,7 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
              g: dynamics.GBlocks, sweep_value=math.nan) -> ResultRow:
     pairs = multipair.pair_amplitudes(g)
     vac = multipair.vacuum_amplitude(g)
-    report = multipair.sector_observables(pairs, vac, basis, config.numerics)
+    report = multipair.sector_observables(g, basis, config.numerics)
     pair_list = [(basis.label(basis.plus_indices[e]),
                   basis.label(basis.minus_indices[p]), prob)
                  for e, p, prob in multipair.single_pair_list(
@@ -89,7 +89,7 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
         sweep_value=sweep_value,
         plateau_cycles=config.window.plateau_cycles,
         total_cycles=config.window.total_cycles,
-        cv_abs2=vac.probability,
+        cv_abs2=float(report.c[0]),
         c=[float(x) for x in report.c],
         s_plus=report.s_plus, s_minus=report.s_minus,
         h_plus=report.h_plus, h_minus=report.h_minus,

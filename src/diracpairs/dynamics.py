@@ -139,15 +139,18 @@ def assemble_hamiltonian(c: complex, basis: ModeBasis,
     return h
 
 
-def midpoint_steps(config: RunConfig, t0_cycles: float, t1_cycles: float):
-    """Yield (c, dt) at the midpoints of the steps over [t0, t1] in cycles.
-
-    The span is cut into round(|t1 - t0| * steps_per_cycle) equal steps
-    (at least one); t1 < t0 gives negative dt.
-    """
+def _step_grid(config: RunConfig, t0_cycles: float, t1_cycles: float) -> tuple:
+    """(n_steps, dt in cycles): [t0, t1] cut into round(|t1 - t0| *
+    steps_per_cycle) equal steps, at least one; t1 < t0 gives negative dt."""
     span = t1_cycles - t0_cycles
     n_steps = max(1, round(abs(span) * config.numerics.steps_per_cycle))
-    dt_cycles = span / n_steps
+    return n_steps, span / n_steps
+
+
+def midpoint_steps(config: RunConfig, t0_cycles: float, t1_cycles: float):
+    """Yield (c, dt) at the midpoints of the steps of ``_step_grid`` over
+    [t0, t1] in cycles."""
+    n_steps, dt_cycles = _step_grid(config, t0_cycles, t1_cycles)
     for s in range(n_steps):
         yield (carrier(t0_cycles + (s + 0.5) * dt_cycles, config.window),
                dt_cycles * config.field.cycle_duration)
@@ -197,9 +200,8 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     so the steps of a chunk of _CHUNK carriers come from one product of their
     monomials with the coefficients, plus the 1; U is kept as its blocks.
     """
-    span = t1_cycles - t0_cycles        # the grid of ``midpoint_steps``
-    n_steps = max(1, round(abs(span) * config.numerics.steps_per_cycle))
-    dt = span / n_steps * config.field.cycle_duration
+    n_steps, dt_cycles = _step_grid(config, t0_cycles, t1_cycles)
+    dt = dt_cycles * config.field.cycle_duration
     coupling = field_coupling(basis, config.field)
     k = np.abs(coupling)
     bound = abs(dt) * (max(abs(basis.energies)) + k.sum(0).max() + k.sum(1).max())

@@ -1,6 +1,14 @@
 """Pair content of the out-state: amplitudes, sector probabilities, observables.
 
-From the propagator blocks the relative single-pair amplitude matrix is
+The minus-in columns of the propagator are orthonormal, so by the CS
+decomposition G_pm = A sin(theta) B^dag and G_mm = C cos(theta) B^dag with
+A, B, C unitary.  Mode i is an independent Bernoulli variable: it holds a
+pair, electron in orbital A_i and positron in C_i, with probability
+p_i = sigma_i(G_pm)^2.  The N-pair sector probability c_N is the
+Poisson-binomial distribution of the p_i, and sector means weigh each
+orbital by its occupation in the sector; none of it needs an inverse.
+
+Amplitudes do.  The relative single-pair amplitude matrix is
 
     omega = -G_pm  G_mm^{-1}
 
@@ -9,12 +17,6 @@ amplitude of a canonical multi-pair state (both label lists strictly
 ascending) is C_v times the determinant of the corresponding omega
 submatrix; non-canonical orderings pick up the product of the two
 permutation parities, and any repeated label gives exactly zero (Pauli).
-
-By Cauchy-Binet the N-pair sector probability (|amplitude|^2 summed over
-all canonical N-pair states) is c_N = |C_v|^2 e_N(sigma^2), e_N the
-elementary symmetric polynomial and sigma the singular values of omega;
-sector means of spin and helicity are its Hellmann-Feynman derivatives,
-read from the same SVD: O(d^3) in all.
 Electron/positron labels are half-basis indices (band plus / band minus,
 momentum ascending, spin up before down), and the readout is plain values:
 a multi-pair amplitude is a complex number, a single pair an (electron,
@@ -144,54 +146,47 @@ def single_pair_list(pairs: PairAmplitudes, vac: VacuumAmplitude,
             for i in np.argsort(tie_group, kind="stable")]
 
 
-def _elementary(lam: np.ndarray) -> np.ndarray:
-    """e_0..e_d of non-negative ``lam`` by the all-positive recurrence."""
-    e = np.zeros(len(lam) + 1)
-    e[0] = 1.0
-    for x in lam:
-        e[1:] += x * e[:-1]
-    return e
+def _poisson_binomial(p: np.ndarray) -> np.ndarray:
+    """table[N, i] = P_N, N = 0..d, the distribution of the number of
+    successes of the independent Bernoulli variables ``p``: column i with
+    p_i left out, the last column with all of them."""
+    d = len(p)
+    steps = np.where(np.eye(d, d + 1, dtype=bool), 0.0, p[:, None])
+    table = np.zeros((d + 1, d + 1))
+    table[0] = 1.0
+    head, tail, carry = table[:-1], table[1:], np.empty((d, d + 1))
+    for step, keep in zip(steps, 1.0 - steps):    # mode j in every column
+        np.multiply(head, step, out=carry)
+        table *= keep
+        tail += carry
+    return table
 
 
-def _leave_one_out(lam: np.ndarray, k: int) -> np.ndarray:
-    """Row i holds e_0..e_k of ``lam`` with entry i left out."""
-    d = len(lam)
-    e = np.zeros((d, k + 1))
-    e[:, 0] = 1.0
-    for j, x in enumerate(lam):
-        step = np.full(d, x)
-        step[j] = 0.0
-        e[:, 1:] += step[:, None] * e[:, :-1]
-    return e
-
-
-def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
-                       basis: ModeBasis, numerics: NumericsParams) -> SectorReport:
+def sector_observables(g: GBlocks, basis: ModeBasis,
+                       numerics: NumericsParams) -> SectorReport:
     """c_N and per-sector mean spin_z/helicity of electrons and positrons.
 
-    Closed form over the full omega = U diag(sigma) V^dag.  A sector mean
-    of S is the derivative at x = 0 of the z^N coefficient of
-    det(1 + z omega^dag e^{xS} omega) (electrons; omega e^{xS} omega^dag for
-    positrons) over e_N: the per-mode values of S dotted into the mean mode
-    occupations sum_i |U_ki|^2 p_Ni electrons (|V_ki|^2 positrons), with
-    p_Ni = lam_i e_{N-1}(lam without lam_i) / e_N(lam), lam = sigma^2.
-    Sectors with c_N = 0 have their observables omitted.
+    One SVD G_pm = A sin(theta) B^dag gives p = sin^2 and the electron
+    orbitals A.  The positron orbitals C = G_mm B / cos(theta) are the Q of
+    the QR factorization of G_mm B, columns by descending cos, so a mode
+    that surely holds a pair (cos = 0) takes the direction left over by the
+    others.  Mode i is occupied in sector N with weight
+    p_i P^(i)_{N-1} / P_N, where P^(i) leaves mode i out:
+    P_N = P^(i)_N (1 - p_i) + P^(i)_{N-1} p_i.  Sectors with c_N = 0 have
+    their observables omitted.
     """
     k_max = numerics.n_sector_max
-    cv2 = vac.probability
-    u, sigma, vh = np.linalg.svd(pairs.omega, full_matrices=False)
-    lam = sigma ** 2
-    e = _elementary(lam)
+    orb_e, sin, bh = np.linalg.svd(g.g_pm, full_matrices=False)
+    orb_p = np.linalg.qr(g.g_mm @ bh[::-1].conj().T)[0][:, ::-1]
+    p = np.minimum(sin ** 2, 1.0)      # U's unitarity defect can pass 1
+    table = _poisson_binomial(p)
+    dist = table[:, -1]
 
-    n_top = min(k_max, len(lam))
-    c = np.zeros(k_max + 1)
-    c[0] = cv2
-    c[1:n_top + 1] = cv2 * e[1:n_top + 1]
-    sectors = [n for n in range(1, n_top + 1) if e[n] > 0.0]
-    loo = _leave_one_out(lam, max(sectors, default=1) - 1)
-    p = loo[:, [n - 1 for n in sectors]] * lam[:, None] / e[sectors]
-    occ_e = np.abs(u) ** 2 @ p
-    occ_p = np.abs(vh.T) ** 2 @ p
+    c = np.append(dist, np.zeros(k_max))[:k_max + 1]
+    sectors = [n for n in range(1, k_max + 1) if c[n] > 0.0]
+    occ = table[[n - 1 for n in sectors], :-1].T * p[:, None] / dist[sectors]
+    occ_e = np.abs(orb_e) ** 2 @ occ
+    occ_p = np.abs(orb_p) ** 2 @ occ
 
     def means(mode_values, occ):
         return {n: float(x) for n, x in zip(sectors, mode_values @ occ)}
@@ -203,4 +198,4 @@ def sector_observables(pairs: PairAmplitudes, vac: VacuumAmplitude,
         h_plus=means(basis.helicity[plus], occ_e),
         s_minus=means(basis.spin_z[minus], occ_p),
         h_minus=means(basis.helicity[minus], occ_p),
-        discarded_mass_bound=float(cv2 * e[k_max + 1:].sum()))
+        discarded_mass_bound=float(dist[k_max + 1:].sum()))

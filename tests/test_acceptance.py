@@ -73,8 +73,8 @@ def oracle_run():
     t0 = time.perf_counter()
     basis, u, g, pairs, vac = readout(config)
     state = propagate_vacuum(config, basis)
-    return {"config": config, "basis": basis, "pairs": pairs, "vac": vac,
-            "state": state, "seconds": time.perf_counter() - t0}
+    return {"config": config, "basis": basis, "g": g, "pairs": pairs,
+            "vac": vac, "state": state, "seconds": time.perf_counter() - t0}
 
 
 def test_criterion_1_free_field_identity():
@@ -87,19 +87,21 @@ def test_criterion_1_free_field_identity():
                                                prune_threshold=0.0,
                                                n_sector_max=4))
     basis, u, g, pairs, vac = readout(config)
-    rep = sector_observables(pairs, vac, basis, config.numerics)
+    rep = sector_observables(g, basis, config.numerics)
     elapsed = time.perf_counter() - t0
-    # c_0 is |C_v|^2 identically; "c_0 = 1" shares the stated 1e-12 window
+    # c_0 = prod(1 - sigma(G_pm)^2) is |det G_mm|^2 = |C_v|^2 given
+    # unitarity; both it and "c_0 = 1" share the stated 1e-12 window
     # (bitwise unity is unattainable for any propagation that actually runs)
     ok = (np.max(np.abs(pairs.omega)) < 1e-12
           and abs(vac.probability - 1.0) < 1e-12
-          and rep.c[0] == vac.probability
+          and abs(rep.c[0] - vac.probability) <= 1e-12
           and abs(rep.c[0] - 1.0) < 1e-12
           and np.all(rep.c[1:] < 1e-20)
           and elapsed < 1.0)
     report(1, ok, f"free field: max|omega|={np.max(np.abs(pairs.omega)):.2e}, "
                   f"||C_v|^2-1|={abs(vac.probability - 1.0):.2e}, "
-                  f"c_0=|C_v|^2 exactly, {elapsed:.2f}s (budget 1s)")
+                  f"|c_0-|C_v|^2|={abs(rep.c[0] - vac.probability):.2e}, "
+                  f"{elapsed:.2f}s (budget 1s)")
 
 
 def test_criterion_2_unitarity(fig2_run10):
@@ -133,8 +135,7 @@ def test_criterion_3_oracle_equivalence(oracle_run):
 
 
 def test_criterion_4_normalization(oracle_run):
-    rep = sector_observables(oracle_run["pairs"], oracle_run["vac"],
-                             oracle_run["basis"],
+    rep = sector_observables(oracle_run["g"], oracle_run["basis"],
                              oracle_run["config"].numerics)
     total = float(rep.c.sum())
     ok = abs(total - 1.0) < 1e-8
@@ -263,16 +264,16 @@ def test_criterion_8_four_fold_degeneracy(fig2_run20):
 def test_criterion_9_symmetry_selection_rules(fig2_run10):
     # same helicity: averaged spin vanishes, electron/positron helicities equal
     config = fig2_run10["config"]
-    rep2 = sector_observables(fig2_run10["pairs"], fig2_run10["vac"],
-                              fig2_run10["basis"], config.numerics)
+    rep2 = sector_observables(fig2_run10["g"], fig2_run10["basis"],
+                              config.numerics)
     s_max = max(max(abs(v) for v in rep2.s_plus.values()),
                 max(abs(v) for v in rep2.s_minus.values()))
     h_split = max(abs(rep2.h_plus[n] - rep2.h_minus[n]) for n in rep2.h_plus)
 
     # opposite helicity: averaged helicity vanishes (fig4 preset as is)
     config4, _ = figure_configs()["fig4"]
-    basis4, _, _, pairs4, vac4 = readout(config4)
-    rep4 = sector_observables(pairs4, vac4, basis4, config4.numerics)
+    basis4, _, g4, _, _ = readout(config4)
+    rep4 = sector_observables(g4, basis4, config4.numerics)
     h_max = max(max(abs(v) for v in rep4.h_plus.values()),
                 max(abs(v) for v in rep4.h_minus.values()))
     s_seen = max(abs(v) for v in rep4.s_plus.values())

@@ -489,10 +489,11 @@ class TestReadAmplitude:
 
 
 def both_paths(config):
-    """(basis, pair amplitudes, vacuum amplitude, oracle state) of one run."""
+    """(basis, G blocks, pair amplitudes, vacuum amplitude, oracle state) of
+    one run."""
     basis = build_basis(config.numerics, config.field)
     g = extract_g_blocks(propagate(config, basis), basis, config)
-    return (basis, pair_amplitudes(g), vacuum_amplitude(g),
+    return (basis, g, pair_amplitudes(g), vacuum_amplitude(g),
             propagate_vacuum(config, basis))
 
 
@@ -500,7 +501,7 @@ def cross_path_differences(config):
     """(max |determinant-path - oracle| over C_v and all 923 canonical
     amplitudes, N = 1..6, max |c_N - sector_probabilities_exact|) on an
     n_cut = 1 run."""
-    basis, pa, vac, state = both_paths(config)
+    basis, g, pa, vac, state = both_paths(config)
     table = amplitude_table(state)
     assert len(table) == math.comb(12, 6) - 1
     worst = abs(vacuum_overlap(state) - vac.c_v)
@@ -508,7 +509,7 @@ def cross_path_differences(config):
         det_amp = multi_pair_amplitude(pa, vac, es, ps)
         worst = max(worst, abs(det_amp - fock_amp))
     numerics = replace(config.numerics, prune_threshold=0.0, n_sector_max=6)
-    rep = sector_observables(pa, vac, basis, numerics)
+    rep = sector_observables(g, basis, numerics)
     exact = sector_probabilities_exact(state)
     return worst, float(np.max(np.abs(rep.c - exact)))
 
@@ -525,7 +526,7 @@ class TestCrossPathEquivalence:
     def test_unsorted_labels_agree_and_swaps_flip_sign(self):
         # the labels are applied in the order given on both paths
         config = small_config(plateau=1, ramp=1, steps_per_cycle=64)
-        basis, pa, vac, state = both_paths(config)
+        basis, _, pa, vac, state = both_paths(config)
         for electrons, positrons in (([1, 0], [0, 1]), ([0, 1], [1, 0]),
                                      ([2, 0, 1], [1, 2, 0])):
             det_amp = multi_pair_amplitude(pa, vac, electrons, positrons)

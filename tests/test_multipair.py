@@ -33,14 +33,14 @@ def random_unitary_gblocks(rng, m_plus, m_minus):
 
 
 def cs_unitary_gblocks(rng, angles):
-    """GBlocks of the unitary diag(A, C) [[cos, sin], [-sin, cos]] diag(D, B)^dag
-    with Haar A, B, C (the minus-sector columns do not involve D):
-    omega = -A tan(angles) C^dag, so the spectrum of omega^dag omega is
+    """(GBlocks, A, C) of the unitary diag(A, C) [[cos, sin], [-sin, cos]]
+    diag(D, B)^dag with Haar A, B, C (the minus-sector columns do not involve
+    D): omega = -A tan(angles) C^dag, so the spectrum of omega^dag omega is
     tan(angles)^2, degeneracies included."""
     m = len(angles)
     a, b, c = (haar_unitary(rng, m) for _ in range(3))
     cos, sin = np.diag(np.cos(angles)), np.diag(np.sin(angles))
-    return GBlocks(g_pm=a @ sin @ b.conj().T, g_mm=c @ cos @ b.conj().T)
+    return GBlocks(g_pm=a @ sin @ b.conj().T, g_mm=c @ cos @ b.conj().T), a, c
 
 
 def brute_force_sectors(omega, cv2, electron_values, positron_values):
@@ -98,6 +98,16 @@ def synthetic_state(omega):
     c_v = math.sqrt(cv2)
     return (PairAmplitudes(omega=omega, cond_mm=1.0),
             VacuumAmplitude(c_v=complex(c_v)))
+
+
+def synthetic_gblocks(omega):
+    """GBlocks with -G_pm G_mm^{-1} = omega and orthonormal columns:
+    G_mm = (1 + omega^H omega)^{-1/2} and G_pm = -omega G_mm, so that
+    det(G_mm) is the c_v of ``synthetic_state``."""
+    omega = np.asarray(omega, dtype=complex)
+    lam, v = np.linalg.eigh(omega.conj().T @ omega)
+    g_mm = (v / np.sqrt(1.0 + lam)) @ v.conj().T
+    return GBlocks(g_pm=-omega @ g_mm, g_mm=g_mm)
 
 
 def permutation_amplitude(omega, c_v, electrons, positrons):
@@ -250,16 +260,17 @@ class TestSectorProbabilities:
         return build_basis(NumericsParams(n_cut=1), FIELD)
 
     def test_zero_omega_pure_vacuum(self):
-        pa, vac = synthetic_state(np.zeros((6, 6)))
-        rep = sector_observables(pa, vac, self.basis(), self.numerics())
+        g = synthetic_gblocks(np.zeros((6, 6)))
+        rep = sector_observables(g, self.basis(), self.numerics())
         assert rep.c[0] == 1.0
         assert np.all(rep.c[1:] == 0.0)
 
     def test_single_entry(self):
         omega = np.zeros((6, 6), dtype=complex)
         omega[2, 3] = 0.7 - 0.2j
-        pa, vac = synthetic_state(omega)
-        rep = sector_observables(pa, vac, self.basis(), self.numerics())
+        _, vac = synthetic_state(omega)
+        rep = sector_observables(synthetic_gblocks(omega), self.basis(),
+                                 self.numerics())
         assert rep.c[1] == pytest.approx(abs(vac.c_v * omega[2, 3]) ** 2, rel=1e-12)
         assert np.all(rep.c[2:] == 0.0)
         assert rep.c.sum() == pytest.approx(1.0, abs=1e-12)
@@ -269,8 +280,9 @@ class TestSectorProbabilities:
         w1, w2 = 0.5 + 0.1j, -0.3 + 0.4j
         omega[0, 1] = w1
         omega[4, 2] = w2
-        pa, vac = synthetic_state(omega)
-        rep = sector_observables(pa, vac, self.basis(), self.numerics())
+        _, vac = synthetic_state(omega)
+        rep = sector_observables(synthetic_gblocks(omega), self.basis(),
+                                 self.numerics())
         cv2 = vac.probability
         assert rep.c[1] == pytest.approx(cv2 * (abs(w1) ** 2 + abs(w2) ** 2),
                                          rel=1e-12)
@@ -282,11 +294,8 @@ class TestSectorProbabilities:
         basis = self.basis()
         for _ in range(5):
             g = random_unitary_gblocks(rng, 6, 6)
-            pa = pair_amplitudes(g)
-            vac = vacuum_amplitude(g)
-            rep = sector_observables(pa, vac, basis,
-                                     self.numerics(n_sector_max=6))
-            assert rep.c.sum() == pytest.approx(1.0, abs=1e-8)
+            rep = sector_observables(g, basis, self.numerics(n_sector_max=6))
+            assert rep.c.sum() == pytest.approx(1.0, abs=1e-12)
             assert rep.discarded_mass_bound < 1e-8
 
     def test_against_symmetric_function_identity(self):
@@ -295,8 +304,7 @@ class TestSectorProbabilities:
         g = random_unitary_gblocks(rng, 6, 6)
         pa = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
-        rep = sector_observables(pa, vac, self.basis(),
-                                 self.numerics(n_sector_max=6))
+        rep = sector_observables(g, self.basis(), self.numerics(n_sector_max=6))
         lam = np.linalg.eigvalsh(pa.omega.conj().T @ pa.omega)
         poly = np.poly(lam)  # [1, -e1, +e2, ...]
         for n in range(0, 7):
@@ -313,7 +321,8 @@ class TestSectorProbabilities:
         a1 = multi_pair_amplitude(pa, vac, [0], [0])
         a2 = multi_pair_amplitude(pa, vac, [0, 1], [0, 1])
         assert abs(a2) > abs(a1)
-        rep = sector_observables(pa, vac, self.basis(), self.numerics())
+        rep = sector_observables(synthetic_gblocks(omega), self.basis(),
+                                 self.numerics())
         assert rep.c[2] > rep.c[1]
         assert rep.c.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -325,7 +334,7 @@ class TestSectorProbabilities:
         vac = vacuum_amplitude(g)
         numerics = NumericsParams(n_cut=4, prune_threshold=0.0, n_sector_max=4)
         basis = build_basis(numerics, FIELD)
-        rep = sector_observables(pa, vac, basis, numerics)
+        rep = sector_observables(g, basis, numerics)
         assert len(single_pair_list(pa, vac, numerics)) == 18 * 18
         assert rep.discarded_mass_bound > 0.0
         assert abs(rep.c.sum() + rep.discarded_mass_bound - 1.0) <= 1e-10
@@ -339,8 +348,8 @@ class TestSectorProbabilities:
         basis = self.basis()
         full_numerics = self.numerics(n_sector_max=3)
         pruned_numerics = self.numerics(n_sector_max=3, prune_threshold=0.05)
-        full = sector_observables(pa, vac, basis, full_numerics)
-        pruned = sector_observables(pa, vac, basis, pruned_numerics)
+        full = sector_observables(g, basis, full_numerics)
+        pruned = sector_observables(g, basis, pruned_numerics)
         assert len(single_pair_list(pa, vac, full_numerics)) == 36
         assert 0 < len(single_pair_list(pa, vac, pruned_numerics)) < 36
         assert np.array_equal(pruned.c, full.c)
@@ -360,8 +369,7 @@ class TestSectorObservables:
         basis = self.basis()
         omega = np.zeros((6, 6), dtype=complex)
         omega[0, 1] = 0.4  # electron half-index 0, positron half-index 1
-        pa, vac = synthetic_state(omega)
-        rep = sector_observables(pa, vac, basis,
+        rep = sector_observables(synthetic_gblocks(omega), basis,
                                  NumericsParams(n_cut=1, prune_threshold=0.0,
                                                 n_sector_max=2))
         e, p = basis.plus_indices[0], basis.minus_indices[1]
@@ -379,8 +387,7 @@ class TestSectorObservables:
         omega = np.zeros((6, 6), dtype=complex)
         omega[up[0], up[0]] = 0.3
         omega[down[0], down[0]] = 0.3
-        pa, vac = synthetic_state(omega)
-        rep = sector_observables(pa, vac, basis,
+        rep = sector_observables(synthetic_gblocks(omega), basis,
                                  NumericsParams(n_cut=1, prune_threshold=0.0,
                                                 n_sector_max=2))
         assert rep.s_plus[2] == 0.0
@@ -401,8 +408,7 @@ class TestSectorObservables:
             omega[e, p] = 0.8
         for e, p in zip(e_dn, p_dn):
             omega[e, p] = 0.5
-        pa, vac = synthetic_state(omega)
-        rep = sector_observables(pa, vac, basis,
+        rep = sector_observables(synthetic_gblocks(omega), basis,
                                  NumericsParams(n_cut=1, prune_threshold=1e-6,
                                                 n_sector_max=4))
         assert rep.c[4] > 0.0
@@ -464,11 +470,11 @@ class TestClosedFormAgainstEnumeration:
             angles[1:4] = [angles[0]] * 3
         k_max = data.draw(st.integers(1, len(angles)), label="n_sector_max")
         rng = np.random.default_rng(seed)
-        g = cs_unitary_gblocks(rng, np.array(angles))
+        g, _, _ = cs_unitary_gblocks(rng, np.array(angles))
         pa = pair_amplitudes(g)
         vac = vacuum_amplitude(g)
         modes = mode_table(rng, len(angles))
-        rep = sector_observables(pa, vac, modes,
+        rep = sector_observables(g, modes,
                                  NumericsParams(n_cut=1, prune_threshold=0.0,
                                                 n_sector_max=k_max))
         c_ref, (s_e, h_e), (s_p, h_p) = brute_force_sectors(
@@ -478,7 +484,7 @@ class TestClosedFormAgainstEnumeration:
             [modes.spin_z[modes.minus_indices],
              modes.helicity[modes.minus_indices]])
 
-        assert rep.c[0] == vac.probability
+        assert abs(rep.c[0] - vac.probability) <= 1e-12
         assert np.max(np.abs(rep.c - c_ref[:k_max + 1])) <= 1e-12
         assert abs(rep.discarded_mass_bound - c_ref[k_max + 1:].sum()) <= 1e-12
         # sectors past the rank of omega hold roundoff only
@@ -486,4 +492,67 @@ class TestClosedFormAgainstEnumeration:
         for got, ref in ((rep.s_plus, s_e), (rep.h_plus, h_e),
                          (rep.s_minus, s_p), (rep.h_minus, h_p)):
             for n in range(1, min(k_max, rank) + 1):
+                assert abs(got[n] - ref[n]) <= 1e-12
+
+    def test_filled_mode_without_omega(self):
+        # sin(theta) = 1 on one mode: G_mm is singular and omega does not
+        # exist, yet that mode holds a pair for sure and the others are read
+        # as the enumeration of omega over them alone
+        rng = np.random.default_rng(16)
+        angles = np.array([0.4, math.pi / 2, 0.0, 1.1, 0.7])
+        g, a, c = cs_unitary_gblocks(rng, angles)
+        modes = mode_table(rng, len(angles))
+        k_max = 4
+        numerics = NumericsParams(n_cut=1, prune_threshold=0.0,
+                                  n_sector_max=k_max)
+        rep = sector_observables(g, modes, numerics)
+        rest = np.arange(len(angles)) != 1
+        omega = -(a[:, rest] * np.tan(angles[rest])) @ c[:, rest].conj().T
+        values = [modes.spin_z[modes.plus_indices],
+                  modes.helicity[modes.plus_indices],
+                  modes.spin_z[modes.minus_indices],
+                  modes.helicity[modes.minus_indices]]
+        c_ref, means_e, means_p = brute_force_sectors(
+            omega, np.prod(np.cos(angles[rest]) ** 2), values[:2], values[2:])
+
+        assert abs(rep.c[0]) <= 1e-12
+        assert np.max(np.abs(rep.c[1:] - c_ref[:k_max])) <= 1e-12
+        assert abs(rep.c.sum() + rep.discarded_mass_bound - 1.0) <= 1e-12
+        # the filled mode adds its orbital's value to every sector
+        for got, v, orbital, ref in zip(
+                (rep.s_plus, rep.h_plus, rep.s_minus, rep.h_minus), values,
+                (a[:, 1], a[:, 1], c[:, 1], c[:, 1]), means_e + means_p):
+            filled = float(v @ np.abs(orbital) ** 2)
+            assert abs(got[1] - filled) <= 1e-12
+            for n in range(2, k_max + 1):
+                assert abs(got[n] - filled - ref[n - 1]) <= 1e-12
+        with pytest.raises(IllConditionedError):
+            pair_amplitudes(g)
+        # a column norm past 1 by roundoff leaves no probability negative
+        over = sector_observables(GBlocks(g_pm=g.g_pm * (1.0 + 1e-13),
+                                          g_mm=g.g_mm), modes, numerics)
+        assert over.c[0] == 0.0 and np.all(over.c >= 0.0)
+
+    def test_weak_modes_keep_their_positron_orbitals(self):
+        # cos(theta) of these modes differ by ~1e-8 only: orbitals read off
+        # G_mm's own singular vectors would mix them at that level, while
+        # G_mm B keeps the sin(theta) spacing of G_pm's
+        rng = np.random.default_rng(17)
+        angles = np.array([1e-4, 2e-4, 3.5e-4, 0.0, 5e-5])
+        g, _, _ = cs_unitary_gblocks(rng, angles)
+        modes = mode_table(rng, len(angles))
+        rep = sector_observables(g, modes,
+                                 NumericsParams(n_cut=1, prune_threshold=0.0,
+                                                n_sector_max=4))
+        pa, vac = pair_amplitudes(g), vacuum_amplitude(g)
+        c_ref, (s_e, h_e), (s_p, h_p) = brute_force_sectors(
+            pa.omega, vac.probability,
+            [modes.spin_z[modes.plus_indices],
+             modes.helicity[modes.plus_indices]],
+            [modes.spin_z[modes.minus_indices],
+             modes.helicity[modes.minus_indices]])
+        assert np.max(np.abs(rep.c - c_ref[:5])) <= 1e-12
+        for got, ref in ((rep.s_plus, s_e), (rep.h_plus, h_e),
+                         (rep.s_minus, s_p), (rep.h_minus, h_p)):
+            for n in range(1, 5):
                 assert abs(got[n] - ref[n]) <= 1e-12

@@ -4,11 +4,12 @@ On a 12-mode basis the charge-zero Fock sector has 924 states, small
 enough to propagate the vacuum exactly.  Every multi-pair amplitude then
 has two independent routes:
 
-  1. C_v times a determinant of the relative pair-amplitude matrix,
+  1. a minor of the propagator blocks: det(G_mm) with the positron rows
+     replaced by the electron rows of -G_pm,
   2. a direct overlap with the evolved many-body state.
 
 They must agree to near machine precision, signs included; any mismatch
-would point at the fermionic ordering conventions or the block inverse.
+would point at the fermionic ordering conventions.
 The same comparison runs from the command line as `diracpairs
 oracle-check --config ...`.
 """
@@ -20,10 +21,9 @@ import numpy as np
 
 from diracpairs import (NumericsParams, WindowParams, build_basis,
                         extract_g_blocks, figure_configs,
-                        multi_pair_amplitude, pair_amplitudes, propagate,
-                        propagate_vacuum, read_amplitude,
-                        sector_observables, sector_probabilities_exact,
-                        vacuum_amplitude, vacuum_overlap)
+                        multi_pair_amplitude, propagate, propagate_vacuum,
+                        read_amplitude, sector_observables,
+                        sector_probabilities_exact, vacuum_overlap)
 
 config, _ = figure_configs()["fig2"]
 config = replace(config,
@@ -34,20 +34,19 @@ basis = build_basis(config.numerics, config.field)
 
 u = propagate(config, basis)
 g = extract_g_blocks(u, basis, config)
-pairs = pair_amplitudes(g)
-vac = vacuum_amplitude(g)
+c_v = multi_pair_amplitude(g, [], [])
 
 state = propagate_vacuum(config, basis)
 print(f"Fock dimension {state.fock.dim}, norm drift {state.norm_drift:.1e}")
-print(f"C_v (determinant path): {vac.c_v:.12f}")
+print(f"C_v (determinant path): {c_v:.12f}")
 print(f"C_v (Fock path):        {vacuum_overlap(state):.12f}")
 
-worst = abs(vac.c_v - vacuum_overlap(state))
+worst = abs(c_v - vacuum_overlap(state))
 checked = 0
 for n in (1, 2):
     for es in combinations(range(basis.n_electron_modes), n):
         for ps in combinations(range(basis.n_positron_modes), n):
-            det_amp = multi_pair_amplitude(pairs, vac, es, ps)
+            det_amp = multi_pair_amplitude(g, es, ps)
             fock_amp = read_amplitude(state, es, ps)
             worst = max(worst, abs(det_amp - fock_amp))
             checked += 1

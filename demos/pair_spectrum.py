@@ -1,18 +1,18 @@
 """Pair content of a single desk-scale run with two same-helicity beams.
 
-Propagates the fig2 preset over its window, inverts the propagator blocks
-into the relative pair-amplitude matrix, and prints the vacuum
+Propagates the fig2 preset over its window and prints the vacuum
 persistence and the strongest single-pair states (note the four-fold
-degeneracy).  The pair-number probabilities and the averaged spin and
-helicity per sector are read from the singular values of the blocks,
-with no inverse.
+degeneracy), each amplitude a minor of the propagator blocks.  The
+pair-number probabilities and the averaged spin and helicity per sector
+are read from the singular values of the blocks.  None of it needs an
+inverse.
 """
 
 import numpy as np
 
 from diracpairs import (build_basis, extract_g_blocks, figure_configs,
-                        pair_amplitudes, propagate, sector_observables,
-                        single_pair_list, vacuum_amplitude, with_plateau, xi)
+                        multi_pair_amplitude, propagate, sector_observables,
+                        single_pair_list, with_plateau, xi)
 
 config, meta = figure_configs()["fig2"]
 config = with_plateau(config, 10)
@@ -26,12 +26,11 @@ print(f"propagated: {u.steps} step exponentials evaluated, "
       f"unitarity defect {u.unitarity_defect:.1e}")
 
 g = extract_g_blocks(u, basis, config)
-pairs = pair_amplitudes(g)
-vac = vacuum_amplitude(g)
-print(f"\nvacuum persistence |C_v|^2 = {vac.probability:.6f}")
+c_v = multi_pair_amplitude(g, [], [])
+print(f"\nvacuum persistence |C_v|^2 = {abs(c_v) ** 2:.6f}")
 
 print("\nstrongest single-pair states (|amplitude|^2, fourfold degenerate):")
-for e, p, prob in single_pair_list(pairs, vac, config.numerics)[:8]:
+for e, p, prob in single_pair_list(g, config.numerics)[:8]:
     print(f"  e {basis.label(basis.plus_indices[e]):>3}  "
           f"p {basis.label(basis.minus_indices[p]):>3}   {prob:.6f}")
 

@@ -78,13 +78,11 @@ class SweepSpec:
 
 def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
              g: dynamics.GBlocks, sweep_value=math.nan) -> ResultRow:
-    pairs = multipair.pair_amplitudes(g)
-    vac = multipair.vacuum_amplitude(g)
     report = multipair.sector_observables(g, basis, config.numerics)
     pair_list = [(basis.label(basis.plus_indices[e]),
                   basis.label(basis.minus_indices[p]), prob)
                  for e, p, prob in multipair.single_pair_list(
-                     pairs, vac, config.numerics)]
+                     g, config.numerics)]
     return ResultRow(
         sweep_value=sweep_value,
         plateau_cycles=config.window.plateau_cycles,
@@ -94,7 +92,7 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
         s_plus=report.s_plus, s_minus=report.s_minus,
         h_plus=report.h_plus, h_minus=report.h_minus,
         unitarity_defect=u.unitarity_defect,
-        cond_gmm=pairs.cond_mm,
+        cond_gmm=float(np.linalg.cond(g.g_mm)),   # inf where G_mm is singular
         discarded_mass=report.discarded_mass_bound,
         pair_list=pair_list,
     )
@@ -404,15 +402,13 @@ def _oracle_difference(config: RunConfig, basis: ModeBasis, nmax: int):
     Fock amplitude table)."""
     u = dynamics.propagate(config, basis)
     g = dynamics.extract_g_blocks(u, basis, config)
-    pairs = multipair.pair_amplitudes(g)
-    vac = multipair.vacuum_amplitude(g)
-
     state = fockoracle.propagate_vacuum(config, basis)
     table = fockoracle.amplitude_table(state)
-    worst = abs(vac.c_v - fockoracle.vacuum_overlap(state))
+    worst = abs(multipair.multi_pair_amplitude(g, [], [])
+                - fockoracle.vacuum_overlap(state))
     for n, es, ps, fock_amp in table:
         if n <= nmax:
-            det_amp = multipair.multi_pair_amplitude(pairs, vac, es, ps)
+            det_amp = multipair.multi_pair_amplitude(g, es, ps)
             worst = max(worst, abs(det_amp - fock_amp))
     return worst, table
 

@@ -8,19 +8,15 @@ p_i = sigma_i(G_pm)^2.  The N-pair sector probability c_N is the
 Poisson-binomial distribution of the p_i, and sector means weigh each
 orbital by its occupation in the sector; none of it needs an inverse.
 
-Amplitudes do.  The relative single-pair amplitude matrix is
-
-    omega = -G_pm  G_mm^{-1}
-
-and the vacuum amplitude is C_v = det(G_mm), phase retained.  The
-amplitude of a canonical multi-pair state (both label lists strictly
-ascending) is C_v times the determinant of the corresponding omega
-submatrix; non-canonical orderings pick up the product of the two
-permutation parities, and any repeated label gives exactly zero (Pauli).
-Electron/positron labels are half-basis indices (band plus / band minus,
-momentum ascending, spin up before down), and the readout is plain values:
-a multi-pair amplitude is a complex number, a single pair an (electron,
-positron, probability) tuple; ``ModeBasis.label`` names the modes.
+Amplitudes need no inverse either.  A multi-pair amplitude is det(G_mm)
+with row positrons[k] replaced by -G_pm[electrons[k]]: the fermionic sign
+follows the label order, a repeated label gives exactly zero (Pauli), and
+no labels give the vacuum amplitude C_v = det(G_mm), phase retained.  By
+Jacobi's complementary-minor identity this is C_v det(omega[E, P]) wherever
+omega = -G_pm G_mm^{-1} exists; ``pair_amplitudes`` and ``vacuum_amplitude``
+keep that path, with its condition cap, as a reference.  Labels are
+half-basis indices (band plus / band minus, momentum ascending, spin up
+before down); ``ModeBasis.label`` names the modes.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ class PairAmplitudes:
     """Relative single-pair amplitudes over (electron, positron) half-indices."""
 
     omega: np.ndarray
-    cond_mm: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,8 @@ class SectorReport:
 
 
 def pair_amplitudes(g: GBlocks) -> PairAmplitudes:
-    """omega = -G_pm G_mm^{-1}; cond(G_mm) must not exceed DEFAULT_COND_CAP."""
+    """Reference omega = -G_pm G_mm^{-1}; cond(G_mm) must not exceed
+    DEFAULT_COND_CAP."""
     cond = float(np.linalg.cond(g.g_mm))
     if not np.isfinite(cond) or cond > DEFAULT_COND_CAP:
         raise IllConditionedError(
@@ -83,11 +79,11 @@ def pair_amplitudes(g: GBlocks) -> PairAmplitudes:
             f"{DEFAULT_COND_CAP:.1e}; "
             "increase n_cut or reduce the field strength")
     omega = -np.linalg.solve(g.g_mm.T, g.g_pm.T).T
-    return PairAmplitudes(omega=omega, cond_mm=cond)
+    return PairAmplitudes(omega=omega)
 
 
 def vacuum_amplitude(g: GBlocks) -> VacuumAmplitude:
-    """C_v = det(G_mm), accumulated through the log-determinant."""
+    """Reference C_v = det(G_mm), accumulated through the log-determinant."""
     sign, logdet = np.linalg.slogdet(g.g_mm)
     return VacuumAmplitude(c_v=complex(sign * np.exp(logdet)))
 
@@ -105,38 +101,42 @@ def check_labels(kind: str, labels, count: int) -> list[int]:
     return out
 
 
-def multi_pair_amplitude(pairs: PairAmplitudes, vac: VacuumAmplitude,
-                         electrons, positrons) -> complex:
-    """Amplitude of the multi-pair state with the given mode labels.
-
-    Labels that are not integers in the half basis raise ValueError;
-    repeated labels give a bitwise-zero amplitude rather than an error;
-    unsorted label lists permute the rows and columns of the omega
-    submatrix, so its determinant carries the fermionic sign.
-    """
-    electrons = check_labels("electron", electrons, pairs.omega.shape[0])
-    positrons = check_labels("positron", positrons, pairs.omega.shape[1])
-    if len(electrons) != len(positrons) or not electrons:
-        raise ValueError("need equally many electron and positron labels, N >= 1")
+def multi_pair_amplitude(g: GBlocks, electrons, positrons) -> complex:
+    """det(G_mm) with row positrons[k] replaced by -G_pm[electrons[k]]; no
+    labels give C_v.  Labels that are not integers in the half basis raise
+    ValueError; a repeated label gives a bitwise-zero amplitude (a repeated
+    positron would otherwise just overwrite its row)."""
+    electrons = check_labels("electron", electrons, g.g_pm.shape[0])
+    positrons = check_labels("positron", positrons, g.g_mm.shape[0])
+    if len(electrons) != len(positrons):
+        raise ValueError("need equally many electron and positron labels")
     if len(set(electrons)) != len(electrons) or len(set(positrons)) != len(positrons):
         return 0j
-    sub = pairs.omega[np.ix_(electrons, positrons)]
-    return complex(vac.c_v * np.linalg.det(sub))
+    minor = g.g_mm.copy()
+    minor[positrons] = -g.g_pm[electrons]
+    return complex(np.linalg.det(minor))
 
 
-def single_pair_list(pairs: PairAmplitudes, vac: VacuumAmplitude,
+def single_pair_list(g: GBlocks,
                      numerics: NumericsParams) -> list[tuple[int, int, float]]:
     """Retained (electron, positron, probability), most probable first.
 
-    Probabilities within TIE_RTOL of each other count as a tie, ordered by
+    The amplitudes are -G_pm adj(G_mm), with adj(G_mm) = det(W) det(V^dag)
+    V diag(prod_{j != i} s_j) W^dag from the SVD G_mm = W diag(s) V^dag: no
+    division, and a probability does not see the unit phase.  A pair stays
+    where |amp|^2 >= prune_threshold |C_v|^2, every pair where C_v = 0.
+    Probabilities within TIE_RTOL of each other are a tie, ordered by
     ascending (electron, positron): degenerate pairs differ by roundoff only.
     """
-    keep = np.abs(pairs.omega) ** 2 >= numerics.prune_threshold
+    w, s, vh = np.linalg.svd(g.g_mm)
+    others = np.where(np.eye(len(s), dtype=bool), 1.0, s).prod(axis=1)
+    # -G_pm adj(G_mm) but for the unit phase -det(W) det(V^dag)
+    amps = g.g_pm @ (vh.conj().T * others) @ w.conj().T
+    keep = np.abs(amps) ** 2 >= numerics.prune_threshold * np.prod(s) ** 2
     rows, cols = np.nonzero(keep)     # row-major: (electron, positron) order
     # libm hypot through Python's abs: numpy's vectorised complex abs can
     # differ from it in the last bit
-    probs = np.array([abs(a) ** 2 for a in
-                      (vac.c_v * pairs.omega[rows, cols]).tolist()])
+    probs = np.array([abs(a) ** 2 for a in amps[rows, cols].tolist()])
     order = np.argsort(-probs, kind="stable")
     ranked = probs[order]
     new_group = ranked[1:] < ranked[:-1] * (1.0 - TIE_RTOL)

@@ -83,7 +83,8 @@ class NumericsParams:
     n_cut: int                                  # momentum modes n in [-n_cut, n_cut]
     steps_per_cycle: int = 1024                 # even, >= 16
     k0_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)  # subspace origin, m0
-    prune_threshold: float = 1e-6               # minimum |omega_mn|^2 in the pair list
+    # pair-list floor on |omega_mn|^2 = probability/|C_v|^2; C_v = 0 keeps all
+    prune_threshold: float = 1e-6
     n_sector_max: int = 4                       # largest reported pair number
 
 

@@ -18,10 +18,11 @@ from diracpairs import (FieldParams, HelicityRelation,
                         cycle_compose, extract_g_blocks,
                         figure_configs, multi_pair_amplitude, pair_amplitudes,
                         propagate, propagator_segments, propagate_vacuum,
-                        read_amplitude, sector_observables, unitarity_defect,
-                        vacuum_amplitude, vacuum_overlap, with_plateau)
+                        read_amplitude, sector_observables, single_pair_list,
+                        unitarity_defect, vacuum_amplitude, vacuum_overlap,
+                        with_plateau)
 from diracpairs.dynamics import _integrate
-from diracpairs.multipair import PairAmplitudes, VacuumAmplitude
+from synthetic import synthetic_gblocks
 
 
 def report(criterion, ok, detail):
@@ -55,6 +56,14 @@ def fig2_run20():
     config = with_plateau(config, 20)
     basis, u, g, pairs, vac = readout(config)
     return {"config": config, "basis": basis, "pairs": pairs, "vac": vac}
+
+
+@pytest.fixture(scope="module")
+def fig4_run():
+    """fig4 preset as is."""
+    config, _ = figure_configs()["fig4"]
+    basis, _, g, _, _ = readout(config)
+    return {"config": config, "basis": basis, "g": g}
 
 
 @pytest.fixture(scope="module")
@@ -118,14 +127,13 @@ def test_criterion_2_unitarity(fig2_run10):
 
 
 def test_criterion_3_oracle_equivalence(oracle_run):
-    pairs, vac, state = (oracle_run["pairs"], oracle_run["vac"],
-                         oracle_run["state"])
-    worst = abs(vac.c_v - vacuum_overlap(state))
+    g, state = oracle_run["g"], oracle_run["state"]
+    worst = abs(multi_pair_amplitude(g, [], []) - vacuum_overlap(state))
     m = oracle_run["basis"].n_electron_modes
     for n in (1, 2):
         for es in combinations(range(m), n):
             for ps in combinations(range(m), n):
-                det_amp = multi_pair_amplitude(pairs, vac, es, ps)
+                det_amp = multi_pair_amplitude(g, es, ps)
                 fock_amp = read_amplitude(state, es, ps)
                 worst = max(worst, abs(det_amp - fock_amp))
     ok = worst < 1e-8 and oracle_run["seconds"] < 120.0
@@ -143,12 +151,11 @@ def test_criterion_4_normalization(oracle_run):
 
 
 def test_criterion_5_pauli_zeros(oracle_run):
-    pairs, vac, state = (oracle_run["pairs"], oracle_run["vac"],
-                         oracle_run["state"])
+    g, state = oracle_run["g"], oracle_run["state"]
     det_vals = [
-        multi_pair_amplitude(pairs, vac, [1, 1], [0, 2]),
-        multi_pair_amplitude(pairs, vac, [0, 2], [3, 3]),
-        multi_pair_amplitude(pairs, vac, [4, 4, 1], [0, 1, 2]),
+        multi_pair_amplitude(g, [1, 1], [0, 2]),
+        multi_pair_amplitude(g, [0, 2], [3, 3]),
+        multi_pair_amplitude(g, [4, 4, 1], [0, 1, 2]),
     ]
     fock_vals = [read_amplitude(state, [1, 1], [0, 2]),
                  read_amplitude(state, [0, 2], [3, 3])]
@@ -162,12 +169,11 @@ def test_criterion_6_determinant_permutation_equivalence():
     for _ in range(100):
         dim = int(rng.integers(3, 7))
         omega = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        pairs = PairAmplitudes(omega=omega, cond_mm=1.0)
-        vac = VacuumAmplitude(c_v=complex(rng.normal() + 1j * rng.normal()))
+        g = synthetic_gblocks(omega)
         n = int(rng.integers(1, 4))
         es = sorted(rng.choice(dim, size=n, replace=False).tolist())
         ps = sorted(rng.choice(dim, size=n, replace=False).tolist())
-        det_amp = multi_pair_amplitude(pairs, vac, es, ps)
+        det_amp = multi_pair_amplitude(g, es, ps)
         ref = 0.0j
         for perm in permutations(range(n)):
             sign = 1
@@ -181,7 +187,7 @@ def test_criterion_6_determinant_permutation_equivalence():
             for i in range(n):
                 term *= omega[es[i], ps[perm[i]]]
             ref += term
-        ref *= vac.c_v
+        ref *= vacuum_amplitude(g).c_v
         if abs(ref) > 0:
             worst = max(worst, abs(det_amp - ref) / abs(ref))
     ok = worst < 1e-10
@@ -261,7 +267,7 @@ def test_criterion_8_four_fold_degeneracy(fig2_run20):
                   f"(quadruples, spread <= {max(spreads):.1e}, tol 1e-6)")
 
 
-def test_criterion_9_symmetry_selection_rules(fig2_run10):
+def test_criterion_9_symmetry_selection_rules(fig2_run10, fig4_run):
     # same helicity: averaged spin vanishes, electron/positron helicities equal
     config = fig2_run10["config"]
     rep2 = sector_observables(fig2_run10["g"], fig2_run10["basis"],
@@ -271,9 +277,8 @@ def test_criterion_9_symmetry_selection_rules(fig2_run10):
     h_split = max(abs(rep2.h_plus[n] - rep2.h_minus[n]) for n in rep2.h_plus)
 
     # opposite helicity: averaged helicity vanishes (fig4 preset as is)
-    config4, _ = figure_configs()["fig4"]
-    basis4, _, g4, _, _ = readout(config4)
-    rep4 = sector_observables(g4, basis4, config4.numerics)
+    rep4 = sector_observables(fig4_run["g"], fig4_run["basis"],
+                              fig4_run["config"].numerics)
     h_max = max(max(abs(v) for v in rep4.h_plus.values()),
                 max(abs(v) for v in rep4.h_minus.values()))
     s_seen = max(abs(v) for v in rep4.s_plus.values())
@@ -327,3 +332,13 @@ def test_criterion_11_truncation_convergence(fig2_run20):
     report(11, ok, f"c_1(n_cut=4) = {c1_ncut4:.6g}, "
                    f"c_1(n_cut=6) = {c1_ncut6:.6g}, "
                    f"relative change {change:.3%} (tol 5%)")
+
+
+@pytest.mark.parametrize("run", ["fig2_run10", "fig4_run"])
+def test_unpruned_pair_list_sums_to_c1(run, request):
+    # the one-pair minors against the sector readout on the preset blocks
+    run = request.getfixturevalue(run)
+    numerics = replace(run["config"].numerics, prune_threshold=0.0)
+    total = sum(prob for _, _, prob in single_pair_list(run["g"], numerics))
+    c1 = sector_observables(run["g"], run["basis"], numerics).c[1]
+    assert total == pytest.approx(c1, rel=1e-12)

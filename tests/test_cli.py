@@ -9,20 +9,23 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import diracpairs
-from diracpairs import (HelicityRelation, NumericsParams, ResultRow, RunConfig,
+from diracpairs import (GBlocks, HelicityRelation, NumericsParams, ResultRow,
+                        RunConfig,
                         SweepSpec, UnitarityError, WindowParams, build_basis,
                         config_from_dict, config_hash, config_to_dict,
                         cycle_compose, field_from_si, figure_configs,
                         propagator_segments, run_once, run_sweep,
                         with_plateau)
-from diracpairs.cli import (AXIS_ALIASES, build_parser, csv_header, csv_row,
-                            main, row_from_dict, row_to_dict,
+from diracpairs.cli import (AXIS_ALIASES, _readout, build_parser, csv_header,
+                            csv_row, main, row_from_dict, row_to_dict,
                             sweep_spec_to_dict)
+from synthetic import cs_unitary_gblocks
 
 
 def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
@@ -154,6 +157,31 @@ class TestRunOnce:
             again = row_from_dict(json.loads(text))
             assert csv_row(again, 2) == csv_row(row, 2)
             assert json.dumps(row_to_dict(again)) == text
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_filled_mode_reads_out(self, exact):
+        # sin(theta) = 1 on one mode: G_mm is singular (to roundoff, or
+        # exactly with diagonal blocks) and omega does not exist, yet the row
+        # reads the mode as a sure pair, and its cached copy reads back
+        angles = np.array([0.4, math.pi / 2, 0.0, 1.1, 0.7, 0.2])
+        if exact:
+            g = GBlocks(g_pm=np.diag(np.sin(angles)) + 0j,
+                        g_mm=np.diag(np.cos(angles) * (angles != math.pi / 2))
+                        + 0j)
+        else:
+            g, _, _ = cs_unitary_gblocks(np.random.default_rng(19), angles)
+        config = replace(desk_config(), numerics=NumericsParams(
+            n_cut=1, prune_threshold=0.0, n_sector_max=4))
+        basis = build_basis(config.numerics, config.field)
+        row = _readout(config, basis, SimpleNamespace(unitarity_defect=0.0), g)
+        assert abs(row.c[0]) <= 1e-12
+        assert row.cond_gmm >= 1e15 and (row.cond_gmm == math.inf) == exact
+        assert sum(prob for _, _, prob in row.pair_list) == pytest.approx(
+            row.c[1], rel=1e-12)
+        text = json.dumps(row_to_dict(row), sort_keys=True)
+        again = row_from_dict(json.loads(text))
+        assert json.dumps(row_to_dict(again), sort_keys=True) == text
+        assert csv_row(again, 4) == csv_row(row, 4)
 
     def test_csv_format_is_pinned(self):
         assert csv_header(4) == (

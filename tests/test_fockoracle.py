@@ -14,7 +14,7 @@ from diracpairs import (FieldParams, FockBasis, FockDimensionError,
                         envelope, figure_configs,
                         NumericsParams, RunConfig, WindowParams, build_basis,
                         extract_g_blocks, field_from_si, multi_pair_amplitude,
-                        pair_amplitudes, propagate, propagate_vacuum,
+                        propagate, propagate_vacuum,
                         read_amplitude, second_quantize,
                         sector_observables, sector_probabilities_exact,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
@@ -248,11 +248,10 @@ class TestTwoModeToy:
         from diracpairs import GBlocks
         g = GBlocks(g_pm=u_single[np.ix_(plus, minus)],
                     g_mm=u_single[np.ix_(minus, minus)])
-        pa = pair_amplitudes(g)
-        vac = vacuum_amplitude(g)
-        assert vacuum_overlap(state) == pytest.approx(vac.c_v, abs=1e-12)
+        assert vacuum_overlap(state) == pytest.approx(
+            multi_pair_amplitude(g, [], []), abs=1e-12)
         fock_amp = read_amplitude(state, [self.m], [self.n])
-        det_amp = multi_pair_amplitude(pa, vac, [self.m], [self.n])
+        det_amp = multi_pair_amplitude(g, [self.m], [self.n])
         assert fock_amp == pytest.approx(det_amp, abs=1e-12)
         assert abs(fock_amp) > 1e-3  # the toy actually creates pairs
 
@@ -489,24 +488,22 @@ class TestReadAmplitude:
 
 
 def both_paths(config):
-    """(basis, G blocks, pair amplitudes, vacuum amplitude, oracle state) of
-    one run."""
+    """(basis, G blocks, oracle state) of one run."""
     basis = build_basis(config.numerics, config.field)
     g = extract_g_blocks(propagate(config, basis), basis, config)
-    return (basis, g, pair_amplitudes(g), vacuum_amplitude(g),
-            propagate_vacuum(config, basis))
+    return basis, g, propagate_vacuum(config, basis)
 
 
 def cross_path_differences(config):
     """(max |determinant-path - oracle| over C_v and all 923 canonical
     amplitudes, N = 1..6, max |c_N - sector_probabilities_exact|) on an
     n_cut = 1 run."""
-    basis, g, pa, vac, state = both_paths(config)
+    basis, g, state = both_paths(config)
     table = amplitude_table(state)
     assert len(table) == math.comb(12, 6) - 1
-    worst = abs(vacuum_overlap(state) - vac.c_v)
+    worst = abs(vacuum_overlap(state) - multi_pair_amplitude(g, [], []))
     for n, es, ps, fock_amp in table:
-        det_amp = multi_pair_amplitude(pa, vac, es, ps)
+        det_amp = multi_pair_amplitude(g, es, ps)
         worst = max(worst, abs(det_amp - fock_amp))
     numerics = replace(config.numerics, prune_threshold=0.0, n_sector_max=6)
     rep = sector_observables(g, basis, numerics)
@@ -526,15 +523,15 @@ class TestCrossPathEquivalence:
     def test_unsorted_labels_agree_and_swaps_flip_sign(self):
         # the labels are applied in the order given on both paths
         config = small_config(plateau=1, ramp=1, steps_per_cycle=64)
-        basis, _, pa, vac, state = both_paths(config)
+        basis, g, state = both_paths(config)
         for electrons, positrons in (([1, 0], [0, 1]), ([0, 1], [1, 0]),
                                      ([2, 0, 1], [1, 2, 0])):
-            det_amp = multi_pair_amplitude(pa, vac, electrons, positrons)
+            det_amp = multi_pair_amplitude(g, electrons, positrons)
             fock_amp = read_amplitude(state, electrons, positrons)
             assert abs(fock_amp) > 1e-12
             assert abs(det_amp - fock_amp) < 1e-8 * max(1.0, abs(det_amp))
             swapped = [electrons[1], electrons[0]] + electrons[2:]
-            assert multi_pair_amplitude(pa, vac, swapped, positrons) == \
+            assert multi_pair_amplitude(g, swapped, positrons) == \
                 pytest.approx(-det_amp, rel=1e-12)
             assert read_amplitude(state, swapped, positrons) == -fock_amp
 

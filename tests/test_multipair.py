@@ -11,15 +11,9 @@ from diracpairs import (GBlocks, HelicityRelation, IllConditionedError,
                         multi_pair_amplitude, pair_amplitudes,
                         sector_observables, single_pair_list,
                         vacuum_amplitude)
-from diracpairs.multipair import PairAmplitudes, VacuumAmplitude
+from synthetic import cs_unitary_gblocks, haar_unitary, synthetic_gblocks
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
-
-
-def haar_unitary(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_unitary_gblocks(rng, m_plus, m_minus):
@@ -30,17 +24,6 @@ def random_unitary_gblocks(rng, m_plus, m_minus):
     plus = np.arange(m_plus)
     minus = np.arange(m_plus, dim)
     return GBlocks(g_pm=u[np.ix_(plus, minus)], g_mm=u[np.ix_(minus, minus)])
-
-
-def cs_unitary_gblocks(rng, angles):
-    """(GBlocks, A, C) of the unitary diag(A, C) [[cos, sin], [-sin, cos]]
-    diag(D, B)^dag with Haar A, B, C (the minus-sector columns do not involve
-    D): omega = -A tan(angles) C^dag, so the spectrum of omega^dag omega is
-    tan(angles)^2, degeneracies included."""
-    m = len(angles)
-    a, b, c = (haar_unitary(rng, m) for _ in range(3))
-    cos, sin = np.diag(np.cos(angles)), np.diag(np.sin(angles))
-    return GBlocks(g_pm=a @ sin @ b.conj().T, g_mm=c @ cos @ b.conj().T), a, c
 
 
 def brute_force_sectors(omega, cv2, electron_values, positron_values):
@@ -87,27 +70,6 @@ def mode_table(rng, m):
 def zero_field_gblocks(m):
     eye = np.eye(m, dtype=complex)
     return GBlocks(g_pm=np.zeros((m, m), dtype=complex), g_mm=eye)
-
-
-def synthetic_state(omega):
-    """PairAmplitudes/VacuumAmplitude with |C_v|^2 = 1/det(1+w^H w), the
-    normalization a unitary evolution would enforce."""
-    omega = np.asarray(omega, dtype=complex)
-    gram = np.eye(omega.shape[1]) + omega.conj().T @ omega
-    cv2 = 1.0 / float(np.linalg.det(gram).real)
-    c_v = math.sqrt(cv2)
-    return (PairAmplitudes(omega=omega, cond_mm=1.0),
-            VacuumAmplitude(c_v=complex(c_v)))
-
-
-def synthetic_gblocks(omega):
-    """GBlocks with -G_pm G_mm^{-1} = omega and orthonormal columns:
-    G_mm = (1 + omega^H omega)^{-1/2} and G_pm = -omega G_mm, so that
-    det(G_mm) is the c_v of ``synthetic_state``."""
-    omega = np.asarray(omega, dtype=complex)
-    lam, v = np.linalg.eigh(omega.conj().T @ omega)
-    g_mm = (v / np.sqrt(1.0 + lam)) @ v.conj().T
-    return GBlocks(g_pm=-omega @ g_mm, g_mm=g_mm)
 
 
 def permutation_amplitude(omega, c_v, electrons, positrons):
@@ -171,28 +133,36 @@ class TestVacuumAmplitude:
         vac = vacuum_amplitude(g)
         assert vac.c_v == pytest.approx(1j, abs=1e-15)
 
+    def test_empty_minor_is_c_v(self):
+        rng = np.random.default_rng(10)
+        for g in [random_unitary_gblocks(rng, 3, 4), synthetic_gblocks(
+                      rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))]:
+            assert abs(multi_pair_amplitude(g, [], [])
+                       - vacuum_amplitude(g).c_v) <= 1e-14
+
 
 class TestMultiPairAmplitude:
     def test_single_pair_reduction(self):
         rng = np.random.default_rng(1)
-        pa, vac = synthetic_state(rng.normal(size=(3, 3))
-                                  + 1j * rng.normal(size=(3, 3)))
-        amp = multi_pair_amplitude(pa, vac, [1], [2])
-        assert amp == pytest.approx(vac.c_v * pa.omega[1, 2], rel=1e-14)
+        omega = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        g = synthetic_gblocks(omega)
+        amp = multi_pair_amplitude(g, [1], [2])
+        assert amp == pytest.approx(vacuum_amplitude(g).c_v * omega[1, 2],
+                                    rel=1e-14)
 
     def test_two_pair_determinant(self):
-        pa, vac = synthetic_state(np.array([[1.0, 2.0], [3.0, 4.0]],
-                                           dtype=complex))
-        amp = multi_pair_amplitude(pa, vac, [0, 1], [0, 1])
-        assert amp == pytest.approx(vac.c_v * (1 * 4 - 2 * 3), rel=1e-12)
+        g = synthetic_gblocks(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        amp = multi_pair_amplitude(g, [0, 1], [0, 1])
+        assert amp == pytest.approx(vacuum_amplitude(g).c_v * (1 * 4 - 2 * 3),
+                                    rel=1e-12)
 
     def test_repeated_label_is_bitwise_zero(self):
         rng = np.random.default_rng(2)
-        pa, vac = synthetic_state(rng.normal(size=(4, 4)) + 0j)
-        excluded = multi_pair_amplitude(pa, vac, [1, 1], [0, 2])
+        g = synthetic_gblocks(rng.normal(size=(4, 4)) + 0j)
+        excluded = multi_pair_amplitude(g, [1, 1], [0, 2])
         assert type(excluded) is complex and excluded == 0j
-        assert multi_pair_amplitude(pa, vac, [0, 1], [2, 2]) == 0j
-        assert multi_pair_amplitude(pa, vac, [0, 1], [2, 3]) != 0j
+        assert multi_pair_amplitude(g, [0, 1], [2, 2]) == 0j
+        assert multi_pair_amplitude(g, [0, 1], [2, 3]) != 0j
 
     @pytest.mark.parametrize("electrons, positrons, kind, label", [
         ([-1], [0], "electron", -1), ([4], [0], "electron", 4),
@@ -202,10 +172,10 @@ class TestMultiPairAmplitude:
     def test_out_of_range_label_is_rejected(self, electrons, positrons,
                                             kind, label):
         # -1 would index the last mode and dim would raise a bare IndexError
-        pa, vac = synthetic_state(np.ones((4, 4)) * 0.1)
+        g = synthetic_gblocks(np.ones((4, 4)) * 0.1)
         with pytest.raises(ValueError,
                            match=f"^unknown {kind} label {label}$"):
-            multi_pair_amplitude(pa, vac, electrons, positrons)
+            multi_pair_amplitude(g, electrons, positrons)
 
     @pytest.mark.parametrize("electrons, positrons, kind", [
         ([1.7], [0], "electron"), ([True], [0], "electron"),
@@ -213,25 +183,25 @@ class TestMultiPairAmplitude:
     ])
     def test_non_integer_label_is_rejected(self, electrons, positrons, kind):
         # int() used to turn 1.7 and True into mode 1
-        pa, vac = synthetic_state(np.ones((4, 4)) * 0.1)
+        g = synthetic_gblocks(np.ones((4, 4)) * 0.1)
         with pytest.raises(ValueError,
                            match=f"^{kind} label .* is not an integer$"):
-            multi_pair_amplitude(pa, vac, electrons, positrons)
+            multi_pair_amplitude(g, electrons, positrons)
 
     def test_numpy_integer_labels_accepted(self):
         rng = np.random.default_rng(4)
-        pa, vac = synthetic_state(rng.normal(size=(4, 4)) + 0j)
-        assert multi_pair_amplitude(pa, vac, np.array([2, 0]),
+        g = synthetic_gblocks(rng.normal(size=(4, 4)) + 0j)
+        assert multi_pair_amplitude(g, np.array([2, 0]),
                                     [np.int32(1), np.uint8(3)]) == \
-            multi_pair_amplitude(pa, vac, [2, 0], [1, 3])
+            multi_pair_amplitude(g, [2, 0], [1, 3])
 
     def test_unsorted_input_sign_is_parity_product(self):
         rng = np.random.default_rng(3)
-        pa, vac = synthetic_state(rng.normal(size=(4, 4))
-                                  + 1j * rng.normal(size=(4, 4)))
-        base = multi_pair_amplitude(pa, vac, [0, 1, 2], [0, 1, 3])
-        swapped_e = multi_pair_amplitude(pa, vac, [1, 0, 2], [0, 1, 3])
-        swapped_both = multi_pair_amplitude(pa, vac, [1, 0, 2], [1, 0, 3])
+        g = synthetic_gblocks(rng.normal(size=(4, 4))
+                              + 1j * rng.normal(size=(4, 4)))
+        base = multi_pair_amplitude(g, [0, 1, 2], [0, 1, 3])
+        swapped_e = multi_pair_amplitude(g, [1, 0, 2], [0, 1, 3])
+        swapped_both = multi_pair_amplitude(g, [1, 0, 2], [1, 0, 3])
         assert swapped_e == pytest.approx(-base, rel=1e-12)
         assert swapped_both == pytest.approx(base, rel=1e-12)
 
@@ -241,12 +211,13 @@ class TestMultiPairAmplitude:
         for trial in range(100):
             dim = rng.integers(3, 7)
             omega = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            pa, vac = synthetic_state(omega)
+            g = synthetic_gblocks(omega)
             n = int(rng.integers(1, 4))
             electrons = sorted(rng.choice(dim, size=n, replace=False).tolist())
             positrons = sorted(rng.choice(dim, size=n, replace=False).tolist())
-            det_amp = multi_pair_amplitude(pa, vac, electrons, positrons)
-            ref = permutation_amplitude(pa.omega, vac.c_v, electrons, positrons)
+            det_amp = multi_pair_amplitude(g, electrons, positrons)
+            ref = permutation_amplitude(omega, vacuum_amplitude(g).c_v,
+                                        electrons, positrons)
             assert det_amp == pytest.approx(ref, rel=1e-10)
 
 
@@ -268,10 +239,10 @@ class TestSectorProbabilities:
     def test_single_entry(self):
         omega = np.zeros((6, 6), dtype=complex)
         omega[2, 3] = 0.7 - 0.2j
-        _, vac = synthetic_state(omega)
-        rep = sector_observables(synthetic_gblocks(omega), self.basis(),
-                                 self.numerics())
-        assert rep.c[1] == pytest.approx(abs(vac.c_v * omega[2, 3]) ** 2, rel=1e-12)
+        g = synthetic_gblocks(omega)
+        rep = sector_observables(g, self.basis(), self.numerics())
+        assert rep.c[1] == pytest.approx(
+            abs(vacuum_amplitude(g).c_v * omega[2, 3]) ** 2, rel=1e-12)
         assert np.all(rep.c[2:] == 0.0)
         assert rep.c.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -280,10 +251,9 @@ class TestSectorProbabilities:
         w1, w2 = 0.5 + 0.1j, -0.3 + 0.4j
         omega[0, 1] = w1
         omega[4, 2] = w2
-        _, vac = synthetic_state(omega)
-        rep = sector_observables(synthetic_gblocks(omega), self.basis(),
-                                 self.numerics())
-        cv2 = vac.probability
+        g = synthetic_gblocks(omega)
+        rep = sector_observables(g, self.basis(), self.numerics())
+        cv2 = vacuum_amplitude(g).probability
         assert rep.c[1] == pytest.approx(cv2 * (abs(w1) ** 2 + abs(w2) ** 2),
                                          rel=1e-12)
         assert rep.c[2] == pytest.approx(cv2 * abs(w1 * w2) ** 2, rel=1e-12)
@@ -317,9 +287,9 @@ class TestSectorProbabilities:
         omega = np.zeros((6, 6), dtype=complex)
         omega[0, 0] = 2.0
         omega[1, 1] = 3.0
-        pa, vac = synthetic_state(omega)
-        a1 = multi_pair_amplitude(pa, vac, [0], [0])
-        a2 = multi_pair_amplitude(pa, vac, [0, 1], [0, 1])
+        g = synthetic_gblocks(omega)
+        a1 = multi_pair_amplitude(g, [0], [0])
+        a2 = multi_pair_amplitude(g, [0, 1], [0, 1])
         assert abs(a2) > abs(a1)
         rep = sector_observables(synthetic_gblocks(omega), self.basis(),
                                  self.numerics())
@@ -330,12 +300,10 @@ class TestSectorProbabilities:
         # 18x18 labels all retained: 324 single pairs, as in the fig4 preset
         rng = np.random.default_rng(14)
         g = random_unitary_gblocks(rng, 18, 18)
-        pa = pair_amplitudes(g)
-        vac = vacuum_amplitude(g)
         numerics = NumericsParams(n_cut=4, prune_threshold=0.0, n_sector_max=4)
         basis = build_basis(numerics, FIELD)
         rep = sector_observables(g, basis, numerics)
-        assert len(single_pair_list(pa, vac, numerics)) == 18 * 18
+        assert len(single_pair_list(g, numerics)) == 18 * 18
         assert rep.discarded_mass_bound > 0.0
         assert abs(rep.c.sum() + rep.discarded_mass_bound - 1.0) <= 1e-10
         assert sorted(rep.s_plus) == [1, 2, 3, 4]
@@ -350,8 +318,8 @@ class TestSectorProbabilities:
         pruned_numerics = self.numerics(n_sector_max=3, prune_threshold=0.05)
         full = sector_observables(g, basis, full_numerics)
         pruned = sector_observables(g, basis, pruned_numerics)
-        assert len(single_pair_list(pa, vac, full_numerics)) == 36
-        assert 0 < len(single_pair_list(pa, vac, pruned_numerics)) < 36
+        assert len(single_pair_list(g, full_numerics)) == 36
+        assert 0 < len(single_pair_list(g, pruned_numerics)) < 36
         assert np.array_equal(pruned.c, full.c)
         for name in ("s_plus", "s_minus", "h_plus", "h_minus"):
             assert getattr(pruned, name) == getattr(full, name)
@@ -422,15 +390,16 @@ class TestSinglePairList:
         omega[0, 0] = 0.2
         omega[1, 2] = 0.9
         omega[3, 3] = 1e-2
-        pa, vac = synthetic_state(omega)
+        g = synthetic_gblocks(omega)
         numerics = NumericsParams(n_cut=1, prune_threshold=1e-6)
-        pairs = single_pair_list(pa, vac, numerics)
+        pairs = single_pair_list(g, numerics)
         assert [(e, p) for e, p, _ in pairs] == [(1, 2), (0, 0), (3, 3)]
-        assert [prob for _, _, prob in pairs] == [
-            abs(vac.c_v * omega[e, p]) ** 2 for e, p, _ in pairs]
+        c_v = vacuum_amplitude(g).c_v
+        for e, p, prob in pairs:
+            assert prob == pytest.approx(abs(c_v * omega[e, p]) ** 2, rel=1e-12)
         # |omega|^2 = 1e-4 falls below a 1e-2 threshold
         tight = NumericsParams(n_cut=1, prune_threshold=1e-2)
-        assert [(e, p) for e, p, _ in single_pair_list(pa, vac, tight)] == \
+        assert [(e, p) for e, p, _ in single_pair_list(g, tight)] == \
             [(1, 2), (0, 0)]
 
     def test_ties_ordered_by_labels_whatever_the_roundoff(self):
@@ -445,14 +414,26 @@ class TestSinglePairList:
             omega[0, 3] = 0.5                       # a distinct top pair
             for (e, p), w in zip(slots, np.array(wiggle)[perm]):
                 omega[e, p] = 0.3 * w
-            pa, vac = synthetic_state(omega)
-            lists.append(single_pair_list(pa, vac, numerics))
+            lists.append(single_pair_list(synthetic_gblocks(omega), numerics))
         first, second = lists
         expected = [(0, 3), (0, 2), (1, 1), (2, 3), (3, 0)]
         assert [(e, p) for e, p, _ in first][:5] == expected
         assert [(e, p) for e, p, _ in second][:5] == expected
         for (_, _, a), (_, _, b) in zip(first, second):
             assert a == pytest.approx(b, rel=1e-14)
+
+    def test_unpruned_probabilities_sum_to_c1(self):
+        # the single-pair states span the N = 1 sector; a filled mode
+        # (pi/2) and an empty one (0) included
+        rng = np.random.default_rng(18)
+        numerics = NumericsParams(n_cut=1, prune_threshold=0.0)
+        for angles in ([0.3, 1.0, 0.7], [0.4, math.pi / 2, 0.0, 1.1, 0.7],
+                       rng.uniform(0.0, 1.4, size=6)):
+            g, _, _ = cs_unitary_gblocks(rng, np.array(angles))
+            modes = mode_table(rng, len(angles))
+            c1 = sector_observables(g, modes, numerics).c[1]
+            total = sum(prob for _, _, prob in single_pair_list(g, numerics))
+            assert total == pytest.approx(c1, rel=1e-12)
 
 
 angle = st.one_of(st.just(0.0), st.floats(0.1, 1.2))

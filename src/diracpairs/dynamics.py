@@ -12,17 +12,19 @@ through the +z beam and to n-1 through the -z beam; it is built once per
 basis and field.
 
 Propagation uses the exponential midpoint rule.  ``midpoint_steps`` gives
-the (c, dt) sequence of a time span, the one step scheme that both this
-chain integrator and the Fock oracle read, with ``taylor_order`` the one
-Taylor rule of both: a dense step is a Taylor polynomial with squaring on
-the ``coupled_blocks`` of H, unitary to TAYLOR_TOL over a span.  H0 is
-diagonal, so on a block group that polynomial is 1 + sum c^p conj(c)^q M_pq
-with the M_pq built once per span; the step exponentials of a chunk of
-carriers are one product of their monomials with the M_pq, and U is kept as
-its blocks, one product per step.  The 1 is added to each step apart from
-that product: folded into M_00 its rounding repeats identically at every
-step, and the defect of the fig2 turn-on grows coherently from 4e-14 to
-5e-13.
+the carriers c of a time span's steps, from one ``carrier`` call, and their
+dt: the one step scheme that both this chain integrator and the Fock oracle
+read, with ``taylor_order`` the one Taylor rule of both.  A dense step is a
+Taylor polynomial with squaring on the ``coupled_blocks`` of H, unitary to
+TAYLOR_TOL over a span.  H0 is diagonal, so on a block group that
+polynomial is 1 + sum x^p y^q M_pq in x = Re c and y = Im c, with the M_pq
+built once per span.  The monomials are real, so the step exponentials of a
+chunk of carriers are one real product of their monomials with the M_pq;
+the chunk's steps are then multiplied pairwise down to one product, and U,
+kept as its blocks, takes one product per chunk.  The 1 is added to each
+step apart from the monomial product: folded into M_00 its rounding repeats
+identically at every step, and the defect of the fig2 turn-on grows
+coherently from 4e-14 to 5e-13.
 
 Every propagator of the window is composed from the turn-on, one plateau
 cycle and the turn-off, the consecutive spans of the window with a
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
 
 import numpy as np
 from scipy import linalg
@@ -139,21 +140,18 @@ def assemble_hamiltonian(c: complex, basis: ModeBasis,
     return h
 
 
-def _step_grid(config: RunConfig, t0_cycles: float, t1_cycles: float) -> tuple:
-    """(n_steps, dt in cycles): [t0, t1] cut into round(|t1 - t0| *
-    steps_per_cycle) equal steps, at least one; t1 < t0 gives negative dt."""
+def midpoint_steps(config: RunConfig, t0_cycles: float,
+                   t1_cycles: float) -> tuple:
+    """(c, dt) of [t0, t1] in cycles cut into round(|t1 - t0| *
+    steps_per_cycle) equal steps, at least one: c the carriers at their
+    midpoints, one array from one ``carrier`` call, and dt the step length
+    in natural units, negative for t1 < t0."""
     span = t1_cycles - t0_cycles
     n_steps = max(1, round(abs(span) * config.numerics.steps_per_cycle))
-    return n_steps, span / n_steps
-
-
-def midpoint_steps(config: RunConfig, t0_cycles: float, t1_cycles: float):
-    """Yield (c, dt) at the midpoints of the steps of ``_step_grid`` over
-    [t0, t1] in cycles."""
-    n_steps, dt_cycles = _step_grid(config, t0_cycles, t1_cycles)
-    for s in range(n_steps):
-        yield (carrier(t0_cycles + (s + 0.5) * dt_cycles, config.window),
-               dt_cycles * config.field.cycle_duration)
+    dt_cycles = span / n_steps
+    times = t0_cycles + (np.arange(n_steps) + 0.5) * dt_cycles
+    return (carrier(times, config.window),
+            dt_cycles * config.field.cycle_duration)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -163,14 +161,18 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def _taylor_terms(h0: np.ndarray, k: np.ndarray, scale: complex,
                   order: int) -> tuple:
-    """(p, q, m) with sum_i c^p[i] conj(c)^q[i] m[i] the Taylor polynomial
-    to ``order``, less its 1, of A = scale (diag(h0) + c k + conj(c) k^dag).
+    """(p, q, m) with sum_i x^p[i] y^q[i] m[i] the Taylor polynomial to
+    ``order``, less its 1, of A = scale (diag(h0) + c k + conj(c) k^dag) at
+    c = x + i y.
 
     h0 is an (n, s) and k an (n, s, s) stack of blocks, and m[i] an (n, s, s)
-    stack.  T_j = A T_{j-1} / j is carried split by powers of c and conj(c).
+    stack.  c k + conj(c) k^dag = x (k + k^dag) + y i (k - k^dag), so
+    T_j = A T_{j-1} / j is carried split by powers of x and y, whose
+    monomials are real.
     """
-    d, x = scale * h0[..., None], scale * k     # d * t = scale diag(h0) t
-    y = scale * k.conj().swapaxes(-1, -2)
+    d = scale * h0[..., None]       # d * t = scale diag(h0) t
+    k_dag = k.conj().swapaxes(-1, -2)
+    x, y = scale * (k + k_dag), scale * 1j * (k - k_dag)
     term, total = {(0, 0): np.eye(k.shape[-1])}, {}
     for j in range(1, order + 1):
         parts = {}
@@ -196,12 +198,15 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
     s times on each group of ``coupled_blocks``; b = |dt| (max|H0| + ||K||_1
     + ||K^dag||_1) >= ||A||_1 (|c| <= 1) sets the least s with b / 2^s <=
     SUBSTEP_BOUND and the order ``taylor_order(b, 2^s, n_steps)``.  The
-    polynomial is expanded in c and conj(c) once per span (``_taylor_terms``),
-    so the steps of a chunk of _CHUNK carriers come from one product of their
-    monomials with the coefficients, plus the 1; U is kept as its blocks.
+    polynomial is expanded in x = Re c and y = Im c once per span
+    (``_taylor_terms``).  The steps of a chunk of _CHUNK carriers are then one
+    real product of their monomials with the coefficients, plus the 1, and
+    after the squarings the chunk's steps are multiplied pairwise, later on
+    the left, down to one product, which is applied to U once; U is kept as
+    its blocks.
     """
-    n_steps, dt_cycles = _step_grid(config, t0_cycles, t1_cycles)
-    dt = dt_cycles * config.field.cycle_duration
+    carriers, dt = midpoint_steps(config, t0_cycles, t1_cycles)
+    n_steps = len(carriers)
     coupling = field_coupling(basis, config.field)
     k = np.abs(coupling)
     bound = abs(dt) * (max(abs(basis.energies)) + k.sum(0).max() + k.sum(1).max())
@@ -216,16 +221,25 @@ def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
              for b in blocks]
     ubs = [np.tile(np.eye(b.shape[1], dtype=complex), (len(b), 1, 1))
            for b in blocks]
-    carriers = (c for c, _ in midpoint_steps(config, t0_cycles, t1_cycles))
-    while (cs := np.fromiter(islice(carriers, _CHUNK), complex)).size:
-        powers = cs[:, None] ** np.arange(order + 1)
+    for start in range(0, n_steps, _CHUNK):
+        cs = carriers[start:start + _CHUNK]
+        xs, ys = (np.vander(v, order + 1, increasing=True)
+                  for v in (cs.real, cs.imag))
         for i, (p, q, m) in enumerate(terms):
-            e = np.tensordot(powers[:, p] * powers[:, q].conj(), m, axes=1)
-            e += np.eye(m.shape[-1])    # the 1 apart: see the module docstring
+            n, s = m.shape[1:3]
+            e = ((xs[:, p] * ys[:, q]) @ m.reshape(len(m), -1).view(float))
+            e = e.view(complex).reshape(-1, s * s)
+            e[:, ::s + 1] += 1      # the 1 apart: see the module docstring
+            e = e.reshape(len(cs), n, s, s)
             for _ in range(squarings):
                 e = e @ e
-            for step in e:
-                ubs[i] = step @ ubs[i]
+            while len(e) > 1:       # pairwise, an odd last step carried up
+                pairs = e[1::2] @ e[:-1:2]
+                # copying at every level lifts a chunk's temporaries past
+                # malloc's trim threshold: a cold fig2 run then re-faults
+                # its heap pages every chunk and takes twice as long
+                e = np.concatenate([pairs, e[-1:]]) if len(e) % 2 else pairs
+            ubs[i] = e[0] @ ubs[i]
     u = np.zeros((basis.dim, basis.dim), dtype=complex)
     for b, ub in zip(blocks, ubs):
         u[b[:, :, None], b[:, None, :]] = ub

@@ -38,20 +38,20 @@ JONES_LEFT = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
 JONES_RIGHT = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
 
 
-def _ramp_time(t_cycles: float, window: WindowParams) -> float:
-    """tau = min(t, T - t, R) inside the window (0, T), 0 outside, so that
-    env(T - t) = env(t) by construction."""
-    total = window.total_cycles
-    if t_cycles <= 0.0 or t_cycles >= total:
-        return 0.0
-    return min(t_cycles, total - t_cycles, window.ramp_cycles)
+def _ramp_time(t_cycles, window: WindowParams):
+    """tau = clip(min(t, T - t), 0, R): min(t, T - t, R) inside the window
+    (0, T), exactly 0 outside, so that env(T - t) = env(t) by construction.
+    Takes an array of times or one time."""
+    return np.clip(np.minimum(t_cycles, window.total_cycles - t_cycles),
+                   0.0, window.ramp_cycles)
 
 
-def envelope(t_cycles: float, window: WindowParams) -> float:
-    """sin^2(pi tau / 2R) at a time in cycles: zero outside [0, T], sin^2
-    ramps, flat plateau; C^1 at the joints, where sin^2 has zero slope."""
+def envelope(t_cycles, window: WindowParams):
+    """sin^2(pi tau / 2R) at a time in cycles, or elementwise at an array of
+    them: zero outside [0, T], sin^2 ramps, flat plateau; C^1 at the joints,
+    where sin^2 has zero slope."""
     tau = _ramp_time(t_cycles, window)
-    return math.sin(math.pi * tau / (2.0 * window.ramp_cycles)) ** 2
+    return np.sin(np.pi * tau / (2.0 * window.ramp_cycles)) ** 2
 
 
 def envelope_derivative(t_cycles: float, window: WindowParams) -> float:
@@ -77,9 +77,10 @@ def beam_amplitudes(field: FieldParams) -> tuple:
                  for alpha in (field.alpha_plus, field.alpha_minus))
 
 
-def carrier(t_cycles: float, window: WindowParams) -> complex:
-    """c = env e^{-i w t} at a time in cycles; c(t + 1) = c(t) on the plateau."""
-    return envelope(t_cycles, window) * cmath.exp(-2j * math.pi * t_cycles)
+def carrier(t_cycles, window: WindowParams):
+    """c = env e^{-i w t} at a time in cycles, or elementwise at an array of
+    them; c(t + 1) = c(t) on the plateau."""
+    return envelope(t_cycles, window) * np.exp(-2j * np.pi * t_cycles)
 
 
 def _spatial(z: float, field: FieldParams) -> np.ndarray:

@@ -17,7 +17,7 @@ list carries the permutation sign that the determinant path gives it.
 Gamma is linear in h and takes h^dag to Gamma(h)^dag.  With
 H(t) = H0 + c(t) K + h.c. (see ``dynamics``), Gamma(H0) and Gamma(K) are
 built once, and the vacuum is stepped with Gamma(H0) + c Gamma(K) +
-conj(c) Gamma(K)^dag along the chain integrator's (c, dt) midpoint steps
+conj(c) Gamma(K)^dag along the chain integrator's midpoint carriers and dt
 over the full window, by a Taylor series of one order per run.  Only small
 bases are accepted: this is a test oracle, not a solver.
 """
@@ -109,13 +109,14 @@ def second_quantize(h: np.ndarray, basis: ModeBasis,
 def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     """Evolve |0> over the full window with the midpoint rule.
 
-    The (c, dt) steps are ``dynamics.midpoint_steps`` through every cycle,
-    with no composition or fold: the oracle is an independent reference.  A
-    step sets one matrix's data to -i dt (Gamma(H0) + c Gamma(K) + h.c.) and
-    sums its Taylor series to one order m for the run.  With the bound b =
-    max|dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 + ||Gamma(K)^dag||_1)),
-    a step is s = ceil(b / SUBSTEP_BOUND) equal sub-steps (exact for constant
-    H) and m is ``dynamics.taylor_order(b, s, len(steps))``.
+    The carriers c and the step dt are ``dynamics.midpoint_steps`` through
+    every cycle, with no composition or fold: the oracle is an independent
+    reference.  A step sets one matrix's data to -i dt (Gamma(H0) + c
+    Gamma(K) + h.c.) and sums its Taylor series to one order m for the run.
+    With the bound b = |dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 +
+    ||Gamma(K)^dag||_1)), a step is s = ceil(b / SUBSTEP_BOUND) equal
+    sub-steps (exact for constant H) and m is ``dynamics.taylor_order(b, s,
+    n_steps)``.
     """
     check_dimension(basis)
     fock = FockBasis(basis.plus_indices, basis.minus_indices)
@@ -123,14 +124,13 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
         h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)
         k = second_quantize(field_coupling(basis, config.field), basis, fock)
     terms = (h0, k, k.conj().T.tocsr())
-    steps = list(midpoint_steps(config, 0.0, float(config.window.total_cycles)))
+    carriers, dt = midpoint_steps(config, 0.0, float(config.window.total_cycles))
     n_h0, n_k, n_kdag = (abs(m).sum(axis=0).max() for m in terms)
-    bound = (max(abs(dt) for _, dt in steps)
-             * (n_h0 + max(abs(c) for c, _ in steps) * (n_k + n_kdag)))
+    bound = abs(dt) * (n_h0 + np.abs(carriers).max() * (n_k + n_kdag))
     if not math.isfinite(bound):
         raise NormDriftError("fockoracle: the many-body H0 or K is not finite")
     splits = max(1, math.ceil(bound / SUBSTEP_BOUND))
-    order = taylor_order(bound, splits, len(steps))
+    order = taylor_order(bound, splits, len(carriers))
     # summed magnitudes keep every stored entry: no cancellation drops one
     op = sum(abs(m) for m in terms).astype(complex)
     pattern = op.tocoo()
@@ -139,7 +139,7 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
 
     psi = np.zeros(fock.dim, dtype=complex)
     psi[fock.index[fock.sea]] = 1.0
-    for c, dt in steps:
+    for c in carriers:
         op.data[:] = (-1.0j * dt / splits) * (h0 + c * k + np.conj(c) * k_dag)
         for _ in range(splits):
             term = psi

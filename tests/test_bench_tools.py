@@ -60,8 +60,8 @@ def test_tracer_reads_segment_steps(bench_tools):
 
 
 def test_traced_sweep_counts_each_exponential_once(tmp_path):
-    # a plateau sweep integrates its segments once; the traced step count
-    # must match the carriers taken, one per midpoint step exponential
+    # a plateau sweep integrates its segments once, (ramp 1 + 1/2) * 64
+    # steps, and takes the carriers of each integrated span in one call
     config, _ = figure_configs()["fig2"]
     config = replace(config, window=WindowParams(ramp_cycles=1,
                                                  plateau_cycles=0),
@@ -81,4 +81,6 @@ def test_traced_sweep_counts_each_exponential_once(tmp_path):
     layers = json.loads(result.read_text())["layers"]
     spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
     carriers = sum(span[0] == "fieldmodel.carrier" for span in spans)
-    assert layers["dynamics.steps"] == carriers == 96
+    integrated = sum(span[0] == "dynamics.midpoint_steps" for span in spans)
+    assert layers["dynamics.steps"] == 96
+    assert carriers == integrated == 2

@@ -13,7 +13,7 @@ from diracpairs import (ALPHA, FieldParams, HelicityRelation, NumericsParams,
                         field_from_si, figure_configs, potential_vector_at,
                         propagate, propagator_segments, unitarity_defect,
                         with_plateau)
-from diracpairs import dynamics
+from diracpairs import dynamics, fockoracle
 from diracpairs.dynamics import _integrate
 
 FIG2_FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4,
@@ -291,7 +291,7 @@ class TestTimeReversalFold:
         real_carrier, real_propagator = dynamics.carrier, dynamics.Propagator
 
         def carrier_at(*args):
-            taken.append(args[0])
+            taken.extend(np.ravel(args[0]))     # a span's times in one call
             return real_carrier(*args)
 
         def propagator(**fields):
@@ -313,7 +313,8 @@ def eigh_product(basis, config, t0, t1):
     """The midpoint product with each step exponential taken from the
     eigendecomposition of the dense H: unitary to roundoff at any |dt|."""
     u = np.eye(basis.dim, dtype=complex)
-    for c, dt in dynamics.midpoint_steps(config, t0, t1):
+    carriers, dt = dynamics.midpoint_steps(config, t0, t1)
+    for c in carriers:
         w, v = np.linalg.eigh(assemble_hamiltonian(c, basis, config.field))
         u = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u
     return u
@@ -434,7 +435,8 @@ class TestTaylorBlocks:
     @pytest.mark.parametrize("name", list(CASES) + list(EXTREMES))
     def test_expansion_in_c_matches_taylor_sum(self, name):
         # the span's coefficients give, at any |c| <= 1, the Taylor
-        # polynomial of A = -i dt H(c) / 2^s that a direct sum gives
+        # polynomial of A = -i dt H(c) / 2^s that a direct sum gives, from
+        # the real monomials of x = Re c and y = Im c
         config, basis = (self.case if name in self.CASES else self.extreme)(name)
         bound = step_bound(basis, config)
         parts = 2 ** int(np.ceil(np.log2(max(bound / dynamics.SUBSTEP_BOUND,
@@ -453,22 +455,50 @@ class TestTaylorBlocks:
                                              order)
             for c in cs:
                 a = scale * assemble_hamiltonian(c, basis, config.field)[pair]
-                expanded = np.tensordot(c ** p * np.conj(c) ** q, m, axes=1)
+                expanded = np.tensordot(c.real ** p * c.imag ** q, m, axes=1)
                 assert np.max(np.abs(np.eye(b.shape[1]) + expanded
                                      - taylor_sum(a, order))) <= 1e-14
 
     @pytest.mark.parametrize("name", ["fig2_k0z", "fig2_alpha0"])
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_chunk_length_leaves_the_span_unchanged(self, monkeypatch, name,
                                                     chunk):
-        # 83 steps, a prime: a chunk of 7 or of the default 64 leaves a short
-        # last chunk, and a chunk of 1 forms each step alone
+        # 83 steps, a prime: every chunk but 1 leaves a short last chunk, a
+        # chunk of 1 is the sequential product, and the product trees of 3,
+        # 7 and the default 64 (last chunk 19) carry an odd step up a level
         config, basis = self.case(name)
         u, steps = _integrate(basis, config, 0.0, 1.3)
         monkeypatch.setattr(dynamics, "_CHUNK", chunk)
         again, _ = _integrate(basis, config, 0.0, 1.3)
         assert steps == 83
         assert np.max(np.abs(again - u)) <= 1e-14
+
+    def test_integrate_reads_the_oracle_carriers(self, monkeypatch):
+        # one carrier call per span, and over the window the dense chain and
+        # the Fock oracle step through the same carriers, bit for bit
+        config = make_config(n_cut=1, steps_per_cycle=32)
+        basis = build_basis(config.numerics, config.field)
+        total = float(config.window.total_cycles)
+        consumed, given = [], []
+        real_carrier = dynamics.carrier
+        real_steps = fockoracle.midpoint_steps
+
+        def carrier_at(*args):
+            consumed.append(real_carrier(*args))
+            return consumed[-1]
+
+        def oracle_steps(*args):
+            given.append(real_steps(*args))
+            return given[-1]
+
+        monkeypatch.setattr(dynamics, "carrier", carrier_at)
+        _integrate(basis, config, 0.0, total)
+        monkeypatch.setattr(dynamics, "carrier", real_carrier)
+        monkeypatch.setattr(fockoracle, "midpoint_steps", oracle_steps)
+        fockoracle.propagate_vacuum(config, basis)
+        assert len(consumed) == len(given) == 1
+        assert consumed[0].shape == (total * 32,)
+        assert np.array_equal(consumed[0], given[0][0])
 
     @staticmethod
     def fig2_ramp():

@@ -81,6 +81,29 @@ class TestCarrier:
             assert abs(carrier(t_c, WINDOW)) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestArrays:
+    """``envelope`` and ``carrier`` take an array of times as well as one."""
+
+    TOTAL, RAMP = WINDOW.total_cycles, WINDOW.ramp_cycles
+    GRID = np.sort(np.concatenate([
+        np.linspace(-1.5, TOTAL + 1.5, 211),
+        [0.0, RAMP, TOTAL - RAMP, TOTAL, -1e-300, TOTAL + 1e-12]]))
+
+    @pytest.mark.parametrize("fn", [envelope, carrier])
+    def test_array_matches_scalar(self, fn):
+        values = fn(self.GRID, WINDOW)
+        assert values.shape == self.GRID.shape
+        for t, value in zip(self.GRID, values):
+            assert abs(value - fn(float(t), WINDOW)) <= 1e-15
+
+    @pytest.mark.parametrize("fn", [envelope, carrier])
+    def test_exactly_zero_outside_window(self, fn):
+        outside = self.GRID[(self.GRID <= 0.0) | (self.GRID >= self.TOTAL)]
+        assert outside.size > 50
+        assert np.all(fn(outside, WINDOW) == 0.0)
+        assert all(fn(float(t), WINDOW) == 0.0 for t in outside)
+
+
 class TestPotential:
     def test_zero_outside_window(self):
         field = circular_field(0.3)

@@ -1,18 +1,17 @@
 """Pair content of a single desk-scale run with two same-helicity beams.
 
 Propagates the fig2 preset over its window and prints the vacuum
-persistence and the strongest single-pair states (note the four-fold
-degeneracy), each amplitude a minor of the propagator blocks.  The
-pair-number probabilities and the averaged spin and helicity per sector
-are read from the singular values of the blocks.  None of it needs an
-inverse.
+persistence, a minor of the propagator blocks, then the strongest
+single-pair states (note the four-fold degeneracy), the pair-number
+probabilities and the averaged spin and helicity per sector, all read
+from one SVD and one QR of the blocks.  None of it needs an inverse.
 """
 
 import numpy as np
 
 from diracpairs import (build_basis, extract_g_blocks, figure_configs,
                         multi_pair_amplitude, propagate, sector_observables,
-                        single_pair_list, with_plateau, xi)
+                        with_plateau, xi)
 
 config, meta = figure_configs()["fig2"]
 config = with_plateau(config, 10)
@@ -29,12 +28,11 @@ g = extract_g_blocks(u, basis, config)
 c_v = multi_pair_amplitude(g, [], [])
 print(f"\nvacuum persistence |C_v|^2 = {abs(c_v) ** 2:.6f}")
 
+report = sector_observables(g, basis, config.numerics)
 print("\nstrongest single-pair states (|amplitude|^2, fourfold degenerate):")
-for e, p, prob in single_pair_list(g, config.numerics)[:8]:
+for e, p, prob in report.pairs[:8]:
     print(f"  e {basis.label(basis.plus_indices[e]):>3}  "
           f"p {basis.label(basis.minus_indices[p]):>3}   {prob:.6f}")
-
-report = sector_observables(g, basis, config.numerics)
 print("\npair-number sectors:")
 print(f"  {'N':>2} {'c_N':>12} {'s+':>10} {'s-':>10} {'h+':>10} {'h-':>10}")
 for n in range(len(report.c)):

@@ -27,8 +27,7 @@ from .dynamics import (Propagator, GBlocks, assemble_hamiltonian, propagate,
                        unitarity_defect)
 from .multipair import (PairAmplitudes, VacuumAmplitude, SectorReport,
                         pair_amplitudes, vacuum_amplitude,
-                        multi_pair_amplitude, single_pair_list,
-                        sector_observables)
+                        multi_pair_amplitude, sector_observables)
 from .fockoracle import (FockBasis, ManyBodyState, second_quantize,
                          propagate_vacuum, read_amplitude, vacuum_overlap,
                          sector_probabilities_exact, amplitude_table)

@@ -81,8 +81,7 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
     report = multipair.sector_observables(g, basis, config.numerics)
     pair_list = [(basis.label(basis.plus_indices[e]),
                   basis.label(basis.minus_indices[p]), prob)
-                 for e, p, prob in multipair.single_pair_list(
-                     g, config.numerics)]
+                 for e, p, prob in report.pairs]
     return ResultRow(
         sweep_value=sweep_value,
         plateau_cycles=config.window.plateau_cycles,
@@ -92,7 +91,7 @@ def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
         s_plus=report.s_plus, s_minus=report.s_minus,
         h_plus=report.h_plus, h_minus=report.h_minus,
         unitarity_defect=u.unitarity_defect,
-        cond_gmm=float(np.linalg.cond(g.g_mm)),   # inf where G_mm is singular
+        cond_gmm=report.cond_gmm,
         discarded_mass=report.discarded_mass_bound,
         pair_list=pair_list,
     )

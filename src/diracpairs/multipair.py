@@ -6,7 +6,8 @@ A, B, C unitary.  Mode i is an independent Bernoulli variable: it holds a
 pair, electron in orbital A_i and positron in C_i, with probability
 p_i = sigma_i(G_pm)^2.  The N-pair sector probability c_N is the
 Poisson-binomial distribution of the p_i, and sector means weigh each
-orbital by its occupation in the sector; none of it needs an inverse.
+orbital by its occupation in the sector.  One SVD and one QR give all of
+it, the single-pair list and cond(G_mm) too; none of it needs an inverse.
 
 Amplitudes need no inverse either.  A multi-pair amplitude is det(G_mm)
 with row positrons[k] replaced by -G_pm[electrons[k]]: the fermionic sign
@@ -52,16 +53,19 @@ class VacuumAmplitude:
 
 @dataclass
 class SectorReport:
-    """Per-sector probabilities and averaged observables.
+    """Per-sector probabilities, averaged observables and single pairs.
 
     ``c[N]`` is the probability of exactly N pairs for N = 0..n_sector_max
     (c[0] the vacuum); observables are dicts keyed by N and omitted where
     c_N vanishes.  ``discarded_mass_bound`` is the exact tail
-    sum_{N > n_sector_max} c_N.  The prune threshold plays no part here; it
-    trims ``single_pair_list``.
+    sum_{N > n_sector_max} c_N.  ``pairs`` holds the retained (electron,
+    positron, probability), most probable first; the prune threshold trims
+    it and nothing else.  ``cond_gmm`` is inf where G_mm is singular.
     """
 
     c: np.ndarray
+    pairs: list[tuple[int, int, float]]
+    cond_gmm: float
     s_plus: dict = field(default_factory=dict)
     s_minus: dict = field(default_factory=dict)
     h_plus: dict = field(default_factory=dict)
@@ -117,35 +121,6 @@ def multi_pair_amplitude(g: GBlocks, electrons, positrons) -> complex:
     return complex(np.linalg.det(minor))
 
 
-def single_pair_list(g: GBlocks,
-                     numerics: NumericsParams) -> list[tuple[int, int, float]]:
-    """Retained (electron, positron, probability), most probable first.
-
-    The amplitudes are -G_pm adj(G_mm), with adj(G_mm) = det(W) det(V^dag)
-    V diag(prod_{j != i} s_j) W^dag from the SVD G_mm = W diag(s) V^dag: no
-    division, and a probability does not see the unit phase.  A pair stays
-    where |amp|^2 >= prune_threshold |C_v|^2, every pair where C_v = 0.
-    Probabilities within TIE_RTOL of each other are a tie, ordered by
-    ascending (electron, positron): degenerate pairs differ by roundoff only.
-    """
-    w, s, vh = np.linalg.svd(g.g_mm)
-    others = np.where(np.eye(len(s), dtype=bool), 1.0, s).prod(axis=1)
-    # -G_pm adj(G_mm) but for the unit phase -det(W) det(V^dag)
-    amps = g.g_pm @ (vh.conj().T * others) @ w.conj().T
-    keep = np.abs(amps) ** 2 >= numerics.prune_threshold * np.prod(s) ** 2
-    rows, cols = np.nonzero(keep)     # row-major: (electron, positron) order
-    # libm hypot through Python's abs: numpy's vectorised complex abs can
-    # differ from it in the last bit
-    probs = np.array([abs(a) ** 2 for a in amps[rows, cols].tolist()])
-    order = np.argsort(-probs, kind="stable")
-    ranked = probs[order]
-    new_group = ranked[1:] < ranked[:-1] * (1.0 - TIE_RTOL)
-    tie_group = np.empty(len(order), dtype=int)
-    tie_group[order] = np.cumsum(np.r_[False, new_group])
-    return [(int(rows[i]), int(cols[i]), float(probs[i]))
-            for i in np.argsort(tie_group, kind="stable")]
-
-
 def _poisson_binomial(p: np.ndarray) -> np.ndarray:
     """table[N, i] = P_N, N = 0..d, the distribution of the number of
     successes of the independent Bernoulli variables ``p``: column i with
@@ -162,22 +137,46 @@ def _poisson_binomial(p: np.ndarray) -> np.ndarray:
     return table
 
 
+def _ranked_pairs(probs: np.ndarray, floor: float) -> list:
+    """(electron, positron, probability) of the probs >= floor, most probable
+    first; ties within TIE_RTOL by ascending (electron, positron)."""
+    rows, cols = np.nonzero(probs >= floor)   # row-major: (electron, positron)
+    kept = probs[rows, cols]
+    order = np.argsort(-kept, kind="stable")
+    ranked = kept[order]
+    new_group = ranked[1:] < ranked[:-1] * (1.0 - TIE_RTOL)
+    tie_group = np.empty(len(order), dtype=int)
+    tie_group[order] = np.cumsum(np.r_[False, new_group])
+    return [(int(rows[i]), int(cols[i]), float(kept[i]))
+            for i in np.argsort(tie_group, kind="stable")]
+
+
 def sector_observables(g: GBlocks, basis: ModeBasis,
                        numerics: NumericsParams) -> SectorReport:
-    """c_N and per-sector mean spin_z/helicity of electrons and positrons.
+    """c_N, per-sector mean spin_z/helicity, the single pairs and cond(G_mm)
+    from one SVD G_pm = A sin(theta) B^dag and one QR G_mm B = Q R.
 
-    One SVD G_pm = A sin(theta) B^dag gives p = sin^2 and the electron
-    orbitals A.  The positron orbitals C = G_mm B / cos(theta) are the Q of
-    the QR factorization of G_mm B, columns by descending cos, so a mode
-    that surely holds a pair (cos = 0) takes the direction left over by the
-    others.  Mode i is occupied in sector N with weight
-    p_i P^(i)_{N-1} / P_N, where P^(i) leaves mode i out:
-    P_N = P^(i)_N (1 - p_i) + P^(i)_{N-1} p_i.  Sectors with c_N = 0 have
-    their observables omitted.
+    p = sin^2, and A holds the electron orbitals.  The positron orbitals
+    C = G_mm B / cos(theta) are Q, columns by descending cos, so a mode that
+    surely holds a pair (cos = 0) takes the direction left over by the
+    others.  Mode i is occupied in sector N with weight p_i P^(i)_{N-1} / P_N,
+    where P^(i) leaves mode i out: P_N = P^(i)_N (1 - p_i) + P^(i)_{N-1} p_i.
+    Sectors with c_N = 0 have their observables omitted.
+
+    R is diagonal to within U's unitarity defect, so G_mm = C diag(r) B^dag
+    with r = diag(R), phases kept: -G_pm adj(G_mm) is, but for a unit phase,
+    A diag(sin_i prod_{j != i} r_j) C^dag, and cond(G_mm) = max|r| / min|r|
+    (inf where min |r| = 0).  A pair stays where
+    |amp|^2 >= prune_threshold |C_v|^2 = prune_threshold prod |r_j|^2.
     """
     k_max = numerics.n_sector_max
     orb_e, sin, bh = np.linalg.svd(g.g_pm, full_matrices=False)
-    orb_p = np.linalg.qr(g.g_mm @ bh[::-1].conj().T)[0][:, ::-1]
+    q, r = np.linalg.qr(g.g_mm @ bh[::-1].conj().T)
+    orb_p, r = q[:, ::-1], np.diagonal(r)[::-1]
+    cos = np.abs(r)
+    others = np.where(np.eye(len(r), dtype=bool), 1.0, r).prod(axis=1)
+    probs = np.abs((orb_e * (sin * others)) @ orb_p.conj().T) ** 2
+    pairs = _ranked_pairs(probs, numerics.prune_threshold * np.prod(cos) ** 2)
     p = np.minimum(sin ** 2, 1.0)      # U's unitarity defect can pass 1
     table = _poisson_binomial(p)
     dist = table[:, -1]
@@ -194,6 +193,8 @@ def sector_observables(g: GBlocks, basis: ModeBasis,
     plus, minus = basis.plus_indices, basis.minus_indices
     return SectorReport(
         c=c,
+        pairs=pairs,
+        cond_gmm=float(cos.max() / cos.min()) if cos.min() > 0.0 else np.inf,
         s_plus=means(basis.spin_z[plus], occ_e),
         h_plus=means(basis.helicity[plus], occ_e),
         s_minus=means(basis.spin_z[minus], occ_p),

@@ -18,7 +18,7 @@ from diracpairs import (FieldParams, HelicityRelation,
                         cycle_compose, extract_g_blocks,
                         figure_configs, multi_pair_amplitude, pair_amplitudes,
                         propagate, propagator_segments, propagate_vacuum,
-                        read_amplitude, sector_observables, single_pair_list,
+                        read_amplitude, sector_observables,
                         unitarity_defect, vacuum_amplitude, vacuum_overlap,
                         with_plateau)
 from diracpairs.dynamics import _integrate
@@ -339,6 +339,26 @@ def test_unpruned_pair_list_sums_to_c1(run, request):
     # the one-pair minors against the sector readout on the preset blocks
     run = request.getfixturevalue(run)
     numerics = replace(run["config"].numerics, prune_threshold=0.0)
-    total = sum(prob for _, _, prob in single_pair_list(run["g"], numerics))
-    c1 = sector_observables(run["g"], run["basis"], numerics).c[1]
-    assert total == pytest.approx(c1, rel=1e-12)
+    rep = sector_observables(run["g"], run["basis"], numerics)
+    total = sum(prob for _, _, prob in rep.pairs)
+    assert total == pytest.approx(rep.c[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("run", ["fig2_run10", "fig4_run"])
+def test_cond_gmm_matches_numpy_cond(run, request):
+    run = request.getfixturevalue(run)
+    rep = sector_observables(run["g"], run["basis"], run["config"].numerics)
+    assert rep.cond_gmm == pytest.approx(np.linalg.cond(run["g"].g_mm),
+                                         rel=1e-12)
+
+
+@pytest.mark.parametrize("run", ["fig2_run10", "fig4_run"])
+def test_retained_pairs_are_one_pair_minors(run, request):
+    # the pair list from the CS factors against det(G_mm) with one row
+    # replaced, an independent formula
+    run = request.getfixturevalue(run)
+    rep = sector_observables(run["g"], run["basis"], run["config"].numerics)
+    assert rep.pairs
+    for e, p, prob in rep.pairs:
+        minor = abs(multi_pair_amplitude(run["g"], [e], [p])) ** 2
+        assert prob == pytest.approx(minor, rel=1e-12)

@@ -183,6 +183,29 @@ class TestRunOnce:
         assert json.dumps(row_to_dict(again), sort_keys=True) == text
         assert csv_row(again, 4) == csv_row(row, 4)
 
+    def test_readout_factors_the_blocks_once(self, monkeypatch):
+        # one SVD and one QR per row; no inverse, solve, determinant or
+        # condition number
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        angles = np.array([0.4, 1.2, 0.0, 1.1, 0.7, 0.2])
+        g, _, _ = cs_unitary_gblocks(np.random.default_rng(22), angles)
+        config = desk_config()
+        basis = build_basis(config.numerics, config.field)
+        for name in ("svd", "qr", "inv", "solve", "det", "slogdet", "cond"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        row = _readout(config, basis, SimpleNamespace(unitarity_defect=0.0), g)
+        assert sorted(calls) == ["qr", "svd"]
+        assert row.pair_list and math.isfinite(row.cond_gmm)
+
     def test_csv_format_is_pinned(self):
         assert csv_header(4) == (
             "sweep_value,plateau_cycles,total_cycles,cv_abs2,"

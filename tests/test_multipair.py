@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from diracpairs import (GBlocks, HelicityRelation, IllConditionedError,
                         NumericsParams, build_basis, field_from_si,
                         multi_pair_amplitude, pair_amplitudes,
-                        sector_observables, single_pair_list,
-                        vacuum_amplitude)
+                        sector_observables, vacuum_amplitude)
 from synthetic import cs_unitary_gblocks, haar_unitary, synthetic_gblocks
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
@@ -303,7 +303,7 @@ class TestSectorProbabilities:
         numerics = NumericsParams(n_cut=4, prune_threshold=0.0, n_sector_max=4)
         basis = build_basis(numerics, FIELD)
         rep = sector_observables(g, basis, numerics)
-        assert len(single_pair_list(g, numerics)) == 18 * 18
+        assert len(rep.pairs) == 18 * 18
         assert rep.discarded_mass_bound > 0.0
         assert abs(rep.c.sum() + rep.discarded_mass_bound - 1.0) <= 1e-10
         assert sorted(rep.s_plus) == [1, 2, 3, 4]
@@ -318,8 +318,8 @@ class TestSectorProbabilities:
         pruned_numerics = self.numerics(n_sector_max=3, prune_threshold=0.05)
         full = sector_observables(g, basis, full_numerics)
         pruned = sector_observables(g, basis, pruned_numerics)
-        assert len(single_pair_list(g, full_numerics)) == 36
-        assert 0 < len(single_pair_list(g, pruned_numerics)) < 36
+        assert len(full.pairs) == 36
+        assert 0 < len(pruned.pairs) < 36
         assert np.array_equal(pruned.c, full.c)
         for name in ("s_plus", "s_minus", "h_plus", "h_minus"):
             assert getattr(pruned, name) == getattr(full, name)
@@ -391,16 +391,17 @@ class TestSinglePairList:
         omega[1, 2] = 0.9
         omega[3, 3] = 1e-2
         g = synthetic_gblocks(omega)
+        modes = mode_table(np.random.default_rng(16), 4)
         numerics = NumericsParams(n_cut=1, prune_threshold=1e-6)
-        pairs = single_pair_list(g, numerics)
+        pairs = sector_observables(g, modes, numerics).pairs
         assert [(e, p) for e, p, _ in pairs] == [(1, 2), (0, 0), (3, 3)]
         c_v = vacuum_amplitude(g).c_v
         for e, p, prob in pairs:
             assert prob == pytest.approx(abs(c_v * omega[e, p]) ** 2, rel=1e-12)
         # |omega|^2 = 1e-4 falls below a 1e-2 threshold
         tight = NumericsParams(n_cut=1, prune_threshold=1e-2)
-        assert [(e, p) for e, p, _ in single_pair_list(g, tight)] == \
-            [(1, 2), (0, 0)]
+        assert [(e, p) for e, p, _ in
+                sector_observables(g, modes, tight).pairs] == [(1, 2), (0, 0)]
 
     def test_ties_ordered_by_labels_whatever_the_roundoff(self):
         # four probabilities equal to ~1e-15 relative, as in a degenerate
@@ -408,13 +409,15 @@ class TestSinglePairList:
         slots = [(3, 0), (0, 2), (2, 3), (1, 1)]
         wiggle = [1.0, 1.0 + 2e-15, 1.0 - 1e-15, 1.0 + 1e-15]
         numerics = NumericsParams(n_cut=1, prune_threshold=0.0)
+        modes = mode_table(np.random.default_rng(17), 4)
         lists = []
         for perm in ([0, 1, 2, 3], [2, 0, 3, 1]):
             omega = np.zeros((4, 4), dtype=complex)
             omega[0, 3] = 0.5                       # a distinct top pair
             for (e, p), w in zip(slots, np.array(wiggle)[perm]):
                 omega[e, p] = 0.3 * w
-            lists.append(single_pair_list(synthetic_gblocks(omega), numerics))
+            lists.append(sector_observables(synthetic_gblocks(omega), modes,
+                                            numerics).pairs)
         first, second = lists
         expected = [(0, 3), (0, 2), (1, 1), (2, 3), (3, 0)]
         assert [(e, p) for e, p, _ in first][:5] == expected
@@ -431,9 +434,35 @@ class TestSinglePairList:
                        rng.uniform(0.0, 1.4, size=6)):
             g, _, _ = cs_unitary_gblocks(rng, np.array(angles))
             modes = mode_table(rng, len(angles))
-            c1 = sector_observables(g, modes, numerics).c[1]
-            total = sum(prob for _, _, prob in single_pair_list(g, numerics))
-            assert total == pytest.approx(c1, rel=1e-12)
+            rep = sector_observables(g, modes, numerics)
+            total = sum(prob for _, _, prob in rep.pairs)
+            assert total == pytest.approx(rep.c[1], rel=1e-12)
+
+    def test_cond_gmm_matches_numpy_cond(self):
+        # cond(G_mm) from the QR diagonal against numpy's SVD of G_mm
+        rng = np.random.default_rng(20)
+        numerics = NumericsParams(n_cut=1, prune_threshold=0.0)
+        for angles in ([0.3, 1.0, 0.7], [0.4, 1.4, 0.0, 1.1, 0.7],
+                       rng.uniform(0.0, 1.4, size=6)):
+            g, _, _ = cs_unitary_gblocks(rng, np.array(angles))
+            rep = sector_observables(g, mode_table(rng, len(angles)), numerics)
+            assert rep.cond_gmm == pytest.approx(np.linalg.cond(g.g_mm),
+                                                 rel=1e-12)
+
+    def test_every_mode_filled(self):
+        # G_mm = 0: C_v = 0, so every pair stays and each has amplitude 0;
+        # all six modes surely hold a pair
+        rng = np.random.default_rng(21)
+        g = GBlocks(g_pm=haar_unitary(rng, 6), g_mm=np.zeros((6, 6), complex))
+        numerics = NumericsParams(n_cut=1, prune_threshold=1e-6,
+                                  n_sector_max=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sector_observables(g, build_basis(numerics, FIELD), numerics)
+        assert rep.cond_gmm == math.inf
+        assert len(rep.pairs) == 36
+        assert all(prob == 0.0 for _, _, prob in rep.pairs)
+        assert rep.c[6] == pytest.approx(1.0, abs=1e-12)
 
 
 angle = st.one_of(st.just(0.0), st.floats(0.1, 1.2))

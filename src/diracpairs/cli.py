@@ -40,6 +40,7 @@ from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          _parse, _plain)
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
+CHUNK = 8       # sweep points composed and read out in one stacked call
 
 
 @dataclass
@@ -76,25 +77,22 @@ class SweepSpec:
     emit: dict[str, bool] = field(default_factory=dict)
 
 
-def _readout(config: RunConfig, basis: ModeBasis, u: dynamics.Propagator,
-             g: dynamics.GBlocks, sweep_value=math.nan) -> ResultRow:
-    report = multipair.sector_observables(g, basis, config.numerics)
-    pair_list = [(basis.label(basis.plus_indices[e]),
-                  basis.label(basis.minus_indices[p]), prob)
-                 for e, p, prob in report.pairs]
-    return ResultRow(
-        sweep_value=sweep_value,
-        plateau_cycles=config.window.plateau_cycles,
-        total_cycles=config.window.total_cycles,
-        cv_abs2=float(report.c[0]),
-        c=[float(x) for x in report.c],
+def _readout(configs: list, basis: ModeBasis, us: list,
+             sweep_values: list) -> list:
+    """Rows of the propagators ``us`` of points of one basis and numerics."""
+    gs = [dynamics.extract_g_blocks(u, basis, c) for u, c in zip(us, configs)]
+    reports = multipair.sector_observables(gs, basis, configs[0].numerics)
+    electrons, positrons = basis.pair_labels
+    return [ResultRow(
+        value, config.window.plateau_cycles, config.window.total_cycles,
+        cv_abs2=float(report.c[0]), c=report.c.tolist(),
         s_plus=report.s_plus, s_minus=report.s_minus,
         h_plus=report.h_plus, h_minus=report.h_minus,
-        unitarity_defect=u.unitarity_defect,
-        cond_gmm=report.cond_gmm,
+        unitarity_defect=u.unitarity_defect, cond_gmm=report.cond_gmm,
         discarded_mass=report.discarded_mass_bound,
-        pair_list=pair_list,
-    )
+        pair_list=[(electrons[e], positrons[p], prob)
+                   for e, p, prob in report.pairs],
+    ) for config, u, report, value in zip(configs, us, reports, sweep_values)]
 
 
 def run_once(config: RunConfig) -> ResultRow:
@@ -102,8 +100,7 @@ def run_once(config: RunConfig) -> ResultRow:
     validate(config)
     basis = build_basis(config.numerics, config.field)
     u = dynamics.propagate(config, basis)
-    g = dynamics.extract_g_blocks(u, basis, config)
-    return _readout(config, basis, u, g)
+    return _readout([config], basis, [u], [math.nan])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +210,13 @@ def _code_digest() -> str:
 def run_sweep(spec: SweepSpec) -> dict:
     """Run all sweep points; returns {"csv": path, "json": path}.
 
-    Every point composes its plateau from the turn-on, one-cycle and
-    turn-off propagators, which are integrated again only when a point
-    differs from the previous one in more than its plateau length.  Failed
-    points are recorded with their error string and the sweep continues; a
-    point file that cannot be read back, or with gdump on a point without
-    its dump, is redone.
+    Uncached points that differ in their plateau length alone are composed
+    and read out in stacks of up to CHUNK points, which bounds the memory
+    (about four d x d complex matrices a point, d the mode count).  Their
+    segments are integrated again only for a new field, window ramp or
+    numerics other than n_sector_max and prune_threshold.  Failed points
+    keep their error string; a point file that cannot be read back, or with
+    gdump on a point without its dump, is redone.
     """
     if not spec.values:
         raise ValidationError("spec.values: must be non-empty")
@@ -228,44 +226,64 @@ def run_sweep(spec: SweepSpec) -> dict:
     points_dir = os.path.join(outdir, "points", _code_digest())
     os.makedirs(points_dir, exist_ok=True)
     gdump = bool(spec.emit.get("gdump", False))
+    points = [os.path.join(points_dir, config_hash(c)) for c in configs]
+    rows, plain, groups = [None] * len(configs), [None] * len(configs), {}
 
-    segments_for = None
-    rows = []
-    for value, config in zip(spec.values, configs):
-        tag = config_hash(config)
-        cache = os.path.join(points_dir, f"{tag}.json")
-        dump = os.path.join(points_dir, f"{tag}-u.npy")
+    def finish(i, row):
+        rows[i], plain[i] = row, row_to_dict(row)
+        text = json.dumps(plain[i], sort_keys=True)
+        _write_whole(points[i] + ".json", lambda fh: fh.write(text.encode()))
+
+    def failed(i, exc):
+        window = configs[i].window
+        return ResultRow(float(spec.values[i]), window.plateau_cycles,
+                         window.total_cycles,
+                         error=f"{type(exc).__name__}: {exc}")
+
+    for i, config in enumerate(configs):
         try:
-            with open(cache) as fh:
-                row = row_from_dict(json.load(fh))
+            with open(points[i] + ".json") as fh:
+                data = json.load(fh)
+            row = row_from_dict(data)
         except (FileNotFoundError, ValueError):
             row = None    # not cached, or a write cut short: redo the point
         # with gdump on, a point whose dump is gone is redone as well
         if row is not None and (not gdump or row.error
-                                or os.path.exists(dump)):
+                                or os.path.exists(points[i] + "-u.npy")):
             # the same point may have been cached by a sweep along another axis
-            rows.append(replace(row, sweep_value=float(value)))
+            rows[i] = replace(row, sweep_value=float(spec.values[i]))
+            plain[i] = {**data, "sweep_value": _plain(rows[i].sweep_value)}
             continue
         try:
             validate(config)
-            bare = with_plateau(config, 0)
-            if bare != segments_for:
-                basis = build_basis(config.numerics, config.field)
-                segments = dynamics.propagator_segments(bare, basis)
-                segments_for = bare
-            u = dynamics.cycle_compose(*segments, config.window.plateau_cycles)
-            g = dynamics.extract_g_blocks(u, basis, config)
-            row = _readout(config, basis, u, g, float(value))
-            if gdump:
-                _write_whole(dump, lambda fh: np.save(fh, u.matrix))
-        except (ValidationError, NumericalToleranceError) as exc:
-            row = ResultRow(sweep_value=float(value),
-                            plateau_cycles=config.window.plateau_cycles,
-                            total_cycles=config.window.total_cycles,
-                            error=f"{type(exc).__name__}: {exc}")
-        text = json.dumps(row_to_dict(row), sort_keys=True)
-        _write_whole(cache, lambda fh: fh.write(text.encode()))
-        rows.append(row)
+        except ValidationError as exc:
+            finish(i, failed(i, exc))
+        else:   # grouped with the points that differ in plateau length alone
+            groups.setdefault(with_plateau(config, 0), []).append(i)
+
+    segments_for = None
+    for bare, group in groups.items():
+        # the readout's inputs leave the segments as they are
+        key = replace(bare, numerics=replace(bare.numerics, n_sector_max=1,
+                                             prune_threshold=0.0))
+        for chunk in (group[k:k + CHUNK] for k in range(0, len(group), CHUNK)):
+            cs = [configs[i] for i in chunk]
+            try:
+                if key != segments_for:
+                    basis = build_basis(key.numerics, key.field)
+                    segments = dynamics.propagator_segments(key, basis)
+                    segments_for = key
+                us = dynamics.cycle_compose(
+                    *segments, [c.window.plateau_cycles for c in cs])
+                chunk_rows = _readout(cs, basis, us,
+                                      [float(spec.values[i]) for i in chunk])
+                for i, u in zip(chunk, us) if gdump else ():
+                    _write_whole(points[i] + "-u.npy",
+                                 lambda fh: np.save(fh, u.matrix))
+            except (ValidationError, NumericalToleranceError) as exc:
+                chunk_rows = [failed(i, exc) for i in chunk]
+            for i, row in zip(chunk, chunk_rows):
+                finish(i, row)
 
     k = max(config.numerics.n_sector_max for config in configs)
     csv_path = os.path.join(outdir, f"sweep_{spec.sweep_axis}.csv")
@@ -275,8 +293,7 @@ def run_sweep(spec: SweepSpec) -> dict:
         for row in rows:
             fh.write(csv_row(row, k) + "\n")
     with open(json_path, "w") as fh:
-        json.dump({"spec": sweep_spec_to_dict(spec),
-                   "rows": [row_to_dict(r) for r in rows]},
+        json.dump({"spec": sweep_spec_to_dict(spec), "rows": plain},
                   fh, indent=1, sort_keys=True)
     return {"csv": csv_path, "json": json_path}
 

@@ -154,9 +154,10 @@ def midpoint_steps(config: RunConfig, t0_cycles: float,
             dt_cycles * config.field.cycle_duration)
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    dim = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+def unitarity_defect(u: np.ndarray):
+    """max |u^dag u - 1| of a matrix, or one per matrix of a stack."""
+    gram = u.conj().swapaxes(-1, -2) @ u
+    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def _taylor_terms(h0: np.ndarray, k: np.ndarray, scale: complex,
@@ -284,7 +285,7 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
             # an out-of-range step overflows; the unitarity gate reports it
             with np.errstate(over="ignore", invalid="ignore"):
                 m, steps = _integrate(basis, one, float(t0), float(t1))
-        defect = unitarity_defect(m)
+        defect = float(unitarity_defect(m))
         if not defect <= DEFAULT_UNITARITY_TOL:    # NaN fails too
             raise UnitarityError(
                 f"{part} segment unitarity defect {defect:.3e} exceeds "
@@ -310,21 +311,25 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
 
 
 def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,
-                  j: int) -> Propagator:
-    """u_off (u_cycle)^j u_on from the Floquet form of u_cycle.
+                  j):
+    """u_off (u_cycle)^j u_on from the Floquet form of u_cycle: one
+    propagator for one plateau length j, a list for a sequence of them.
 
-    With u_cycle = Q diag(lam) Q^dag, factorized once per segment set, any
-    plateau costs two products, (u_off Q diag(lam^j)) (Q^dag u_on); since
-    |lam| = 1 the roundoff defect of u_cycle is not raised to the j-th power.
+    With u_cycle = Q diag(lam) Q^dag, factorized once per segment set, all
+    plateaus take two batched products, (u_off Q diag(lam^j)) (Q^dag u_on),
+    into one (len(j), d, d) stack; |lam| = 1 keeps u_cycle's defect unpowered.
     """
-    if j < 0:
+    plateaus = np.atleast_1d(j)
+    if (plateaus < 0).any():
         raise ValidationError("cycle_compose: plateau cycle count j must be >= 0")
     q, lam = u_cycle.floquet
-    matrix = (u_off.matrix @ q * lam ** j) @ (q.conj().T @ u_on.matrix)
-    total = 2 * u_on.t_span_cycles[1] + j
-    return Propagator(matrix=matrix, t_span_cycles=(0.0, total),
-                      steps=u_on.steps + u_cycle.steps + u_off.steps,
-                      unitarity_defect=unitarity_defect(matrix))
+    stack = ((u_off.matrix @ q * lam ** plateaus[:, None, None])
+             @ (q.conj().T @ u_on.matrix))
+    steps = u_on.steps + u_cycle.steps + u_off.steps
+    composed = [Propagator(m, (0.0, 2 * u_on.t_span_cycles[1] + n), steps,
+                           float(defect)) for m, n, defect
+                in zip(stack, plateaus.tolist(), unitarity_defect(stack))]
+    return composed if np.ndim(j) else composed[0]
 
 
 def extract_g_blocks(u: Propagator, basis: ModeBasis, config: RunConfig) -> GBlocks:

@@ -105,6 +105,9 @@ class ModeBasis:
 
         self.plus_indices = np.flatnonzero(self.band_plus)
         self.minus_indices = np.flatnonzero(~self.band_plus)
+        # ``label`` of the electron and of the positron modes, for pair lists
+        self.pair_labels = tuple([self.label(i) for i in half] for half
+                                 in (self.plus_indices, self.minus_indices))
 
     def label(self, i: int) -> str:
         """Lattice index and spin of mode i, as in "+1u"."""

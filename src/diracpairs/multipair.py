@@ -122,14 +122,15 @@ def multi_pair_amplitude(g: GBlocks, electrons, positrons) -> complex:
 
 
 def _poisson_binomial(p: np.ndarray) -> np.ndarray:
-    """table[N, i] = P_N, N = 0..d, the distribution of the number of
-    successes of the independent Bernoulli variables ``p``: column i with
-    p_i left out, the last column with all of them."""
-    d = len(p)
-    steps = np.where(np.eye(d, d + 1, dtype=bool), 0.0, p[:, None])
-    table = np.zeros((d + 1, d + 1))
-    table[0] = 1.0
-    head, tail, carry = table[:-1], table[1:], np.empty((d, d + 1))
+    """table[k, N, i] = P_N, N = 0..d, the distribution of the number of
+    successes of the independent Bernoulli variables ``p[k]`` (p is (n, d)):
+    column i with p[k, i] left out, the last column with all of them."""
+    d = p.shape[1]
+    steps = np.where(np.eye(d, d + 1, dtype=bool)[:, None, None],
+                     0.0, p.T[:, :, None, None])
+    table = np.zeros((len(p), d + 1, d + 1))
+    table[:, 0] = 1.0
+    head, tail, carry = table[:, :-1], table[:, 1:], np.empty((len(p), d, d + 1))
     for step, keep in zip(steps, 1.0 - steps):    # mode j in every column
         np.multiply(head, step, out=carry)
         table *= keep
@@ -151,10 +152,10 @@ def _ranked_pairs(probs: np.ndarray, floor: float) -> list:
             for i in np.argsort(tie_group, kind="stable")]
 
 
-def sector_observables(g: GBlocks, basis: ModeBasis,
-                       numerics: NumericsParams) -> SectorReport:
+def sector_observables(g, basis: ModeBasis, numerics: NumericsParams):
     """c_N, per-sector mean spin_z/helicity, the single pairs and cond(G_mm)
-    from one SVD G_pm = A sin(theta) B^dag and one QR G_mm B = Q R.
+    of a GBlocks, or a list of reports of a sequence of them, from one SVD
+    G_pm = A sin(theta) B^dag and one QR G_mm B = Q R of their stack.
 
     p = sin^2, and A holds the electron orbitals.  The positron orbitals
     C = G_mm B / cos(theta) are Q, columns by descending cos, so a mode that
@@ -168,35 +169,39 @@ def sector_observables(g: GBlocks, basis: ModeBasis,
     A diag(sin_i prod_{j != i} r_j) C^dag, and cond(G_mm) = max|r| / min|r|
     (inf where min |r| = 0).  A pair stays where
     |amp|^2 >= prune_threshold |C_v|^2 = prune_threshold prod |r_j|^2.
+    All but the pair ranking is stacked, so memory grows with the length.
     """
+    gs = [g] if isinstance(g, GBlocks) else g
     k_max = numerics.n_sector_max
-    orb_e, sin, bh = np.linalg.svd(g.g_pm, full_matrices=False)
-    q, r = np.linalg.qr(g.g_mm @ bh[::-1].conj().T)
-    orb_p, r = q[:, ::-1], np.diagonal(r)[::-1]
+    orb_e, sin, bh = np.linalg.svd([x.g_pm for x in gs], full_matrices=False)
+    q, r = np.linalg.qr(np.array([x.g_mm for x in gs])
+                        @ bh[:, ::-1].conj().swapaxes(1, 2))
+    orb_p, r = q[:, :, ::-1], np.diagonal(r, axis1=1, axis2=2)[:, ::-1]
     cos = np.abs(r)
-    others = np.where(np.eye(len(r), dtype=bool), 1.0, r).prod(axis=1)
-    probs = np.abs((orb_e * (sin * others)) @ orb_p.conj().T) ** 2
-    pairs = _ranked_pairs(probs, numerics.prune_threshold * np.prod(cos) ** 2)
+    others = np.where(np.eye(r.shape[1], dtype=bool), 1.0, r[:, None]).prod(2)
+    probs = np.abs((orb_e * (sin * others)[:, None])
+                   @ orb_p.conj().swapaxes(1, 2)) ** 2
+    floors = numerics.prune_threshold * np.prod(cos, axis=1) ** 2
     p = np.minimum(sin ** 2, 1.0)      # U's unitarity defect can pass 1
     table = _poisson_binomial(p)
-    dist = table[:, -1]
-
-    c = np.append(dist, np.zeros(k_max))[:k_max + 1]
-    sectors = [n for n in range(1, k_max + 1) if c[n] > 0.0]
-    occ = table[[n - 1 for n in sectors], :-1].T * p[:, None] / dist[sectors]
+    dist = table[:, :, -1]
+    c = np.pad(dist, ((0, 0), (0, k_max)))[:, :k_max + 1]
+    k = min(k_max, p.shape[1])      # no more pairs than modes
+    with np.errstate(divide="ignore", invalid="ignore"):    # c_N = 0: omitted
+        occ = (table[:, :k, :-1].swapaxes(1, 2) * p[:, :, None]
+               / c[:, None, 1:k + 1])
     occ_e = np.abs(orb_e) ** 2 @ occ
     occ_p = np.abs(orb_p) ** 2 @ occ
-
-    def means(mode_values, occ):
-        return {n: float(x) for n, x in zip(sectors, mode_values @ occ)}
-
     plus, minus = basis.plus_indices, basis.minus_indices
-    return SectorReport(
-        c=c,
-        pairs=pairs,
-        cond_gmm=float(cos.max() / cos.min()) if cos.min() > 0.0 else np.inf,
-        s_plus=means(basis.spin_z[plus], occ_e),
-        h_plus=means(basis.helicity[plus], occ_e),
-        s_minus=means(basis.spin_z[minus], occ_p),
-        h_minus=means(basis.helicity[minus], occ_p),
-        discarded_mass_bound=float(dist[k_max + 1:].sum()))
+    means = {"s_plus": basis.spin_z[plus] @ occ_e,
+             "h_plus": basis.helicity[plus] @ occ_e,
+             "s_minus": basis.spin_z[minus] @ occ_p,
+             "h_minus": basis.helicity[minus] @ occ_p}
+    reports = [SectorReport(
+        c=c[i], pairs=_ranked_pairs(probs[i], floors[i]),
+        cond_gmm=float(cos[i].max() / cos[i].min()) if cos[i].min() > 0.0
+        else np.inf,
+        discarded_mass_bound=float(dist[i, k_max + 1:].sum()),
+        **{name: {n: float(x[i, n - 1]) for n in range(1, k + 1) if c[i, n] > 0.0}
+           for name, x in means.items()}) for i in range(len(gs))]
+    return reports[0] if isinstance(g, GBlocks) else reports

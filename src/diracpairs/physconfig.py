@@ -185,6 +185,7 @@ def validate(config: RunConfig) -> RunConfig:
 
 _KINDS = {int: "an integer", float: "a number", str: "a string",
           bool: "true or false"}
+_generic = cache(lambda kind: (get_origin(kind), get_args(kind)))
 
 
 @cache
@@ -211,34 +212,43 @@ def _plain(obj):
     return {k: _plain(getattr(obj, k)) for k in _schema(type(obj))}
 
 
-def _field_conveniences(fd: dict, path: str) -> dict:
+def _where(path) -> str:
+    """``path``, a string or a (path, key or index) pair, as a string."""
+    return path if isinstance(path, str) else _where(path[0]) + (
+        f"[{path[1]}]" if isinstance(path[1], int) else f".{path[1]}")
+
+
+def _field_conveniences(fd: dict, path) -> dict:
     """The field block's shorthands, rewritten to the FieldParams keys; a
     derived alpha_minus is checked against alpha_plus and dropped."""
     fd = {"helicity_relation": "same", **fd}
     if "e_si_v_per_m" in fd:
-        e_si = _parse(float, fd.pop("e_si_v_per_m"), f"{path}.e_si_v_per_m")
+        e_si = _parse(float, fd.pop("e_si_v_per_m"), (path, "e_si_v_per_m"))
         fd.setdefault("e_peak", e_si / E_SCHWINGER_V_PER_M)
     if "alpha_minus" in fd:
-        given = _parse(float, fd.pop("alpha_minus"), f"{path}.alpha_minus")
+        given = _parse(float, fd.pop("alpha_minus"), (path, "alpha_minus"))
         if "alpha_plus" in fd:
             derived = paired_alpha(
-                _parse(float, fd["alpha_plus"], f"{path}.alpha_plus"),
+                _parse(float, fd["alpha_plus"], (path, "alpha_plus")),
                 _parse(HelicityRelation, fd["helicity_relation"],
-                       f"{path}.helicity_relation"))
+                       (path, "helicity_relation")))
             if not abs(given - derived) <= ANGLE_TOL:
-                raise ValidationError(f"{path}.alpha_minus: inconsistent "
+                raise ValidationError(f"{_where(path)}.alpha_minus: inconsistent "
                                       "with alpha_plus and helicity_relation")
     return fd
 
 
-def _parse(kind, value, path: str):
+def _parse(kind, value, path):
     """Inverse of ``_plain`` for the annotation ``kind``.
 
-    Raises ValidationError naming ``path`` for unknown or missing keys,
-    wrong JSON types (a bool is not a number, an int must be integral) and
-    values outside an enum.  null reads as NaN where a float belongs.
+    Raises ValidationError naming ``_where(path)`` for unknown or missing
+    keys, wrong JSON types (a bool is not a number, an int must be integral)
+    and values outside an enum.  null reads as NaN where a float belongs.
+    A child's path is a (path, key) pair, made a string only to raise.
     """
     if kind in _KINDS:
+        if type(value) is kind:         # the JSON type itself
+            return value
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if kind is float and value is None:
             return math.nan
@@ -250,46 +260,46 @@ def _parse(kind, value, path: str):
             return int(value)
         if (kind is str or kind is bool) and isinstance(value, kind):
             return value
-        raise ValidationError(f"{path}: must be {_KINDS[kind]}")
+        raise ValidationError(f"{_where(path)}: must be {_KINDS[kind]}")
+    origin, args = _generic(kind)
+    if origin is list or origin is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{_where(path)}: must be a list")
+        if origin is tuple and len(value) != len(args):
+            raise ValidationError(f"{_where(path)}: must have {len(args)} entries")
+        kinds = args if origin is tuple else args * len(value)
+        return origin([_parse(t, v, (path, i))
+                       for i, (t, v) in enumerate(zip(kinds, value))])
     if is_dataclass(kind):
         if not isinstance(value, dict):
-            raise ValidationError(f"{path}: must be an object")
+            raise ValidationError(f"{_where(path)}: must be an object")
         if kind is FieldParams:
             value = _field_conveniences(value, path)
         schema = _schema(kind)
-        bad = [f"{path}.{k}: unknown key" for k in value
+        bad = [f"{_where(path)}.{k}: unknown key" for k in value
                if k not in schema and not k.startswith("_")]
-        bad += [f"{path}.{k}: missing required key"
+        bad += [f"{_where(path)}.{k}: missing required key"
                 for k, (_, required) in schema.items()
                 if required and k not in value]
         if bad:
             raise ValidationError(bad)
-        return kind(**{k: _parse(t, value[k], f"{path}.{k}")
+        return kind(**{k: _parse(t, value[k], (path, k))
                        for k, (t, _) in schema.items() if k in value})
     if isinstance(kind, type) and issubclass(kind, Enum):
         try:
             return kind(value)
         except ValueError:
-            raise ValidationError(f"{path}: must be one of "
+            raise ValidationError(f"{_where(path)}: must be one of "
                                   f"{[m.value for m in kind]}") from None
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is list or origin is tuple:
-        if not isinstance(value, list):
-            raise ValidationError(f"{path}: must be a list")
-        if origin is tuple and len(value) != len(args):
-            raise ValidationError(f"{path}: must have {len(args)} entries")
-        kinds = args if origin is tuple else args * len(value)
-        return origin([_parse(t, v, f"{path}[{i}]")
-                       for i, (t, v) in enumerate(zip(kinds, value))])
     key_kind, item_kind = args       # dict
     if not isinstance(value, dict):
-        raise ValidationError(f"{path}: must be an object")
+        raise ValidationError(f"{_where(path)}: must be an object")
     try:
         keys = [key_kind(k) for k in value]
     except ValueError:
-        raise ValidationError(f"{path}: every key must be "
+        raise ValidationError(f"{_where(path)}: every key must be "
                               f"{_KINDS[key_kind]}") from None
-    return {key: _parse(item_kind, v, f"{path}.{k}")
+    return {key: _parse(item_kind, v, (path, k))
             for key, (k, v) in zip(keys, value.items())}
 
 

@@ -9,22 +9,21 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import diracpairs
-from diracpairs import (GBlocks, HelicityRelation, NumericsParams, ResultRow,
-                        RunConfig,
+from diracpairs import (GBlocks, HelicityRelation, NumericsParams, Propagator,
+                        ResultRow, RunConfig,
                         SweepSpec, UnitarityError, WindowParams, build_basis,
                         config_from_dict, config_hash, config_to_dict,
                         cycle_compose, field_from_si, figure_configs,
                         propagator_segments, run_once, run_sweep,
                         with_plateau)
-from diracpairs.cli import (AXIS_ALIASES, _readout, build_parser, csv_header,
-                            csv_row, main, row_from_dict, row_to_dict,
-                            sweep_spec_to_dict)
+from diracpairs.cli import (AXIS_ALIASES, CHUNK, _readout, build_parser,
+                            csv_header, csv_row, main, row_from_dict,
+                            row_to_dict, sweep_spec_to_dict)
 from synthetic import cs_unitary_gblocks
 
 
@@ -35,6 +34,16 @@ def desk_config(plateau=1, n_cut=1, steps=64, n_sector_max=2, field=None):
         window=WindowParams(ramp_cycles=1, plateau_cycles=plateau),
         numerics=NumericsParams(n_cut=n_cut, steps_per_cycle=steps,
                                 n_sector_max=n_sector_max))
+
+
+def window_propagator(g, basis, config):
+    """A propagator over ``config``'s window whose G blocks are ``g``; its
+    other entries are zero, which the readout never reads."""
+    m = np.zeros((basis.dim, basis.dim), dtype=complex)
+    m[np.ix_(basis.plus_indices, basis.minus_indices)] = g.g_pm
+    m[np.ix_(basis.minus_indices, basis.minus_indices)] = g.g_mm
+    return Propagator(matrix=m, t_span_cycles=(0.0, config.window.total_cycles),
+                      steps=0, unitarity_defect=0.0)
 
 
 def points_dir(outdir):
@@ -51,13 +60,14 @@ def file_tree(root):
 
 @pytest.fixture
 def composed(monkeypatch):
-    """Plateau lengths of the sweep points composed, not read from cache."""
+    """Plateau lengths of the sweep points composed, not read from cache (a
+    sweep composes the lengths of a chunk of points in one call)."""
     import diracpairs.cli as cli_mod
     calls = []
     compose = cli_mod.dynamics.cycle_compose
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.extend(np.ravel(args[-1]).tolist())
         return compose(*args)
 
     monkeypatch.setattr(cli_mod.dynamics, "cycle_compose", counted)
@@ -68,12 +78,13 @@ def composed(monkeypatch):
 # last line of its output, which cli module ran and the points it composed.
 SWEEP_COUNTING_COMPOSE = """\
 import json, sys
+import numpy as np
 from diracpairs import cli
 composed = []
 compose = cli.dynamics.cycle_compose
 
 def counted(*args):
-    composed.append(args[-1])
+    composed.extend(np.ravel(args[-1]).tolist())
     return compose(*args)
 
 cli.dynamics.cycle_compose = counted
@@ -173,7 +184,8 @@ class TestRunOnce:
         config = replace(desk_config(), numerics=NumericsParams(
             n_cut=1, prune_threshold=0.0, n_sector_max=4))
         basis = build_basis(config.numerics, config.field)
-        row = _readout(config, basis, SimpleNamespace(unitarity_defect=0.0), g)
+        (row,) = _readout([config], basis,
+                          [window_propagator(g, basis, config)], [math.nan])
         assert abs(row.c[0]) <= 1e-12
         assert row.cond_gmm >= 1e15 and (row.cond_gmm == math.inf) == exact
         assert sum(prob for _, _, prob in row.pair_list) == pytest.approx(
@@ -184,8 +196,8 @@ class TestRunOnce:
         assert csv_row(again, 4) == csv_row(row, 4)
 
     def test_readout_factors_the_blocks_once(self, monkeypatch):
-        # one SVD and one QR per row; no inverse, solve, determinant or
-        # condition number
+        # one SVD and one QR per chunk of up to CHUNK rows; no inverse, solve,
+        # determinant or condition number
         calls = []
 
         def spy(name):
@@ -196,15 +208,23 @@ class TestRunOnce:
                 return real(*args, **kwargs)
             return counted
 
+        rng = np.random.default_rng(22)
         angles = np.array([0.4, 1.2, 0.0, 1.1, 0.7, 0.2])
-        g, _, _ = cs_unitary_gblocks(np.random.default_rng(22), angles)
+        gs = [cs_unitary_gblocks(rng, angles + 0.01 * i)[0]
+              for i in range(CHUNK)]
         config = desk_config()
         basis = build_basis(config.numerics, config.field)
         for name in ("svd", "qr", "inv", "solve", "det", "slogdet", "cond"):
             monkeypatch.setattr(np.linalg, name, spy(name))
-        row = _readout(config, basis, SimpleNamespace(unitarity_defect=0.0), g)
-        assert sorted(calls) == ["qr", "svd"]
-        assert row.pair_list and math.isfinite(row.cond_gmm)
+        for n in (1, 5, CHUNK):
+            del calls[:]
+            rows = _readout([config] * n, basis,
+                            [window_propagator(g, basis, config)
+                             for g in gs[:n]], [math.nan] * n)
+            assert sorted(calls) == ["qr", "svd"]
+            assert len(rows) == n
+            assert all(row.pair_list and math.isfinite(row.cond_gmm)
+                       for row in rows)
 
     def test_csv_format_is_pinned(self):
         assert csv_header(4) == (
@@ -604,11 +624,38 @@ class TestSweep:
         assert rows[0]["error"] == ""
         assert "ValidationError" in rows[1]["error"]
 
+    def test_sweep_rows_equal_the_run_rows(self, tmp_path):
+        # unsorted plateau lengths across a chunk boundary, one repeated and
+        # one failing: every good row is the run row of its point, the
+        # failing one keeps its error, and a rerun from the cache is
+        # byte-identical
+        base = desk_config()
+        values = [7, 3, 0, 12, 5, 19, 1, 3, 8, -3, 14, 2, 11, 6, 17, 9, 4, 13,
+                  10, 16, 15]
+        assert len(set(values) - {-3}) > CHUNK
+        spec = SweepSpec(base=base, sweep_axis="plateau_cycles",
+                         values=values, outputs=str(tmp_path))
+        paths = run_sweep(spec)
+        first = {name: Path(path).read_bytes() for name, path in paths.items()}
+        rows = json.loads(first["json"])["rows"]
+        assert [row["sweep_value"] for row in rows] == [float(v) for v in values]
+        for j, row in zip(values, rows):
+            if j < 0:
+                assert row["error"] == ("ValidationError: window.plateau_cycles:"
+                                        " must be >= 0")
+                continue
+            direct = row_to_dict(run_once(with_plateau(base, j)))
+            assert {**row, "sweep_value": None} == direct
+        assert {name: Path(path).read_bytes()
+                for name, path in run_sweep(spec).items()} == first
+
     @pytest.mark.parametrize("axis, values, factorizations", [
         ("plateau_cycles", [0, 1, 2, 5, 9], 1),
         ("k0_z", [0.0, 0.05, 0.1], 3),
         ("window.plateau_cycles", [0, 1, 2, 5, 9], 1),
         ("numerics.k0_offset.2", [0.0, 0.05, 0.1], 3),
+        ("numerics.n_sector_max", [1, 2, 4], 1),
+        ("numerics.prune_threshold", [0.0, 1e-3], 1),
     ])
     def test_one_schur_factorization_per_segment_set(
             self, tmp_path, monkeypatch, axis, values, factorizations):

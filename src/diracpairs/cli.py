@@ -4,9 +4,9 @@ Results go out as one CSV per sweep (plot-ready time series, columns up to
 its points' largest n_sector_max) plus one JSON with full per-point detail.
 Sweep points are cached as ``<outputs>/points/<code digest>/<config
 hash>.json``, so a rerun reuses finished points byte-identically and any
-change to the package's source or to numpy's or scipy's version recomputes
-them; with ``emit.gdump`` each point also stores its propagator next to its
-row as ``<config hash>-u.npy``.
+change to the package's source or to numpy's version recomputes them; with
+``emit.gdump`` each point also stores its propagator next to its row as
+``<config hash>-u.npy``.
 The ``DIRACPAIRS_OUTDIR`` environment variable overrides the output
 directory.
 
@@ -28,7 +28,6 @@ import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from . import dynamics, fockoracle, multipair
 from .errors import NumericalToleranceError, ValidationError
@@ -196,14 +195,14 @@ def _write_whole(path: str, write) -> None:
 
 @functools.cache
 def _code_digest() -> str:
-    """Hash of the package's sources and numpy's and scipy's versions: the
-    point cache's directory, so points of other code are never read back."""
+    """Hash of the package's sources and numpy's version: the point cache's
+    directory, so points of other code are never read back."""
     here = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
     for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
         with open(os.path.join(here, name), "rb") as fh:
             digest.update(f"{name}\0".encode() + fh.read() + b"\0")
-    digest.update(f"{np.__version__}\0{scipy.__version__}".encode())
+    digest.update(np.__version__.encode())
     return digest.hexdigest()[:16]
 
 
@@ -227,12 +226,12 @@ def run_sweep(spec: SweepSpec) -> dict:
     os.makedirs(points_dir, exist_ok=True)
     gdump = bool(spec.emit.get("gdump", False))
     points = [os.path.join(points_dir, config_hash(c)) for c in configs]
-    rows, plain, groups = [None] * len(configs), [None] * len(configs), {}
+    rows, texts, groups = [None] * len(configs), [None] * len(configs), {}
 
     def finish(i, row):
-        rows[i], plain[i] = row, row_to_dict(row)
-        text = json.dumps(plain[i], sort_keys=True)
-        _write_whole(points[i] + ".json", lambda fh: fh.write(text.encode()))
+        rows[i], texts[i] = row, json.dumps(row_to_dict(row), sort_keys=True)
+        _write_whole(points[i] + ".json",
+                     lambda fh: fh.write(texts[i].encode()))
 
     def failed(i, exc):
         window = configs[i].window
@@ -252,7 +251,8 @@ def run_sweep(spec: SweepSpec) -> dict:
                                 or os.path.exists(points[i] + "-u.npy")):
             # the same point may have been cached by a sweep along another axis
             rows[i] = replace(row, sweep_value=float(spec.values[i]))
-            plain[i] = {**data, "sweep_value": _plain(rows[i].sweep_value)}
+            texts[i] = json.dumps({**data, "sweep_value": _plain(
+                rows[i].sweep_value)}, sort_keys=True)
             continue
         try:
             validate(config)
@@ -292,9 +292,10 @@ def run_sweep(spec: SweepSpec) -> dict:
         fh.write(csv_header(k) + "\n")
         for row in rows:
             fh.write(csv_row(row, k) + "\n")
-    with open(json_path, "w") as fh:
-        json.dump({"spec": sweep_spec_to_dict(spec), "rows": plain},
-                  fh, indent=1, sort_keys=True)
+    spec_text = json.dumps(sweep_spec_to_dict(spec), sort_keys=True)
+    with open(json_path, "w") as fh:    # one row a line, in key order
+        fh.write('{"rows": [\n' + ",\n".join(texts)
+                 + f'\n],\n"spec": {spec_text}}}\n')
     return {"csv": csv_path, "json": json_path}
 
 

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import linalg
 
 from .errors import UnitarityError, ValidationError
 from .fieldmodel import beam_amplitudes, carrier
@@ -74,12 +73,13 @@ class Propagator:
 
     @cached_property
     def floquet(self) -> tuple:
-        """(Q, lam): matrix = Q diag(lam) Q^dag by the complex Schur form,
-        diagonal for a unitary matrix; |lam| is set to 1 so that powers stay
-        unitary to roundoff whatever the exponent."""
-        t, q = linalg.schur(self.matrix, output="complex")
-        lam = np.diag(t)
-        return q, lam / np.abs(lam)
+        """(Q, lam): matrix = Q diag(lam) Q^dag, a complex Schur form with Q
+        from the QR of the eigenvectors, which span nested invariant subspaces
+        whatever the degeneracy, so lam are the eigenvalues in their order;
+        |lam| is set to 1 so that powers stay unitary to roundoff whatever
+        the exponent."""
+        lam, vectors = np.linalg.eig(self.matrix)
+        return np.linalg.qr(vectors)[0], lam / np.abs(lam)
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,17 @@ def field_coupling(basis: ModeBasis, field: FieldParams) -> np.ndarray:
 @lru_cache(maxsize=8)
 def coupled_blocks(basis: ModeBasis, field: FieldParams) -> tuple:
     """Components of K's nonzero pattern, which H = H0 + c K + h.c. never
-    couples: their modes as one (n, size) array per size, smallest first."""
+    couples: their modes as one (n, size) array per size, smallest first,
+    each size's components by descending first mode."""
     k = field_coupling(basis, field)
     reach = (k != 0) | (k.T != 0) | np.eye(basis.dim, dtype=bool)
     for _ in range(basis.dim.bit_length()):     # paths up to 2^that long
         reach = reach @ reach
-    blocks = np.unique(reach, axis=0)       # one row per component
-    return tuple(np.nonzero(blocks[blocks.sum(1) == s])[1].reshape(-1, s)
-                 for s in np.unique(blocks.sum(1)))
+    # a component's row in reach is that of its first mode
+    blocks = reach[np.flatnonzero(reach.argmax(1) == np.arange(basis.dim))[::-1]]
+    sizes = blocks.sum(1)
+    return tuple(np.nonzero(blocks[sizes == s])[1].reshape(-1, s)
+                 for s in sorted(set(sizes.tolist())))
 
 
 def taylor_order(bound: float, parts: int, n_steps: int) -> int:

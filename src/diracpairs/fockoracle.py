@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .dynamics import SUBSTEP_BOUND, field_coupling, midpoint_steps, taylor_order
 from .errors import FockDimensionError, NormDriftError
@@ -85,25 +84,29 @@ def check_dimension(basis: ModeBasis):
 
 def second_quantize(h: np.ndarray, basis: ModeBasis,
                     fock: FockBasis | None = None):
-    """Many-body matrix (sparse CSR) sum_ij h_ij c+_i c_j.
+    """Many-body matrix sum_ij h_ij c+_i c_j as COO triplets (rows, cols,
+    values), one per stored entry.
 
     The map is linear in h and takes h^dag to its adjoint; only the
-    nonzero couplings of h are materialized.
+    nonzero couplings of h are materialized, and the diagonal only where
+    it is nonzero.
     """
     check_dimension(basis)
     if fock is None:
         fock = FockBasis(basis.plus_indices, basis.minus_indices)
-    i, j = np.nonzero(h)
+    i, j = np.nonzero((h != 0) & ~np.eye(len(h), dtype=bool))
     occ = fock.occupations
     below = np.cumsum(occ, axis=1) - occ    # occupied modes before each mode
-    # c_j needs mode j occupied; c+_i then needs mode i empty, unless i == j
-    col, term = np.nonzero((occ[:, j] == 1) & (occ[:, i] == (i == j)))
+    # c_j needs mode j occupied; c+_i then needs mode i empty
+    col, term = np.nonzero((occ[:, j] == 1) & (occ[:, i] == 0))
     i, j = i[term], j[term]
     # c_j counts the modes before j; c+_i those before i, j gone
     sign = 1 - 2 * ((below[col, j] + below[col, i] - (j < i)) & 1)
     row = fock.index[fock.masks[col] ^ (1 << j) ^ (1 << i)]
-    return coo_matrix((sign * h[i, j], (row, col)),
-                      shape=(fock.dim, fock.dim)).tocsr()
+    diagonal = occ @ np.diag(h)     # c+_i c_i counts mode i's occupation
+    kept = np.flatnonzero(diagonal)
+    return (np.concatenate([row, kept]), np.concatenate([col, kept]),
+            np.concatenate([sign * h[i, j], diagonal[kept]]))
 
 
 def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
@@ -111,46 +114,68 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
 
     The carriers c and the step dt are ``dynamics.midpoint_steps`` through
     every cycle, with no composition or fold: the oracle is an independent
-    reference.  A step sets one matrix's data to -i dt (Gamma(H0) + c
-    Gamma(K) + h.c.) and sums its Taylor series to one order m for the run.
-    With the bound b = |dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 +
+    reference.  A step sums the Taylor series of -i dt (Gamma(H0) + c
+    Gamma(K) + h.c.) to one order m for the run.  With the bound
+    b = |dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 +
     ||Gamma(K)^dag||_1)), a step is s = ceil(b / SUBSTEP_BOUND) equal
     sub-steps (exact for constant H) and m is ``dynamics.taylor_order(b, s,
     n_steps)``.
+
+    Only the states that the three matrices' nonzero pattern reaches from
+    the sea are stepped, their rows padded to one length (a gather and a
+    row sum per product); every amplitude outside them is 0.
     """
     check_dimension(basis)
     fock = FockBasis(basis.plus_indices, basis.minus_indices)
     with np.errstate(invalid="ignore"):     # a non-finite H fails the bound
         h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)
         k = second_quantize(field_coupling(basis, config.field), basis, fock)
-    terms = (h0, k, k.conj().T.tocsr())
+    terms = (h0, k, (k[1], k[0], k[2].conj()))
     carriers, dt = midpoint_steps(config, 0.0, float(config.window.total_cycles))
-    n_h0, n_k, n_kdag = (abs(m).sum(axis=0).max() for m in terms)
+    n_h0, n_k, n_kdag = (np.bincount(cols, np.abs(values), fock.dim).max()
+                         for _, cols, values in terms)
     bound = abs(dt) * (n_h0 + np.abs(carriers).max() * (n_k + n_kdag))
     if not math.isfinite(bound):
         raise NormDriftError("fockoracle: the many-body H0 or K is not finite")
     splits = max(1, math.ceil(bound / SUBSTEP_BOUND))
     order = taylor_order(bound, splits, len(carriers))
-    # summed magnitudes keep every stored entry: no cancellation drops one
-    op = sum(abs(m) for m in terms).astype(complex)
-    pattern = op.tocoo()
-    h0, k, k_dag = (np.asarray(m[pattern.row, pattern.col]).ravel()
-                    for m in terms)
 
-    psi = np.zeros(fock.dim, dtype=complex)
-    psi[fock.index[fock.sea]] = 1.0
+    rows, cols = np.concatenate([t[:2] for t in terms], axis=1)
+    live = np.zeros(fock.dim, dtype=bool)   # the states the sea reaches
+    live[fock.index[fock.sea]] = True
+    while not live[new := rows[live[cols]]].all():  # the pattern is symmetric
+        live[new] = True
+    # their entries, row-major: one slot per entry of any of the three
+    local = np.cumsum(live) - 1                 # sector index of each state
+    terms = [(local[r[live[r]]] * fock.dim + local[c[live[r]]], v[live[r]])
+             for r, c, v in terms]
+    slots = np.sort(np.concatenate([key for key, _ in terms]))
+    slots = slots[np.r_[True, slots[1:] != slots[:-1]]]
+    rows, cols = np.divmod(slots, fock.dim)
+    at = np.arange(len(slots)) - np.searchsorted(rows, rows)    # in its row
+    gather = np.zeros((np.count_nonzero(live), at.max() + 1), dtype=int)
+    gather[rows, at] = cols
+    ell = np.zeros((3,) + gather.shape, dtype=complex)
+    for coef, (key, values) in zip(ell, terms):
+        slot = np.searchsorted(slots, key)
+        coef[rows[slot], at[slot]] = values
+
+    psi = np.zeros(len(gather), dtype=complex)
+    psi[local[fock.index[fock.sea]]] = 1.0
     for c in carriers:
-        op.data[:] = (-1.0j * dt / splits) * (h0 + c * k + np.conj(c) * k_dag)
+        op = (-1.0j * dt / splits) * (ell[0] + c * ell[1] + np.conj(c) * ell[2])
         for _ in range(splits):
             term = psi
             for j in range(1, order + 1):
-                psi = psi + (term := op @ term / j)
+                psi = psi + (term := np.einsum("ij,ij->i", op, term[gather]) / j)
+    amplitudes = np.zeros(fock.dim, dtype=complex)
+    amplitudes[live] = psi
 
-    drift = abs(float(np.linalg.norm(psi)) - 1.0)
+    drift = abs(float(np.linalg.norm(amplitudes)) - 1.0)
     if not drift <= NORM_TOL:     # NaN fails too
         raise NormDriftError(
             f"fockoracle: norm drift {drift:.3e} exceeds {NORM_TOL:.1e}")
-    return ManyBodyState(amplitudes=psi, fock=fock, norm_drift=drift)
+    return ManyBodyState(amplitudes=amplitudes, fock=fock, norm_drift=drift)
 
 
 def _ket_sign(fock: FockBasis, electrons, positrons):

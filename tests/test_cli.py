@@ -93,6 +93,51 @@ print(json.dumps({"cli": cli.__file__, "composed": composed}))
 """
 
 
+# Emits the fig2 preset through the CLI (its first argument parse loads
+# argparse's lazy imports) and cuts it to n_cut 1, 64 steps per cycle and a
+# one-cycle ramp; then runs each command named in ARGV[2:] on it and prints
+# one JSON line per command: [name, exit code, modules it imported].  With
+# ARGV[1] == "no-scipy" every scipy import fails.
+REDUCED_FIG2_COMMANDS = """\
+import contextlib, io, json, sys
+if sys.argv[1] == "no-scipy":
+    sys.modules["scipy"] = None
+from diracpairs import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["preset", "--name", "fig2", "--emit-config",
+                     "--out", "fig2.json"]) == 0
+with open("fig2.json") as fh:
+    config = json.load(fh)
+config["numerics"].update(n_cut=1, steps_per_cycle=64)
+config["window"].update(ramp_cycles=1, plateau_cycles=2)
+with open("small.json", "w") as fh:
+    json.dump(config, fh)
+with open("spec.json", "w") as fh:
+    json.dump({"base": config, "sweep_axis": "plateau_cycles",
+               "values": [0, 1, 2], "outputs": "sweep"}, fh)
+commands = {"run": ["run", "--config", "small.json", "--out", "run"],
+            "sweep": ["sweep", "--spec", "spec.json"],
+            "oracle-check": ["oracle-check", "--config", "small.json"]}
+for name in sys.argv[2:]:
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(commands[name])
+    print(json.dumps([name, rc, sorted(set(sys.modules) - before)]))
+"""
+
+
+def reduced_fig2_commands(tmp_path, mode, *names):
+    """[name, exit code, modules imported] of each command, run by
+    REDUCED_FIG2_COMMANDS in a fresh interpreter in ``tmp_path``."""
+    src = os.path.dirname(os.path.dirname(diracpairs.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", REDUCED_FIG2_COMMANDS, mode, *names],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 class TestFigureConfigs:
     def test_fig2_published_values(self):
         config, meta = figure_configs()["fig2"]
@@ -453,7 +498,6 @@ class TestSweep:
 
     def test_code_digest_covers_every_module_and_library(self, tmp_path,
                                                          monkeypatch):
-        import scipy
         import diracpairs.cli as cli_mod
         copy = tmp_path / "diracpairs"
         shutil.copytree(Path(cli_mod.__file__).parent, copy,
@@ -470,11 +514,10 @@ class TestSweep:
             module.write_bytes(text[:-1] + b" ")   # one byte: the last newline
             seen.add(digest())
             module.write_bytes(text)
-        for library in (np, scipy):
-            with monkeypatch.context() as m:
-                m.setattr(library, "__version__", "0.0")
-                seen.add(digest())
-        assert len(seen) == 1 + len(modules) + 2
+        with monkeypatch.context() as m:
+            m.setattr(np, "__version__", "0.0")
+            seen.add(digest())
+        assert len(seen) == 1 + len(modules) + 1
         assert all(re.fullmatch("[0-9a-f]{16}", d) for d in seen)
 
     def test_source_edit_recomputes_every_point(self, tmp_path):
@@ -659,15 +702,15 @@ class TestSweep:
     ])
     def test_one_schur_factorization_per_segment_set(
             self, tmp_path, monkeypatch, axis, values, factorizations):
-        import scipy.linalg
+        # the Schur form is the QR of one eigendecomposition's vectors
         calls = []
-        schur = scipy.linalg.schur
+        eig = np.linalg.eig
 
         def spy(*args, **kwargs):
             calls.append(1)
-            return schur(*args, **kwargs)
+            return eig(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "schur", spy)
+        monkeypatch.setattr(np.linalg, "eig", spy)
         spec = SweepSpec(base=desk_config(plateau=1), sweep_axis=axis,
                          values=values, outputs=str(tmp_path))
         with open(run_sweep(spec)["json"]) as fh:
@@ -926,6 +969,21 @@ class TestCommandLine:
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # no module of the package imports scipy, and none of numpy.ma
+        # either (np.unique loads it lazily)
+        results = reduced_fig2_commands(tmp_path, "no-scipy", "run", "sweep",
+                                        "oracle-check")
+        assert [(name, rc) for name, rc, _ in results] == [
+            ("run", 0), ("sweep", 0), ("oracle-check", 0)]
+        for _, _, imported in results:
+            assert not [m for m in imported if m.startswith(("scipy", "numpy.ma"))]
+
+    def test_run_imports_no_module(self, tmp_path):
+        # whatever a run loads lazily, it pays inside its own wall time
+        assert reduced_fig2_commands(tmp_path, "with-scipy", "run") == [
+            ["run", 0, []]]
 
     def test_preset_unknown_name_exit_2(self, capsys):
         assert main(["preset", "--name", "fig9", "--emit-config"]) == 2

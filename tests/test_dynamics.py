@@ -15,6 +15,7 @@ from diracpairs import (ALPHA, FieldParams, HelicityRelation, NumericsParams,
                         with_plateau)
 from diracpairs import dynamics, fockoracle
 from diracpairs.dynamics import _integrate
+from synthetic import haar_unitary
 
 FIG2_FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4,
                            HelicityRelation.SAME)
@@ -205,6 +206,21 @@ class TestCycleCompose:
         assert np.max(np.abs((q * lam) @ q.conj().T - u_cycle.matrix)) < 1e-12
         assert u_cycle.floquet is u_cycle.floquet
 
+    def test_floquet_form_of_a_degenerate_cycle(self):
+        # every eigenvalue exactly twice: blockdiag(V, V) with its rows and
+        # columns permuted alike; the QR of the eigenvectors still gives
+        # Schur vectors, and the composed powers are U's
+        rng = np.random.default_rng(3)
+        perm = rng.permutation(18)
+        u = np.kron(np.eye(2), haar_unitary(rng, 9))[np.ix_(perm, perm)]
+        cycle = dynamics.Propagator(u, (0.0, 1.0), 0, float(unitarity_defect(u)))
+        q, lam = cycle.floquet
+        t = q.conj().T @ u @ q
+        assert np.max(np.abs(t - np.diag(np.diag(t)))) <= 1e-13
+        one = dynamics.Propagator(np.eye(18), (0.0, 0.0), 0, 0.0)
+        power = cycle_compose(one, cycle, one, 64).matrix
+        assert np.max(np.abs(power - np.linalg.matrix_power(u, 64))) <= 1e-12
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValidationError):
             cycle_compose(*self.segments, -1)
@@ -392,6 +408,25 @@ class TestTaylorBlocks:
         assert {g.shape[1]: len(g) for g in groups} == sizes
         assert np.array_equal(np.sort(np.concatenate(
             [g.ravel() for g in groups])), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("name, n_cut", [
+        ("fig2", 4), ("fig4", 4), ("fig2", 1), ("fig2_alpha0", 2),
+        ("fig2_transverse", 2)])
+    def test_blocks_in_the_order_of_unique_rows(self, name, n_cut):
+        # the components, their order and their modes' order are those of
+        # np.unique over the rows of the closure, which they replaced
+        config, basis = self.case(name, n_cut)
+        k = dynamics.field_coupling(basis, config.field)
+        reach = (k != 0) | (k.T != 0) | np.eye(basis.dim, dtype=bool)
+        for _ in range(basis.dim.bit_length()):
+            reach = reach @ reach
+        rows = np.unique(reach, axis=0)
+        expected = [np.nonzero(rows[rows.sum(1) == s])[1].reshape(-1, s)
+                    for s in np.unique(rows.sum(1))]
+        blocks = dynamics.coupled_blocks(basis, config.field)
+        assert len(blocks) == len(expected)
+        for got, want in zip(blocks, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_hamiltonian_vanishes_between_blocks(self, name):

@@ -42,6 +42,20 @@ def fock_of(basis):
     return FockBasis(basis.plus_indices, basis.minus_indices)
 
 
+def dense(triplets, dim):
+    """The dim x dim matrix of ``second_quantize``'s (rows, cols, values)."""
+    rows, cols, values = triplets
+    m = np.zeros((dim, dim), dtype=complex)
+    np.add.at(m, (rows, cols), values)
+    return m
+
+
+def csr(triplets, dim):
+    """The same matrix as scipy CSR, for scipy's sparse reference stepping."""
+    rows, cols, values = triplets
+    return sparse.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+
+
 def block_fock(m):
     """m electron modes 0..m-1, then m positron modes m..2m-1."""
     return FockBasis(range(m), range(m, 2 * m))
@@ -135,13 +149,13 @@ class TestSecondQuantize:
         # free evolution: the sea's energy tr(H--) drives the vacuum phase
         basis = self.basis()
         h = np.diag(basis.energies).astype(complex)
-        h_many = second_quantize(h, basis)
         fock = fock_of(basis)
+        h_many = dense(second_quantize(h, basis), fock.dim)
         vac_idx = fock.index[fock.sea]
         tr_minus = basis.energies[basis.minus_indices].sum()
         assert h_many[vac_idx, vac_idx] == pytest.approx(tr_minus, rel=1e-14)
         t = 0.37
-        u = expm(-1j * t * h_many.toarray())
+        u = expm(-1j * t * h_many)
         assert u[vac_idx, vac_idx] == pytest.approx(
             np.exp(-1j * tr_minus * t), abs=1e-12)
 
@@ -150,14 +164,18 @@ class TestSecondQuantize:
         # - sum over holes in the sea of E, each |E| counted positive
         basis = self.basis()
         h = np.diag(basis.energies).astype(complex)
-        h_sparse = second_quantize(h, basis)
-        h_many = h_sparse.toarray()
         fock = fock_of(basis)
+        triplets = second_quantize(h, basis)
+        h_many = dense(triplets, fock.dim)
         e_plus = basis.energies[basis.plus_indices]
         e_minus = basis.energies[basis.minus_indices]
         off_diag = h_many - np.diag(np.diag(h_many))
         assert np.max(np.abs(off_diag)) == 0.0
-        assert h_sparse.nnz == fock.dim
+        # one stored entry per state whose energy is nonzero, each summed
+        # once (in some states the occupied +E and -E modes cancel exactly)
+        rows, cols, _ = triplets
+        assert np.array_equal(rows, cols)
+        assert np.array_equal(rows, np.flatnonzero(np.diag(h_many)))
         for i, mask in enumerate(fock.masks.tolist()):
             expected = e_minus.sum()
             expected += sum(e_plus[m] for m in range(6)
@@ -171,7 +189,7 @@ class TestSecondQuantize:
         rng = np.random.default_rng(21)
         z = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         h = (z + z.conj().T) / 2
-        h_many = second_quantize(h, basis).toarray()
+        h_many = dense(second_quantize(h, basis), fock_of(basis).dim)
         assert np.max(np.abs(h_many - h_many.conj().T)) < 1e-12
 
     def test_single_coupling_selection(self):
@@ -183,13 +201,13 @@ class TestSecondQuantize:
         v = 0.3 + 0.1j
         h[basis.plus_indices[m], basis.minus_indices[n]] = v
         h[basis.minus_indices[n], basis.plus_indices[m]] = v.conjugate()
-        h_many = second_quantize(h, basis).tocoo()
+        rows, cols, values = second_quantize(h, basis)
         fock = fock_of(basis)
         pair = (1 << int(basis.plus_indices[m])) | (1 << int(basis.minus_indices[n]))
         # creation from every state with plus[m] empty and minus[n] filled
         # (5 particles over the other 10 modes), and back
-        assert h_many.nnz == 2 * math.comb(10, 5)
-        for r, c, val in zip(h_many.row, h_many.col, h_many.data):
+        assert len(rows) == 2 * math.comb(10, 5)
+        for r, c, val in zip(rows, cols, values):
             assert fock.masks[r] ^ fock.masks[c] == pair
             assert abs(val) == pytest.approx(abs(v), rel=1e-14)
 
@@ -205,7 +223,7 @@ class TestSecondQuantize:
         full = sum(h[i, j] * (c[i].T.tocsr() @ c[j])
                    for i in range(12) for j in range(12))
         sector = full[fock.masks][:, fock.masks].toarray()
-        h_many = second_quantize(h, basis, fock).toarray()
+        h_many = dense(second_quantize(h, basis, fock), fock.dim)
         assert np.max(np.abs(h_many - sector)) < 1e-13
 
     def test_dimension_cap(self):
@@ -235,7 +253,7 @@ class TestTwoModeToy:
 
     def evolve(self):
         fock = fock_of(self.basis)
-        h_many = second_quantize(self.h, self.basis)
+        h_many = csr(second_quantize(self.h, self.basis), fock.dim)
         psi = np.zeros(fock.dim, dtype=complex)
         psi[fock.index[fock.sea]] = 1.0
         psi = expm_multiply(-1j * self.t * h_many, psi)
@@ -310,10 +328,12 @@ def bench_oracle_config():
 
 
 def stepping_terms(config, basis):
-    """(Fock basis, Gamma(H0), Gamma(K), the whole window's carriers, dt)."""
+    """(Fock basis, Gamma(H0), Gamma(K) as scipy CSR, the whole window's
+    carriers, dt)."""
     fock = fock_of(basis)
-    h0 = second_quantize(np.diag(basis.energies).astype(complex), basis, fock)
-    k = second_quantize(field_coupling(basis, config.field), basis, fock)
+    h0, k = (csr(second_quantize(h, basis, fock), fock.dim) for h in
+             (np.diag(basis.energies).astype(complex),
+              field_coupling(basis, config.field)))
     carriers, dt = midpoint_steps(config, 0.0,
                                   float(config.window.total_cycles))
     return fock, h0, k, carriers, dt
@@ -352,6 +372,23 @@ class TestPropagateVacuum:
         state = propagate_vacuum(config, basis)
         reference = expm_multiply_state(config, basis)
         assert np.max(np.abs(state.amplitudes - reference)) <= 1e-13
+
+    def test_amplitudes_outside_the_reachable_sector_are_zero(self):
+        # the states that Gamma(H0), Gamma(K) and Gamma(K)^dag connect to
+        # the sea, by a dense boolean closure: 400 of the 924 on the bench
+        # input, and no amplitude outside them
+        config = bench_oracle_config()
+        basis = build_basis(config.numerics, config.field)
+        fock, h0, k, _, _ = stepping_terms(config, basis)
+        pattern = (h0 != 0) + (k != 0) + (k.T != 0)
+        reached = np.zeros(fock.dim, dtype=bool)
+        reached[fock.index[fock.sea]] = True
+        while (grown := reached | (pattern @ reached > 0)).sum() > reached.sum():
+            reached = grown
+        assert np.count_nonzero(reached) == 400
+        state = propagate_vacuum(config, basis)
+        assert np.all(state.amplitudes[~reached] == 0)
+        assert np.count_nonzero(state.amplitudes) == 400
 
     def test_non_finite_hamiltonian_refused(self):
         # validate accepts k0 = 1e200, whose energies overflow to inf
@@ -401,11 +438,11 @@ class TestPropagateVacuum:
         coupling = (envelope(0.9, config.window)
                     * np.exp(-1j * config.field.omega * t))
         h = assemble_hamiltonian(coupling, basis, config.field)
-        h_many = second_quantize(h, basis, fock).tocoo()
+        rows, cols, _ = second_quantize(h, basis, fock)
         occ = fock.occupations
         electrons = occ[:, fock.plus].sum(axis=1)
         holes = (1 - occ[:, fock.minus]).sum(axis=1)
-        for r, c in zip(h_many.row, h_many.col):
+        for r, c in zip(rows, cols):
             assert electrons[r] == holes[r] and electrons[c] == holes[c]
             assert abs(electrons[r] - electrons[c]) <= 1
             assert bin(fock.masks[r] ^ fock.masks[c]).count("1") in (0, 2)
@@ -416,13 +453,14 @@ class TestPropagateVacuum:
         config = small_config()
         basis = build_basis(config.numerics, config.field)
         fock = fock_of(basis)
-        h0 = second_quantize(np.diag(basis.energies).astype(complex), basis, fock)
-        k = second_quantize(field_coupling(basis, config.field), basis, fock)
+        h0, k = (dense(second_quantize(h, basis, fock), fock.dim) for h in
+                 (np.diag(basis.energies).astype(complex),
+                  field_coupling(basis, config.field)))
         rng = np.random.default_rng(8)
         for c in rng.normal(size=4) + 1j * rng.normal(size=4):
-            combined = (h0 + c * k + np.conj(c) * k.conj().T).toarray()
+            combined = h0 + c * k + np.conj(c) * k.conj().T
             h = assemble_hamiltonian(c, basis, config.field)
-            direct = second_quantize(h, basis, fock).toarray()
+            direct = dense(second_quantize(h, basis, fock), fock.dim)
             assert np.max(np.abs(combined - direct)) < 1e-13
 
 

@@ -8,7 +8,7 @@ change to the package's source or to numpy's version recomputes them; with
 ``emit.gdump`` each point also stores its propagator next to its row as
 ``<config hash>-u.npy``.
 The ``DIRACPAIRS_OUTDIR`` environment variable overrides the output
-directory.
+directory.  Every CSV cell the CLI writes goes through ``_fmt``.
 
 Exit codes: 0 success, 2 validation error or an output path that cannot be
 written, 3 numerical-tolerance failure.
@@ -128,18 +128,23 @@ def csv_header(n_sector_max: int) -> str:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
+    """The one CSV cell rule: empty for None or NaN, repr of a float, str
+    otherwise."""
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return ""
-        return repr(x)
-    return str(x)
+        return "" if math.isnan(x) else repr(float(x))
+    return "" if x is None else str(x)
+
+
+def _csv_line(cells) -> str:
+    return ",".join(map(_fmt, cells))
+
+
+def _csv_text(header: str, lines) -> str:
+    return "".join(f"{line}\n" for line in [header, *lines])
 
 
 def csv_row(row: ResultRow, n_sector_max: int) -> str:
-    return ",".join(map(_fmt, _csv_cells(row, n_sector_max).values()))
+    return _csv_line(_csv_cells(row, n_sector_max).values())
 
 
 def row_to_dict(row: ResultRow) -> dict:
@@ -213,9 +218,9 @@ def run_sweep(spec: SweepSpec) -> dict:
     and read out in stacks of up to CHUNK points, which bounds the memory
     (about four d x d complex matrices a point, d the mode count).  Their
     segments are integrated again only for a new field, window ramp or
-    numerics other than n_sector_max and prune_threshold.  Failed points
-    keep their error string; a point file that cannot be read back, or with
-    gdump on a point without its dump, is redone.
+    numerics other than n_sector_max and prune_threshold, and a failing set
+    only once.  Failed points keep their error string; a point file that
+    cannot be read back, or with gdump on a point without its dump, is redone.
     """
     if not spec.values:
         raise ValidationError("spec.values: must be non-empty")
@@ -242,8 +247,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     for i, config in enumerate(configs):
         try:
             with open(points[i] + ".json") as fh:
-                data = json.load(fh)
-            row = row_from_dict(data)
+                row = row_from_dict(json.load(fh))
         except (FileNotFoundError, ValueError):
             row = None    # not cached, or a write cut short: redo the point
         # with gdump on, a point whose dump is gone is redone as well
@@ -251,8 +255,7 @@ def run_sweep(spec: SweepSpec) -> dict:
                                 or os.path.exists(points[i] + "-u.npy")):
             # the same point may have been cached by a sweep along another axis
             rows[i] = replace(row, sweep_value=float(spec.values[i]))
-            texts[i] = json.dumps({**data, "sweep_value": _plain(
-                rows[i].sweep_value)}, sort_keys=True)
+            texts[i] = json.dumps(row_to_dict(rows[i]), sort_keys=True)
             continue
         try:
             validate(config)
@@ -266,13 +269,17 @@ def run_sweep(spec: SweepSpec) -> dict:
         # the readout's inputs leave the segments as they are
         key = replace(bare, numerics=replace(bare.numerics, n_sector_max=1,
                                              prune_threshold=0.0))
+        if key != segments_for:
+            segments_for, basis = key, build_basis(key.numerics, key.field)
+            try:
+                segments = dynamics.propagator_segments(key, basis)
+            except (ValidationError, NumericalToleranceError) as exc:
+                segments = exc      # every chunk of the set fails from it
         for chunk in (group[k:k + CHUNK] for k in range(0, len(group), CHUNK)):
             cs = [configs[i] for i in chunk]
             try:
-                if key != segments_for:
-                    basis = build_basis(key.numerics, key.field)
-                    segments = dynamics.propagator_segments(key, basis)
-                    segments_for = key
+                if isinstance(segments, Exception):
+                    raise segments
                 us = dynamics.cycle_compose(
                     *segments, [c.window.plateau_cycles for c in cs])
                 chunk_rows = _readout(cs, basis, us,
@@ -289,9 +296,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     csv_path = os.path.join(outdir, f"sweep_{spec.sweep_axis}.csv")
     json_path = os.path.join(outdir, f"sweep_{spec.sweep_axis}.json")
     with open(csv_path, "w") as fh:
-        fh.write(csv_header(k) + "\n")
-        for row in rows:
-            fh.write(csv_row(row, k) + "\n")
+        fh.write(_csv_text(csv_header(k), [csv_row(row, k) for row in rows]))
     spec_text = json.dumps(sweep_spec_to_dict(spec), sort_keys=True)
     with open(json_path, "w") as fh:    # one row a line, in key order
         fh.write('{"rows": [\n' + ",\n".join(texts)
@@ -382,7 +387,7 @@ def _cmd_run(args) -> int:
     k = config.numerics.n_sector_max
     base = os.path.join(outdir, f"run_{config_hash(config)}")
     with open(base + ".csv", "w") as fh:
-        fh.write(csv_header(k) + "\n" + csv_row(row, k) + "\n")
+        fh.write(_csv_text(csv_header(k), [csv_row(row, k)]))
     with open(base + ".json", "w") as fh:
         json.dump({"config": config_to_dict(config), "row": row_to_dict(row)},
                   fh, indent=1, sort_keys=True)
@@ -443,10 +448,10 @@ def _cmd_oracle_check(args) -> int:
         print(f"max |determinant-path - Fock-path| amplitude difference "
               f"(N <= {args.nmax}): {worst:.3e}")
         if dump:
-            dump.write("N,electrons,positrons,re,im\n")
-            for n, es, ps, amp in table:
-                dump.write(f"{n},{'|'.join(map(str, es))},"
-                           f"{'|'.join(map(str, ps))},{amp.real!r},{amp.imag!r}\n")
+            rows = ([n, "|".join(map(str, es)), "|".join(map(str, ps)),
+                     amp.real, amp.imag] for n, es, ps, amp in table)
+            dump.write(_csv_text("N,electrons,positrons,re,im",
+                                 map(_csv_line, rows)))
             print(f"wrote {args.dump_amplitudes}")
     if worst > args.tol:
         raise NumericalToleranceError(
@@ -458,8 +463,12 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_dump_basis(args) -> int:
     config = _load_config(args.config)
-    basis = build_basis(config.numerics, config.field)
-    _write_text(basis.to_csv(), args.out)
+    b = build_basis(config.numerics, config.field)
+    rows = zip(range(b.dim), b.n, np.where(b.band_plus, "plus", "minus"),
+               np.where(b.spin_up, "up", "down"), b.energies, b.spin_z,
+               b.helicity)
+    _write_text(_csv_text("index,n,band,spin,energy,spin_z,helicity",
+                          map(_csv_line, rows)), args.out)
     return 0
 
 
@@ -468,17 +477,13 @@ def _cmd_dump_field(args) -> int:
     _check_flag("--z", math.isfinite(args.z), "finite")
     config = _load_config(args.config)
     field, window = config.field, config.window
-    samples_per_cycle = args.per_cycle
-    total = window.total_cycles
-    lines = ["t_cycles,Ax,Ay,Az,Ex,Ey,Ez"]
-    for i in range(total * samples_per_cycle + 1):
-        t_c = i / samples_per_cycle
-        t = t_c * field.cycle_duration
-        a = potential_vector_at(args.z, t, field, window)
-        e = electric_field_at(args.z, t, field, window)
-        lines.append(",".join([repr(t_c)] + [repr(float(x)) for x in a]
-                              + [repr(float(x)) for x in e]))
-    _write_text("\n".join(lines) + "\n", args.out)
+    t_cycles = np.arange(window.total_cycles * args.per_cycle + 1) / args.per_cycle
+    t = t_cycles * field.cycle_duration
+    samples = np.column_stack([t_cycles,
+                               potential_vector_at(args.z, t, field, window),
+                               electric_field_at(args.z, t, field, window)])
+    _write_text(_csv_text("t_cycles,Ax,Ay,Az,Ex,Ey,Ez",
+                          map(_csv_line, samples)), args.out)
     return 0
 
 

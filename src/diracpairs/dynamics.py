@@ -30,7 +30,8 @@ Every propagator of the window is composed from the turn-on, one plateau
 cycle and the turn-off, the consecutive spans of the window with a
 one-cycle plateau: c(t + 1) = c(t) on the plateau, so a plateau of j whole
 cycles is Q diag(lambda^j) Q^dag, read from the Floquet form (one complex
-Schur factorization) of the one-cycle propagator.
+Schur factorization) of the one-cycle propagator, with lambda^j =
+exp(i j arg lambda) unit-modulus to roundoff for any j.
 
 That window, of T = 2*ramp + 1 cycles, is time-reversal symmetric:
 c(T - t) = conj(c(t)).  Where the coupling is too, D conj(K) D = K with
@@ -75,9 +76,8 @@ class Propagator:
     def floquet(self) -> tuple:
         """(Q, lam): matrix = Q diag(lam) Q^dag, a complex Schur form with Q
         from the QR of the eigenvectors, which span nested invariant subspaces
-        whatever the degeneracy, so lam are the eigenvalues in their order;
-        |lam| is set to 1 so that powers stay unitary to roundoff whatever
-        the exponent."""
+        whatever the degeneracy, so lam are the eigenvalues in their order,
+        with |lam| set to 1."""
         lam, vectors = np.linalg.eig(self.matrix)
         return np.linalg.qr(vectors)[0], lam / np.abs(lam)
 
@@ -320,14 +320,16 @@ def cycle_compose(u_on: Propagator, u_cycle: Propagator, u_off: Propagator,
 
     With u_cycle = Q diag(lam) Q^dag, factorized once per segment set, all
     plateaus take two batched products, (u_off Q diag(lam^j)) (Q^dag u_on),
-    into one (len(j), d, d) stack; |lam| = 1 keeps u_cycle's defect unpowered.
+    into one (len(j), d, d) stack.  lam^j = exp(i j arg lam) has modulus 1
+    to roundoff for any j, where ``lam ** j`` compounds |lam|'s last ulp.
     """
     plateaus = np.atleast_1d(j)
     if (plateaus < 0).any():
         raise ValidationError("cycle_compose: plateau cycle count j must be >= 0")
     q, lam = u_cycle.floquet
-    stack = ((u_off.matrix @ q * lam ** plateaus[:, None, None])
-             @ (q.conj().T @ u_on.matrix))
+    # Im log lam is arg lam; np.angle's arctan2 loop pages in 0.2 MB more
+    powers = np.exp(1j * np.log(lam).imag * plateaus[:, None, None])
+    stack = (u_off.matrix @ q * powers) @ (q.conj().T @ u_on.matrix)
     steps = u_on.steps + u_cycle.steps + u_off.steps
     composed = [Propagator(m, (0.0, 2 * u_on.t_span_cycles[1] + n), steps,
                            float(defect)) for m, n, defect

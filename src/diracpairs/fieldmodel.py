@@ -20,14 +20,14 @@ with X_pm (``beam_amplitudes``) half the unwindowed A-amplitude of the
 beam along +-z and c (``carrier``) taken at a time in cycles, where
 w t = 2 pi t_cycles.  A is real by construction, E = -dA/dt is read from
 the same pieces, and the mode-space coupling of the Dirac Hamiltonian is
-built from X_pm once (see ``dynamics``).  Vector potentials are stored in
+built from X_pm once (see ``dynamics``).  Every function of time here
+takes one time or an array of them.  Vector potentials are stored in
 units of m0/e, so the plateau amplitude per beam is the nonlinearity
 parameter xi.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -54,14 +54,13 @@ def envelope(t_cycles, window: WindowParams):
     return np.sin(np.pi * tau / (2.0 * window.ramp_cycles)) ** 2
 
 
-def envelope_derivative(t_cycles: float, window: WindowParams) -> float:
+def envelope_derivative(t_cycles, window: WindowParams):
     """d(envelope)/dt with t in cycles; negative while tau = T - t < t."""
     tau, ramp = _ramp_time(t_cycles, window), window.ramp_cycles
-    if tau >= ramp or tau <= 0.0:
-        return 0.0
-    arg = math.pi * tau / (2.0 * ramp)
-    slope = math.pi / ramp * math.sin(arg) * math.cos(arg)
-    return slope if tau == t_cycles else -slope
+    arg = np.pi * tau / (2.0 * ramp)
+    slope = np.pi / ramp * np.sin(arg) * np.cos(arg)
+    return np.where((0.0 < tau) & (tau < ramp),
+                    np.where(tau == t_cycles, slope, -slope), 0.0)
 
 
 def beam_amplitudes(field: FieldParams) -> tuple:
@@ -86,18 +85,18 @@ def carrier(t_cycles, window: WindowParams):
 def _spatial(z: float, field: FieldParams) -> np.ndarray:
     """X_plus e^{ikz} + X_minus e^{-ikz}."""
     x_plus, x_minus = beam_amplitudes(field)
-    up = cmath.exp(1j * field.wavenumber * z)
+    up = np.exp(1j * field.wavenumber * z)
     return x_plus * up + x_minus / up
 
 
-def potential_vector_at(z: float, t: float, field: FieldParams,
+def potential_vector_at(z: float, t, field: FieldParams,
                         window: WindowParams) -> np.ndarray:
-    """Real A(z, t) in units of m0/e, t in natural units."""
-    return 2.0 * (carrier(t / field.cycle_duration, window)
-                  * _spatial(z, field)).real
+    """Real A(z, t) in units of m0/e, t in natural units; (n, 3) at n times."""
+    c = carrier(t / field.cycle_duration, window)
+    return 2.0 * np.multiply.outer(c, _spatial(z, field)).real
 
 
-def electric_field_at(z: float, t: float, field: FieldParams,
+def electric_field_at(z: float, t, field: FieldParams,
                       window: WindowParams) -> np.ndarray:
     """Real E(z, t) = -dA/dt in units of E_S, t in natural units.
 
@@ -106,6 +105,6 @@ def electric_field_at(z: float, t: float, field: FieldParams,
     """
     t_cycles = t / field.cycle_duration
     dc_dt = (envelope_derivative(t_cycles, window) / field.cycle_duration
-             * cmath.exp(-2j * math.pi * t_cycles)
+             * np.exp(-2j * np.pi * t_cycles)
              - 1.0j * field.omega * carrier(t_cycles, window))
-    return -2.0 * (dc_dt * _spatial(z, field)).real
+    return -2.0 * np.multiply.outer(dc_dt, _spatial(z, field)).real

@@ -100,7 +100,7 @@ class ModeBasis:
         self.spin_z = half * (1.0 - p_perp2 / (energy * (energy + 1.0)))
         cos_theta = np.divide(self.momenta[:, 2], p_abs,
                               out=np.zeros(self.dim), where=p_abs > 0.0)
-        # 0.0 at p = 0 for both spins, not -0.0: to_csv writes the sign
+        # 0.0 at p = 0 for both spins, not -0.0: dump-basis writes the sign
         self.helicity = np.where(p_abs > 0.0, half * cos_theta, 0.0)
 
         self.plus_indices = np.flatnonzero(self.band_plus)
@@ -120,16 +120,6 @@ class ModeBasis:
     @property
     def n_positron_modes(self) -> int:
         return len(self.minus_indices)
-
-    def to_csv(self) -> str:
-        lines = ["index,n,band,spin,energy,spin_z,helicity"]
-        for i in range(self.dim):
-            band = "plus" if self.band_plus[i] else "minus"
-            spin = "up" if self.spin_up[i] else "down"
-            values = (self.energies[i], self.spin_z[i], self.helicity[i])
-            lines.append(",".join([str(i), str(self.n[i]), band, spin]
-                                  + [repr(float(x)) for x in values]))
-        return "\n".join(lines) + "\n"
 
 
 def build_basis(numerics: NumericsParams, field: FieldParams) -> ModeBasis:

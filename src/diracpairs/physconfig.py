@@ -183,8 +183,9 @@ def validate(config: RunConfig) -> RunConfig:
 # accepted only where it matches them to ANGLE_TOL.
 # ---------------------------------------------------------------------------
 
-_KINDS = {int: "an integer", float: "a number", str: "a string",
-          bool: "true or false"}
+_KINDS = {int: "an integer in [-2^63, 2^63)", float: "a number",
+          str: "a string", bool: "true or false"}
+_INT64 = range(-2 ** 63, 2 ** 63)     # an int leaf must fit numpy's int64
 _generic = cache(lambda kind: (get_origin(kind), get_args(kind)))
 
 
@@ -242,13 +243,13 @@ def _parse(kind, value, path):
     """Inverse of ``_plain`` for the annotation ``kind``.
 
     Raises ValidationError naming ``_where(path)`` for unknown or missing
-    keys, wrong JSON types (a bool is not a number, an int must be integral)
-    and values outside an enum.  null reads as NaN where a float belongs.
+    keys, wrong JSON types (a bool is not a number, an int is an integral
+    int64) and values outside an enum.  null reads as NaN where a float belongs.
     A child's path is a (path, key) pair, made a string only to raise.
     """
     if kind in _KINDS:
-        if type(value) is kind:         # the JSON type itself
-            return value
+        if type(value) is kind and (kind is not int or value in _INT64):
+            return value                # the JSON type itself
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if kind is float and value is None:
             return math.nan
@@ -256,7 +257,7 @@ def _parse(kind, value, path):
                                          or abs(value) < 2 ** 1023):
             return float(value)
         if kind is int and number and (isinstance(value, int)
-                                       or value.is_integer()):
+                                       or value.is_integer()) and int(value) in _INT64:
             return int(value)
         if (kind is str or kind is bool) and isinstance(value, kind):
             return value

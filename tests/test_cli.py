@@ -18,7 +18,8 @@ from diracpairs import (GBlocks, HelicityRelation, NumericsParams, Propagator,
                         ResultRow, RunConfig,
                         SweepSpec, UnitarityError, WindowParams, build_basis,
                         config_from_dict, config_hash, config_to_dict,
-                        cycle_compose, field_from_si, figure_configs,
+                        cycle_compose, electric_field_at, field_from_si,
+                        figure_configs, fockoracle, potential_vector_at,
                         propagator_segments, run_once, run_sweep,
                         with_plateau)
 from diracpairs.cli import (AXIS_ALIASES, CHUNK, _readout, build_parser,
@@ -612,6 +613,29 @@ class TestSweep:
         assert rows["k0_z"].c == rows["plateau_cycles"].c
         assert rows["numerics.k0_offset.2"] == rows["k0_z"]
 
+    def test_rows_cached_along_another_axis_read_as_computed(
+            self, tmp_path, monkeypatch, composed):
+        # a plateau sweep over points a k0_z sweep cached writes the bytes
+        # it writes when it computes them, with its own sweep values, and
+        # rewrites them on a rerun
+        base = desk_config(plateau=2)
+        spec = SweepSpec(base=base, sweep_axis="plateau_cycles", values=[2, 3])
+
+        def outputs(spec, outdir):
+            monkeypatch.setenv("DIRACPAIRS_OUTDIR", str(tmp_path / outdir))
+            return {name: Path(path).read_bytes()
+                    for name, path in run_sweep(spec).items()}
+
+        computed = outputs(spec, "computed")
+        outputs(replace(spec, sweep_axis="k0_z", values=[0.0, 0.02]), "cached")
+        del composed[:]
+        assert outputs(spec, "cached") == computed
+        assert composed == [3]
+        assert outputs(spec, "cached") == computed
+        assert composed == [3]
+        rows = json.loads(computed["json"])["rows"]
+        assert [row["sweep_value"] for row in rows] == [2.0, 3.0]
+
     @pytest.mark.parametrize("alias", sorted(AXIS_ALIASES))
     def test_dotted_spelling_reuses_the_alias_points(self, tmp_path, composed,
                                                      alias):
@@ -666,6 +690,36 @@ class TestSweep:
             rows = json.load(fh)["rows"]
         assert rows[0]["error"] == ""
         assert "ValidationError" in rows[1]["error"]
+
+    def test_failing_segment_set_is_integrated_once(self, tmp_path,
+                                                     monkeypatch):
+        # fig2 at omega 1e-4 on a coarse grid: the turn-on's unitarity
+        # defect is about 2e-8, so every point of the set fails from the
+        # one integration, whatever the number of chunks
+        import diracpairs.dynamics as dynamics_mod
+        fig2 = figure_configs()["fig2"][0]
+        base = RunConfig(field=replace(fig2.field, omega=1e-4),
+                         window=replace(fig2.window, ramp_cycles=1),
+                         numerics=replace(fig2.numerics, n_cut=1,
+                                          steps_per_cycle=64))
+        integrations = []
+        integrate = dynamics_mod._integrate
+
+        def spy(*args):
+            integrations.append(args[2:])
+            return integrate(*args)
+
+        monkeypatch.setattr(dynamics_mod, "_integrate", spy)
+        errors = {}
+        for n in (1, 40):
+            spec = SweepSpec(base=base, sweep_axis="plateau_cycles",
+                             values=list(range(n)), outputs=str(tmp_path / str(n)))
+            with open(run_sweep(spec)["json"]) as fh:
+                errors[n] = {row["error"] for row in json.load(fh)["rows"]}
+        assert len(integrations) == 2
+        assert errors[1] == errors[40]
+        (error,) = errors[40]
+        assert error.startswith("UnitarityError: on segment unitarity defect")
 
     def test_sweep_rows_equal_the_run_rows(self, tmp_path):
         # unsorted plateau lengths across a chunk boundary, one repeated and
@@ -902,6 +956,16 @@ MALFORMED = {
     "alpha_minus_inconsistent": ("run", lambda d: d["field"].update(
         alpha_minus=0.3), "config.field.alpha_minus: inconsistent with "
         "alpha_plus and helicity_relation"),
+    # int leaves must fit numpy's int64, as plateau powers and step grids do
+    "plateau_1e30": ("run", lambda d: d["window"].update(plateau_cycles=1e30),
+                     "config.window.plateau_cycles: must be an integer in "
+                     "[-2^63, 2^63)"),
+    "plateau_10_pow_30": ("run", lambda d: d["window"].update(
+        plateau_cycles=10 ** 30), "config.window.plateau_cycles"),
+    "steps_2_pow_64": ("run", lambda d: d["numerics"].update(
+        steps_per_cycle=2 ** 64), "config.numerics.steps_per_cycle"),
+    "value_past_int64": ("sweep", lambda s: s.update(values=[3, 10 ** 30]),
+                         "spec.values[1].window.plateau_cycles"),
 }
 
 
@@ -1145,13 +1209,23 @@ class TestCommandLine:
         assert message in lines[0]
 
     def test_oracle_check_passes_on_small_run(self, tmp_path):
-        cfg_path = self.write_config(tmp_path, desk_config())
+        config = desk_config()
+        cfg_path = self.write_config(tmp_path, config)
         table = tmp_path / "amps.csv"
         assert main(["oracle-check", "--config", cfg_path, "--nmax", "1",
                      "--dump-amplitudes", str(table)]) == 0
-        lines = table.read_text().splitlines()
-        assert lines[0] == "N,electrons,positrons,re,im"
+        header, *lines = table.read_text().splitlines()
+        assert header == "N,electrons,positrons,re,im"
         assert len(lines) > 100  # all charge-zero sectors of the 6+6 basis
+        # the dump reads back as the Fock amplitude table, exactly
+        labels = lambda text: [int(x) for x in text.split("|") if x]
+        read = [(int(n), labels(es), labels(ps), complex(float(re), float(im)))
+                for n, es, ps, re, im in (line.split(",") for line in lines)]
+        basis = build_basis(config.numerics, config.field)
+        expected = fockoracle.amplitude_table(
+            fockoracle.propagate_vacuum(config, basis))
+        assert read == [(n, list(es), list(ps), amp)
+                        for n, es, ps, amp in expected]
 
     def test_oracle_check_norm_drift_exit_3(self, tmp_path, capsys,
                                             monkeypatch):
@@ -1197,11 +1271,21 @@ class TestCommandLine:
         assert not dump.exists()
 
     def test_dump_field_columns(self, tmp_path):
-        cfg_path = self.write_config(tmp_path, desk_config())
+        config = desk_config()
+        field, window = config.field, config.window
+        cfg_path = self.write_config(tmp_path, config)
         out = tmp_path / "field.csv"
         assert main(["dump-field", "--config", cfg_path, "--out", str(out),
-                     "--per-cycle", "8"]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t_cycles,Ax,Ay,Az,Ex,Ey,Ez"
+                     "--per-cycle", "8", "--z", "0.37"]) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == "t_cycles,Ax,Ay,Az,Ex,Ey,Ez"
         # window is 1+1+1 cycles at 8 samples per cycle, plus the endpoint
-        assert len(lines) == 3 * 8 + 2
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines])
+        assert rows[:, 0].tolist() == [i / 8 for i in range(3 * 8 + 1)]
+        # one call per field over the grid writes what one call per sample
+        # gives
+        for t_cycles, *values in rows:
+            t = t_cycles * field.cycle_duration
+            sample = np.concatenate([potential_vector_at(0.37, t, field, window),
+                                     electric_field_at(0.37, t, field, window)])
+            assert np.allclose(values, sample, rtol=1e-15, atol=0.0)

@@ -193,10 +193,20 @@ class TestCycleCompose:
 
     def test_long_powering_stays_unitary(self):
         # powering u_cycle itself would multiply its roundoff defect by j
-        # (1.7e-10 here); its Floquet eigenvalues are put on the unit
-        # circle, so diag(lam^j) stays unitary
+        # (1.7e-10 here); lam^j is formed as exp(i j arg lam), unit-modulus
+        # to roundoff, so diag(lam^j) stays unitary
         composed = cycle_compose(*self.segments, 4096)
         assert composed.unitarity_defect < 1e-10
+
+    def test_fig2_powers_stay_unitary_at_any_plateau(self):
+        # lam / |lam| is still up to an ulp off 1, and lam ** j compounded
+        # that: a defect of about 4.7e-16 j on fig2 (4.7e-6 at j = 1e10) and
+        # a NaN stack at 2^62
+        config = figure_configs()["fig2"][0]
+        segments = propagator_segments(
+            config, build_basis(config.numerics, config.field))
+        for u in cycle_compose(*segments, [10 ** 10, 2 ** 62]):
+            assert u.unitarity_defect < 1e-12
 
     def test_floquet_form_reproduces_cycle(self):
         u_cycle = self.segments[1]

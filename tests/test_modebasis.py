@@ -1,12 +1,14 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from diracpairs import (SIGMA_BIG, HelicityRelation, NumericsParams,
-                        build_basis, field_from_si, free_hamiltonian,
-                        free_spinors)
+                        RunConfig, WindowParams, build_basis, config_to_dict,
+                        field_from_si, free_hamiltonian, free_spinors)
+from diracpairs.cli import main
 
 FIELD = field_from_si(4.9e17, 0.746, 0.2 * math.pi / 4, HelicityRelation.SAME)
 
@@ -66,12 +68,17 @@ class TestBasisTable:
         assert np.all(np.abs(basis.energies[zero]) == 1.0)
         assert np.all(basis.helicity[zero] == 0.0)
 
-    def test_csv_dump_columns(self):
-        text = small_basis().to_csv()
-        header = text.splitlines()[0].split(",")
-        assert header == ["index", "n", "band", "spin", "energy", "spin_z",
-                          "helicity"]
-        assert len(text.splitlines()) == 13
+    def test_csv_dump_columns(self, tmp_path):
+        config = RunConfig(field=FIELD, window=WindowParams(1, 1),
+                           numerics=NumericsParams(n_cut=1))
+        path, out = tmp_path / "config.json", tmp_path / "basis.csv"
+        path.write_text(json.dumps(config_to_dict(config)))
+        assert main(["dump-basis", "--config", str(path),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",") == ["index", "n", "band", "spin", "energy",
+                                       "spin_z", "helicity"]
+        assert len(lines) == 1 + small_basis().dim
 
 
 class TestSpinors:

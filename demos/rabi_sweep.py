@@ -2,8 +2,9 @@
 
 The plateau is time-periodic, so its one-cycle propagator is computed and
 brought into Floquet form Q diag(lambda) Q^dag once; a plateau of j cycles
-is then Q diag(lambda^j) Q^dag, and sweeping hundreds of interaction times
-costs two matrix products per point instead of a fresh integration.  The dominant
+is then Q diag(lambda^j) Q^dag, so all 121 interaction times are one stacked
+composition and one stacked readout (``sector_observables``), as a plateau
+sweep reads them, instead of a fresh integration each.  The dominant
 single-pair probability rises and falls (transitions back into the sea),
 while the vacuum probability decays and multi-pair sectors take over.
 """
@@ -11,8 +12,8 @@ while the vacuum probability decays and multi-pair sectors take over.
 import numpy as np
 
 from diracpairs import (build_basis, cycle_compose, extract_g_blocks,
-                        figure_configs, pair_amplitudes, propagator_segments,
-                        vacuum_amplitude, with_plateau)
+                        figure_configs, propagator_segments,
+                        sector_observables, with_plateau)
 
 config, _ = figure_configs()["fig2"]
 basis = build_basis(config.numerics, config.field)
@@ -20,15 +21,14 @@ u_on, u_cycle, u_off = propagator_segments(config, basis)
 print(f"segment propagators ready ({u_on.steps + u_cycle.steps + u_off.steps}"
       f" step exponentials evaluated)")
 
-plateaus = np.arange(0, 121)
-rows = []
-for j in plateaus:
-    u = cycle_compose(u_on, u_cycle, u_off, int(j))
-    g = extract_g_blocks(u, basis, with_plateau(config, int(j)))
-    pairs = pair_amplitudes(g)
-    vac = vacuum_amplitude(g)
-    probs = np.abs(vac.c_v * pairs.omega) ** 2
-    rows.append((int(j), vac.probability, float(probs.max())))
+plateaus = list(range(121))
+us = cycle_compose(u_on, u_cycle, u_off, plateaus)
+reports = sector_observables(
+    [extract_g_blocks(u, basis, with_plateau(config, j))
+     for u, j in zip(us, plateaus)], basis, config.numerics)
+# c[0] is |C_v|^2, and the pair list is ranked most probable first
+rows = [(j, float(report.c[0]), float(report.pairs[0][2]))
+        for j, report in zip(plateaus, reports)]
 
 with open("rabi_sweep.csv", "w") as fh:
     fh.write("plateau_cycles,cv_abs2,max_pair_prob\n")

@@ -36,7 +36,7 @@ from .modebasis import ModeBasis, build_basis
 from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          HelicityRelation, config_from_dict, config_to_dict,
                          config_hash, field_from_si, validate, with_plateau,
-                         _parse, _plain)
+                         _MAX_STEPS, _parse, _plain)
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 CHUNK = 8       # sweep points composed and read out in one stacked call
@@ -442,6 +442,10 @@ def _cmd_oracle_check(args) -> int:
     config = _load_config(args.config)
     basis = build_basis(config.numerics, config.field)
     fockoracle.check_dimension(basis)   # before any propagation or output
+    # the oracle integrates every cycle of the window
+    if config.numerics.steps_per_cycle * config.window.total_cycles > _MAX_STEPS:
+        raise ValidationError("numerics.steps_per_cycle: times "
+                              "window.total_cycles must be <= 2^26 in oracle-check")
     with (open(args.dump_amplitudes, "w") if args.dump_amplitudes
           else contextlib.nullcontext()) as dump:
         worst, table = _oracle_difference(config, basis, args.nmax)

@@ -8,17 +8,17 @@ with H0 the diagonal of free energies, c(t) = env(t) e^{-i w t} the
 ``fieldmodel.carrier`` and K the spinor sandwich of
 alpha.(X_plus e^{+ikz} + X_minus e^{-ikz}) with the
 ``fieldmodel.beam_amplitudes`` X_pm.  K couples lattice point n to n+1
-through the +z beam and to n-1 through the -z beam; it is built once per
-basis and field.
+through the +z beam and to n-1 through the -z beam; ``field_coupling``
+builds it from the basis and the field.
 
 Propagation uses the exponential midpoint rule.  ``midpoint_steps`` gives
 the carriers c of a time span's steps, from one ``carrier`` call, and their
 dt: the one step scheme that both this chain integrator and the Fock oracle
 read, with ``taylor_order`` the one Taylor rule of both.  A dense step is a
-Taylor polynomial with squaring on the ``coupled_blocks`` of H, unitary to
-TAYLOR_TOL over a span.  H0 is diagonal, so on a block group that
-polynomial is 1 + sum x^p y^q M_pq in x = Re c and y = Im c, with the M_pq
-built once per span.  The monomials are real, so the step exponentials of a
+Taylor polynomial with squaring on the ``coupled_blocks`` of H, of one
+order for all the spans of a segment set and unitary to TAYLOR_TOL over
+them.  H0 is diagonal, so on a block group that polynomial is 1 + sum x^p
+y^q M_pq in x = Re c and y = Im c, with the M_pq built once per set.  The monomials are real, so the step exponentials of a
 chunk of carriers are one real product of their monomials with the M_pq;
 the chunk's steps are then multiplied pairwise down to one product, and U,
 kept as its blocks, takes one product per chunk.  The 1 is added to each
@@ -45,7 +45,7 @@ plateau length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .modebasis import ALPHA, ModeBasis
 from .physconfig import FieldParams, RunConfig, with_plateau
 
 DEFAULT_UNITARITY_TOL = 1e-10
-TAYLOR_TOL = 1e-14      # summed truncation bound over all steps of a span
+TAYLOR_TOL = 1e-14      # truncation bound summed over all steps of a segment set
 SUBSTEP_BOUND = 4.0     # theta: largest ||-i dt H||_1 of one Taylor piece
 # D conj(K) D = K to this fraction of max|K| selects the time-reversal fold.
 FOLD_TOL = 1e-14
@@ -94,9 +94,8 @@ class GBlocks:
     g_mm: np.ndarray   # band minus <- band minus
 
 
-@lru_cache(maxsize=8)
 def field_coupling(basis: ModeBasis, field: FieldParams) -> np.ndarray:
-    """K of H = H0 + c K + conj(c) K^dag, built once per basis and field.
+    """K of H = H0 + c K + conj(c) K^dag for one basis and field.
 
     K[i, j] = spinor_i^dag alpha.X_pm spinor_j where n_i - n_j = +-1 (X_pm
     from ``beam_amplitudes``); zero elsewhere.
@@ -109,17 +108,15 @@ def field_coupling(basis: ModeBasis, field: FieldParams) -> np.ndarray:
             + np.where(step == -1, lowering, 0.0))
 
 
-@lru_cache(maxsize=8)
-def coupled_blocks(basis: ModeBasis, field: FieldParams) -> tuple:
-    """Components of K's nonzero pattern, which H = H0 + c K + h.c. never
-    couples: their modes as one (n, size) array per size, smallest first,
-    each size's components by descending first mode."""
-    k = field_coupling(basis, field)
-    reach = (k != 0) | (k.T != 0) | np.eye(basis.dim, dtype=bool)
-    for _ in range(basis.dim.bit_length()):     # paths up to 2^that long
+def coupled_blocks(k: np.ndarray) -> tuple:
+    """Components of the nonzero pattern of K, which H = H0 + c K + h.c.
+    never couples: their modes as one (n, size) array per size, smallest
+    first, each size's components by descending first mode."""
+    reach = (k != 0) | (k.T != 0) | np.eye(len(k), dtype=bool)
+    for _ in range(len(k).bit_length()):        # paths up to 2^that long
         reach = reach @ reach
     # a component's row in reach is that of its first mode
-    blocks = reach[np.flatnonzero(reach.argmax(1) == np.arange(basis.dim))[::-1]]
+    blocks = reach[np.flatnonzero(reach.argmax(1) == np.arange(len(k)))[::-1]]
     sizes = blocks.sum(1)
     return tuple(np.nonzero(blocks[sizes == s])[1].reshape(-1, s)
                  for s in sorted(set(sizes.tolist())))
@@ -190,64 +187,67 @@ def _taylor_terms(h0: np.ndarray, k: np.ndarray, scale: complex,
     return p, q, np.array(list(total.values()))
 
 
-def _integrate(basis: ModeBasis, config: RunConfig, t0_cycles: float,
-               t1_cycles: float) -> tuple:
-    """Time-ordered midpoint product over [t0, t1] in cycles.
+def _integrate(basis: ModeBasis, config: RunConfig, spans) -> list:
+    """Time-ordered midpoint products over the spans [(t0, t1), ...] in
+    cycles of a segment set, all of the first span's step length dt.
 
-    Supports t1 < t0 (reversed stepping).  Returns (matrix, n_steps).
-    Over the whole window of ``config`` it is the direct reference that
-    composed propagators are tested against.
+    Spans may run backwards (t1 < t0, dt < 0).  Returns one (matrix,
+    n_steps) per span.  Over the whole window of ``config`` it is the
+    direct reference that composed propagators are tested against.
 
     A step exp(A), A = -i dt H, is the Taylor polynomial of A / 2^s squared
     s times on each group of ``coupled_blocks``; b = |dt| (max|H0| + ||K||_1
     + ||K^dag||_1) >= ||A||_1 (|c| <= 1) sets the least s with b / 2^s <=
-    SUBSTEP_BOUND and the order ``taylor_order(b, 2^s, n_steps)``.  The
-    polynomial is expanded in x = Re c and y = Im c once per span
-    (``_taylor_terms``).  The steps of a chunk of _CHUNK carriers are then one
-    real product of their monomials with the coefficients, plus the 1, and
-    after the squarings the chunk's steps are multiplied pairwise, later on
-    the left, down to one product, which is applied to U once; U is kept as
-    its blocks.
+    SUBSTEP_BOUND and the order ``taylor_order(b, 2^s, n)``, n the steps of
+    all the spans.  The polynomial is expanded in x = Re c and y = Im c once
+    per call (``_taylor_terms``).  The steps of a chunk of _CHUNK carriers
+    are then one real product of their monomials with the coefficients, plus
+    the 1, and after the squarings the chunk's steps are multiplied
+    pairwise, later on the left, down to one product, which is applied to
+    the span's U once; U is kept as its blocks.
     """
-    carriers, dt = midpoint_steps(config, t0_cycles, t1_cycles)
-    n_steps = len(carriers)
+    steps = [midpoint_steps(config, t0, t1) for t0, t1 in spans]
+    dt = steps[0][1]
     coupling = field_coupling(basis, config.field)
     k = np.abs(coupling)
     bound = abs(dt) * (max(abs(basis.energies)) + k.sum(0).max() + k.sum(1).max())
     if not np.isfinite(bound):      # the unitarity gate reports the NaN
-        return np.full((basis.dim, basis.dim), np.nan, dtype=complex), 0
+        return [(np.full((basis.dim,) * 2, np.nan + 0j), 0)] * len(spans)
     squarings = int(np.ceil(np.log2(max(bound / SUBSTEP_BOUND, 1.0))))
-    order = taylor_order(bound, 2 ** squarings, n_steps)
+    order = taylor_order(bound, 2 ** squarings, sum(len(c) for c, _ in steps))
     scale = -1.0j * dt / 2 ** squarings
-    blocks = coupled_blocks(basis, config.field)
+    blocks = coupled_blocks(coupling)
     terms = [_taylor_terms(basis.energies[b],
                            coupling[b[:, :, None], b[:, None, :]], scale, order)
              for b in blocks]
-    ubs = [np.tile(np.eye(b.shape[1], dtype=complex), (len(b), 1, 1))
-           for b in blocks]
-    for start in range(0, n_steps, _CHUNK):
-        cs = carriers[start:start + _CHUNK]
-        xs, ys = (np.vander(v, order + 1, increasing=True)
-                  for v in (cs.real, cs.imag))
-        for i, (p, q, m) in enumerate(terms):
-            n, s = m.shape[1:3]
-            e = ((xs[:, p] * ys[:, q]) @ m.reshape(len(m), -1).view(float))
-            e = e.view(complex).reshape(-1, s * s)
-            e[:, ::s + 1] += 1      # the 1 apart: see the module docstring
-            e = e.reshape(len(cs), n, s, s)
-            for _ in range(squarings):
-                e = e @ e
-            while len(e) > 1:       # pairwise, an odd last step carried up
-                pairs = e[1::2] @ e[:-1:2]
-                # copying at every level lifts a chunk's temporaries past
-                # malloc's trim threshold: a cold fig2 run then re-faults
-                # its heap pages every chunk and takes twice as long
-                e = np.concatenate([pairs, e[-1:]]) if len(e) % 2 else pairs
-            ubs[i] = e[0] @ ubs[i]
-    u = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for b, ub in zip(blocks, ubs):
-        u[b[:, :, None], b[:, None, :]] = ub
-    return u, n_steps
+    products = []
+    for carriers, _ in steps:
+        ubs = [np.tile(np.eye(b.shape[1], dtype=complex), (len(b), 1, 1))
+               for b in blocks]
+        for start in range(0, len(carriers), _CHUNK):
+            cs = carriers[start:start + _CHUNK]
+            xs, ys = (np.vander(v, order + 1, increasing=True)
+                      for v in (cs.real, cs.imag))
+            for i, (p, q, m) in enumerate(terms):
+                n, s = m.shape[1:3]
+                e = ((xs[:, p] * ys[:, q]) @ m.reshape(len(m), -1).view(float))
+                e = e.view(complex).reshape(-1, s * s)
+                e[:, ::s + 1] += 1      # the 1 apart: see the module docstring
+                e = e.reshape(len(cs), n, s, s)
+                for _ in range(squarings):
+                    e = e @ e
+                while len(e) > 1:       # pairwise, an odd last step carried up
+                    pairs = e[1::2] @ e[:-1:2]
+                    # copying at every level lifts a chunk's temporaries past
+                    # malloc's trim threshold: a cold fig2 run then re-faults
+                    # its heap pages every chunk and takes twice as long
+                    e = np.concatenate([pairs, e[-1:]]) if len(e) % 2 else pairs
+                ubs[i] = e[0] @ ubs[i]
+        u = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for b, ub in zip(blocks, ubs):
+            u[b[:, :, None], b[:, None, :]] = ub
+        products.append((u, len(carriers)))
+    return products
 
 
 def propagate(config: RunConfig, basis: ModeBasis) -> Propagator:
@@ -269,11 +269,10 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     on that window and each midpoint step maps to its mirror as
     E -> D E^T D, so only [0, R] and the half cycle [R, R + 1/2] are
     integrated: u_off = D u_on^T D and u_cycle = D u_half^T D u_half.
-    Otherwise the three spans are integrated.  Either way ``steps`` counts
-    the step exponentials evaluated; a mirror adds none.
+    Otherwise the three are, in one ``_integrate`` call either way.
+    ``steps`` counts the step exponentials evaluated; a mirror adds none.
     """
     ramp = config.window.ramp_cycles
-    one = with_plateau(config, 1)
     k = field_coupling(basis, config.field)
     if not (np.isfinite(basis.energies).all() and np.isfinite(k).all()):
         raise UnitarityError(
@@ -282,12 +281,13 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     d = (-1.0) ** basis.n
     fold = (np.max(np.abs(d[:, None] * k.conj() * d - k))
             <= FOLD_TOL * np.max(np.abs(k)))
+    spans = [(0, ramp), (ramp, ramp + 0.5)] if fold else [
+        (0, ramp), (ramp, ramp + 1), (ramp + 1, 2 * ramp + 1)]
+    # an out-of-range step overflows; the unitarity gate reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _integrate(basis, with_plateau(config, 1), spans)
 
-    def segment(part, t0, t1, m=None, steps=0):
-        if m is None:
-            # an out-of-range step overflows; the unitarity gate reports it
-            with np.errstate(over="ignore", invalid="ignore"):
-                m, steps = _integrate(basis, one, float(t0), float(t1))
+    def segment(part, t0, t1, m, steps=0):
         defect = float(unitarity_defect(m))
         if not defect <= DEFAULT_UNITARITY_TOL:    # NaN fails too
             raise UnitarityError(
@@ -303,11 +303,11 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     def mirror(u):
         return d[:, None] * u.matrix.T * d
 
-    u_on = segment("on", 0, ramp)
+    u_on = segment("on", 0, ramp, *products[0])
     if not fold:
-        return (u_on, segment("cycle", ramp, ramp + 1),
-                segment("off", ramp + 1, 2 * ramp + 1))
-    half = segment("half-cycle", ramp, ramp + 0.5)
+        return (u_on, segment("cycle", ramp, ramp + 1, *products[1]),
+                segment("off", ramp + 1, 2 * ramp + 1, *products[2]))
+    half = segment("half-cycle", ramp, ramp + 0.5, *products[1])
     return (u_on, segment("cycle", ramp, ramp + 1, mirror(half) @ half.matrix,
                           half.steps),
             segment("off", ramp + 1, 2 * ramp + 1, mirror(u_on)))

@@ -74,8 +74,7 @@ class ModeBasis:
     closed form, (1/2)(+-1)(1 - p_perp^2/(E(E+1))) and (1/2)(+-1) p_z/|p|
     for spin up/down, so for momenta along z they are exact halves.
 
-    Immutable after construction; identity hashing makes it usable as a
-    cache key for derived coupling matrices.
+    Immutable after construction.
     """
 
     def __init__(self, n_cut: int, k: float, k0: tuple):

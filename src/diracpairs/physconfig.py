@@ -26,6 +26,10 @@ E_SCHWINGER_V_PER_M = 1.3e18
 # that alpha_plus and the helicity relation fix.
 ANGLE_TOL = 1e-12
 
+# Most time steps one run may integrate: its carriers are complex arrays,
+# 1 GiB at this bound, and it would take about 10 minutes at 9 us a step.
+_MAX_STEPS = 2 ** 26
+
 
 class HelicityRelation(Enum):
     """How the two beams' polarization angles are tied together.
@@ -149,6 +153,10 @@ def validation_errors(config: RunConfig) -> list:
     if n.steps_per_cycle % 2:
         # the time-reversal fold of ``dynamics`` integrates half a cycle
         bad.append("numerics.steps_per_cycle: must be even")
+    if n.steps_per_cycle * (2 * w.ramp_cycles + 1) > _MAX_STEPS:
+        # the steps integrated without the fold
+        bad.append("numerics.steps_per_cycle: times 2 window.ramp_cycles + 1 "
+                   "must be <= 2^26")
     if len(n.k0_offset) != 3:
         bad.append("numerics.k0_offset: must be a 3-vector")
     elif not all(map(math.isfinite, n.k0_offset)):

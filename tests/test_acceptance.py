@@ -206,8 +206,8 @@ def test_criterion_7_cycle_composition():
     worst = 0.0
     for j in (1, 7, 32):
         plateau_j = with_plateau(config, j)
-        direct, _ = _integrate(basis, plateau_j, 0.0,
-                               float(plateau_j.window.total_cycles))
+        [(direct, _)] = _integrate(
+            basis, plateau_j, [(0.0, float(plateau_j.window.total_cycles))])
         composed = cycle_compose(*segments, j)
         worst = max(worst, float(np.max(np.abs(direct - composed.matrix))))
     ok = worst < 1e-9
@@ -227,7 +227,7 @@ def test_criterion_7_cycle_composition():
     bench_20 = with_plateau(bench, 20)
     total = bench_20.window.total_cycles
     t0 = time.perf_counter()
-    _integrate(bench_basis, bench_20, 0.0, float(total))
+    _integrate(bench_basis, bench_20, [(0.0, float(total))])
     per_cycle = (time.perf_counter() - t0) / total
     direct_estimate = sum(per_cycle * (j + 2 * bench.window.ramp_cycles)
                           for j in range(0, 401))

@@ -691,6 +691,18 @@ class TestSweep:
         assert rows[0]["error"] == ""
         assert "ValidationError" in rows[1]["error"]
 
+    def test_point_past_the_step_bound_is_an_error_row(self, tmp_path):
+        # int64 step counts that no memory holds fail their own points
+        # before anything is integrated; the sweep runs on
+        spec = SweepSpec(base=desk_config(),
+                         sweep_axis="numerics.steps_per_cycle",
+                         values=[64, 2 ** 40, 2 ** 62], outputs=str(tmp_path))
+        with open(run_sweep(spec)["json"]) as fh:
+            errors = [row["error"] for row in json.load(fh)["rows"]]
+        assert errors[0] == ""
+        assert all(e.startswith("ValidationError: numerics.steps_per_cycle: ")
+                   for e in errors[1:])
+
     def test_failing_segment_set_is_integrated_once(self, tmp_path,
                                                      monkeypatch):
         # fig2 at omega 1e-4 on a coarse grid: the turn-on's unitarity
@@ -966,6 +978,16 @@ MALFORMED = {
         steps_per_cycle=2 ** 64), "config.numerics.steps_per_cycle"),
     "value_past_int64": ("sweep", lambda s: s.update(values=[3, 10 ** 30]),
                          "spec.values[1].window.plateau_cycles"),
+    # int64 steps that no memory holds: the steps of a run are bounded
+    **{f"steps_2_pow_{p}": ("run", lambda d, p=p: d["numerics"].update(
+        steps_per_cycle=2 ** p), "numerics.steps_per_cycle: times 2 "
+        "window.ramp_cycles + 1 must be <= 2^26") for p in (40, 62)},
+    "sweep_base_steps_2_pow_40": ("sweep", lambda s: s["base"]["numerics"]
+                                  .update(steps_per_cycle=2 ** 40),
+                                  "numerics.steps_per_cycle"),
+    "oracle_plateau_2_pow_40": ("oracle-check", lambda d: d["window"].update(
+        plateau_cycles=2 ** 40), "numerics.steps_per_cycle: times "
+        "window.total_cycles must be <= 2^26"),
 }
 
 
@@ -1107,7 +1129,7 @@ class TestCommandLine:
         data = replaced if isinstance(replaced, list) else data
         in_path = tmp_path / "input.json"
         in_path.write_text(json.dumps(data))
-        flag = "--config" if command == "run" else "--spec"
+        flag = "--spec" if command == "sweep" else "--config"
         assert main([command, flag, str(in_path)]) == 2
         err = capsys.readouterr().err
         assert path in err and "Traceback" not in err

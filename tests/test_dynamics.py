@@ -160,8 +160,8 @@ class TestPropagate:
         config = make_config(plateau=1)
         basis = build_basis(config.numerics, config.field)
         total = float(config.window.total_cycles)
-        forward, _ = _integrate(basis, config, 0.0, total)
-        backward, _ = _integrate(basis, config, total, 0.0)
+        [(forward, _)] = _integrate(basis, config, [(0.0, total)])
+        [(backward, _)] = _integrate(basis, config, [(total, 0.0)])
         assert np.max(np.abs(backward @ forward - np.eye(basis.dim))) < 1e-9
 
 
@@ -174,8 +174,8 @@ class TestCycleCompose:
     def direct(self, j):
         """Step-by-step integration over the whole window of plateau j."""
         config = with_plateau(self.config, j)
-        u, _ = _integrate(self.basis, config, 0.0,
-                          float(config.window.total_cycles))
+        [(u, _)] = _integrate(self.basis, config,
+                              [(0.0, float(config.window.total_cycles))])
         return u
 
     def test_zero_plateau_is_off_times_on(self):
@@ -254,18 +254,19 @@ class TestTimeReversalFold:
 
     @staticmethod
     def integrated_spans(monkeypatch):
-        """([(t0, t1)], [steps]) of every ``_integrate`` call from now on."""
-        spans, counts = [], []
+        """([the spans of each ``_integrate`` call], [the steps of each
+        span]) of every call from now on."""
+        calls, counts = [], []
         real = dynamics._integrate
 
-        def spy(basis, config, t0, t1):
-            spans.append((t0, t1))
-            u, steps = real(basis, config, t0, t1)
-            counts.append(steps)
-            return u, steps
+        def spy(basis, config, spans):
+            calls.append(list(spans))
+            products = real(basis, config, spans)
+            counts.extend(steps for _, steps in products)
+            return products
 
         monkeypatch.setattr(dynamics, "_integrate", spy)
-        return spans, counts
+        return calls, counts
 
     @pytest.mark.parametrize("name, k0", [
         ("fig2", (0.0, 0.0, 0.0)), ("fig4", (0.0, 0.0, 0.0)),
@@ -274,9 +275,9 @@ class TestTimeReversalFold:
         config = self.preset(name, k0)
         basis = build_basis(config.numerics, config.field)
         ramp = config.window.ramp_cycles
-        spans, counts = self.integrated_spans(monkeypatch)
+        calls, counts = self.integrated_spans(monkeypatch)
         segments = propagator_segments(config, basis)
-        assert spans == [(0.0, ramp), (ramp, ramp + 0.5)]
+        assert calls == [[(0.0, ramp), (ramp, ramp + 0.5)]]
         # the mirrored cycle costs the half cycle it is built from, the
         # mirrored turn-off nothing
         spc = config.numerics.steps_per_cycle
@@ -286,22 +287,22 @@ class TestTimeReversalFold:
         one = with_plateau(config, 1)
         edges = (0.0, float(ramp), ramp + 1.0, 2.0 * ramp + 1.0)
         for seg, t0, t1 in zip(segments, edges, edges[1:]):
-            direct, _ = _integrate(basis, one, t0, t1)
+            [(direct, _)] = _integrate(basis, one, [(t0, t1)])
             assert np.max(np.abs(seg.matrix - direct)) <= 1e-12
             assert seg.t_span_cycles == (t0, t1)
             assert seg.unitarity_defect == unitarity_defect(seg.matrix)
 
     def test_transverse_k0y_integrates_the_whole_window(self, monkeypatch):
         # complex free spinors break D conj(K) D = K: three spans, 2R + 1
-        # cycles, as the unfolded integrator
+        # cycles, as the unfolded integrator, in one call
         config = self.preset("fig4", (0.21, -0.13, 0.05))
         basis = build_basis(config.numerics, config.field)
         ramp = config.window.ramp_cycles
-        spans, _ = self.integrated_spans(monkeypatch)
+        calls, _ = self.integrated_spans(monkeypatch)
         propagator_segments(config, basis)
-        assert spans == [(0.0, ramp), (ramp, ramp + 1),
-                         (ramp + 1, 2 * ramp + 1)]
-        assert sum(t1 - t0 for t0, t1 in spans) == 2 * ramp + 1
+        assert calls == [[(0.0, ramp), (ramp, ramp + 1),
+                          (ramp + 1, 2 * ramp + 1)]]
+        assert sum(t1 - t0 for t0, t1 in calls[0]) == 2 * ramp + 1
 
     @pytest.mark.parametrize("name, k0", [
         ("fig2", (0.0, 0.0, 0.0)), ("fig4", (0.0, 0.0, 0.0)),
@@ -309,30 +310,71 @@ class TestTimeReversalFold:
         ("fig4", (0.21, -0.13, 0.05))])
     def test_steps_count_the_exponentials_evaluated(self, monkeypatch, name,
                                                     k0):
-        # each segment reports the midpoint steps consumed since the segment
-        # before it was built, one carrier per step exponential
+        # each integrated segment reports the carriers of its own span, one
+        # per step exponential; a mirrored turn-off reports none
         config = self.preset(name, k0)
         basis = build_basis(config.numerics, config.field)
-        taken, built = [], {}
-        real_carrier, real_propagator = dynamics.carrier, dynamics.Propagator
+        taken = []
+        real_carrier = dynamics.carrier
 
         def carrier_at(*args):
-            taken.extend(np.ravel(args[0]))     # a span's times in one call
+            taken.append(np.ravel(args[0]))     # a span's times in one call
             return real_carrier(*args)
 
-        def propagator(**fields):
-            built[fields["t_span_cycles"]] = len(taken)
-            return real_propagator(**fields)
-
         monkeypatch.setattr(dynamics, "carrier", carrier_at)
-        monkeypatch.setattr(dynamics, "Propagator", propagator)
         segments = propagator_segments(config, basis)
-        before = 0
-        for seg in segments:
+        folded = k0[1] == 0.0
+        assert len(taken) == (2 if folded else 3)
+        counts = [len(times) for times in taken] + [0] * folded
+        assert [seg.steps for seg in segments] == counts
+        for seg, times in zip(segments, taken):
+            t0, t1 = seg.t_span_cycles
             assert type(seg.steps) is int
-            assert seg.steps == built[seg.t_span_cycles] - before
-            before = built[seg.t_span_cycles]
-        assert sum(seg.steps for seg in segments) == len(taken) > 0
+            assert t0 < times.min() and times.max() < t1
+        assert sum(seg.steps for seg in segments) == sum(counts) > 0
+
+    @pytest.mark.parametrize("name, k0", [
+        ("fig2", (0.0, 0.0, 0.0)), ("fig4", (0.21, -0.13, 0.05))],
+        ids=["fold", "no_fold"])
+    def test_one_taylor_expansion_per_segment_set(self, monkeypatch, name,
+                                                  k0):
+        # the order and the coefficient stacks of every block group are
+        # worked out once for all the spans, the order from all their steps
+        config = self.preset(name, k0)
+        basis = build_basis(config.numerics, config.field)
+        shapes, counts = [], []
+        real_terms, real_order = dynamics._taylor_terms, dynamics.taylor_order
+
+        def terms(h0, k, scale, order):
+            shapes.append(k.shape)
+            return real_terms(h0, k, scale, order)
+
+        def taylor_order(bound, parts, n_steps):
+            counts.append(n_steps)
+            return real_order(bound, parts, n_steps)
+
+        monkeypatch.setattr(dynamics, "_taylor_terms", terms)
+        monkeypatch.setattr(dynamics, "taylor_order", taylor_order)
+        propagator_segments(config, basis)
+        groups = dynamics.coupled_blocks(
+            dynamics.field_coupling(basis, config.field))
+        assert shapes == [(len(g), g.shape[1], g.shape[1]) for g in groups]
+        ramp = config.window.ramp_cycles
+        cycles = ramp + 0.5 if k0[1] == 0.0 else 2 * ramp + 1
+        assert counts == [cycles * config.numerics.steps_per_cycle]
+
+    @pytest.mark.parametrize("name, tol", [("fig2", 0.0), ("fig4", 1e-13)])
+    def test_set_matches_its_spans_alone(self, name, tol):
+        # on the fig2 preset the 5,632 steps of the set take the order of
+        # each span alone, 8; on fig4 the half cycle's rises from 8 to 9
+        config = with_plateau(figure_configs()[name][0], 1)
+        basis = build_basis(config.numerics, config.field)
+        ramp = config.window.ramp_cycles
+        spans = [(0.0, ramp), (ramp, ramp + 0.5)]
+        for span, (u, steps) in zip(spans, _integrate(basis, config, spans)):
+            [(alone, alone_steps)] = _integrate(basis, config, [span])
+            assert steps == alone_steps
+            assert np.max(np.abs(u - alone)) <= tol
 
 
 def eigh_product(basis, config, t0, t1):
@@ -403,7 +445,8 @@ class TestTaylorBlocks:
         # P = (-1)^n sigma commutes with H(t) when k0 lies along z: two
         # halves, each of one parity
         config, basis = self.case(name, n_cut)
-        (group,) = dynamics.coupled_blocks(basis, config.field)
+        (group,) = dynamics.coupled_blocks(
+            dynamics.field_coupling(basis, config.field))
         assert group.shape == (2, basis.dim // 2)
         parity = (-1.0) ** basis.n * np.where(basis.spin_up, 1, -1)
         signs = sorted(tuple(set(parity[block])) for block in group)
@@ -414,7 +457,8 @@ class TestTaylorBlocks:
         ("fig2_alpha0", {1: 4, 4: 4})])
     def test_block_sizes(self, name, sizes):
         config, basis = self.case(name)
-        groups = dynamics.coupled_blocks(basis, config.field)
+        groups = dynamics.coupled_blocks(
+            dynamics.field_coupling(basis, config.field))
         assert {g.shape[1]: len(g) for g in groups} == sizes
         assert np.array_equal(np.sort(np.concatenate(
             [g.ravel() for g in groups])), np.arange(basis.dim))
@@ -433,7 +477,7 @@ class TestTaylorBlocks:
         rows = np.unique(reach, axis=0)
         expected = [np.nonzero(rows[rows.sum(1) == s])[1].reshape(-1, s)
                     for s in np.unique(rows.sum(1))]
-        blocks = dynamics.coupled_blocks(basis, config.field)
+        blocks = dynamics.coupled_blocks(k)
         assert len(blocks) == len(expected)
         for got, want in zip(blocks, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -443,7 +487,7 @@ class TestTaylorBlocks:
         config, basis = self.case(name)
         block_of = np.empty(basis.dim, dtype=int)
         blocks = [block for group in dynamics.coupled_blocks(
-            basis, config.field) for block in group]
+            dynamics.field_coupling(basis, config.field)) for block in group]
         for i, block in enumerate(blocks):
             block_of[block] = i
         apart = block_of[:, None] != block_of[None, :]
@@ -456,7 +500,7 @@ class TestTaylorBlocks:
     def test_integrate_matches_eigh_product(self, name):
         config, basis = self.case(name)
         t1 = config.window.ramp_cycles + 1.0
-        u, steps = _integrate(basis, config, 0.0, t1)
+        [(u, steps)] = _integrate(basis, config, [(0.0, t1)])
         assert steps == t1 * config.numerics.steps_per_cycle
         assert np.max(np.abs(u - eigh_product(basis, config, 0.0, t1))) <= 1e-11
 
@@ -472,7 +516,7 @@ class TestTaylorBlocks:
         assert np.ceil(np.log2(bound / dynamics.SUBSTEP_BOUND)) == squarings
         total = float(config.window.total_cycles)
         start = time.perf_counter()
-        u, _ = _integrate(basis, config, 0.0, total)
+        [(u, _)] = _integrate(basis, config, [(0.0, total)])
         assert time.perf_counter() - start < 1.0
         assert np.max(np.abs(u - eigh_product(basis, config, 0.0, total))) <= tol
         assert unitarity_defect(u) <= tol
@@ -494,7 +538,7 @@ class TestTaylorBlocks:
         cs = np.concatenate([[0.0, 1.0, np.exp(2.1j)], np.sqrt(
             rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6))])
         k = dynamics.field_coupling(basis, config.field)
-        for b in dynamics.coupled_blocks(basis, config.field):
+        for b in dynamics.coupled_blocks(k):
             pair = (b[:, :, None], b[:, None, :])
             p, q, m = dynamics._taylor_terms(basis.energies[b], k[pair], scale,
                                              order)
@@ -512,9 +556,9 @@ class TestTaylorBlocks:
         # chunk of 1 is the sequential product, and the product trees of 3,
         # 7 and the default 64 (last chunk 19) carry an odd step up a level
         config, basis = self.case(name)
-        u, steps = _integrate(basis, config, 0.0, 1.3)
+        [(u, steps)] = _integrate(basis, config, [(0.0, 1.3)])
         monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-        again, _ = _integrate(basis, config, 0.0, 1.3)
+        [(again, _)] = _integrate(basis, config, [(0.0, 1.3)])
         assert steps == 83
         assert np.max(np.abs(again - u)) <= 1e-14
 
@@ -537,7 +581,7 @@ class TestTaylorBlocks:
             return given[-1]
 
         monkeypatch.setattr(dynamics, "carrier", carrier_at)
-        _integrate(basis, config, 0.0, total)
+        _integrate(basis, config, [(0.0, total)])
         monkeypatch.setattr(dynamics, "carrier", real_carrier)
         monkeypatch.setattr(fockoracle, "midpoint_steps", oracle_steps)
         fockoracle.propagate_vacuum(config, basis)
@@ -559,17 +603,17 @@ class TestTaylorBlocks:
         # into them, its rounding repeats at every step and the defect grows
         # coherently (5e-13 measured, against 4e-14)
         basis, config, ramp = self.fig2_ramp()
-        u, _ = _integrate(basis, config, 0.0, ramp)
+        [(u, _)] = _integrate(basis, config, [(0.0, ramp)])
         assert unitarity_defect(u) <= 1e-13
 
     def test_fig2_ramp_memory_is_bounded(self):
         # the steps of one chunk live at once: 64 of them peak near 2 MB,
         # 256 near 6 MB
         basis, config, ramp = self.fig2_ramp()
-        _integrate(basis, config, 0.0, 0.01)    # the lru caches
+        _integrate(basis, config, [(0.0, 0.01)])    # numpy's first-call allocations
         tracemalloc.start()
         try:
-            _integrate(basis, config, 0.0, ramp)
+            _integrate(basis, config, [(0.0, ramp)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -136,6 +136,18 @@ class TestValidate:
         assert not validation_errors(make_config(numerics=NumericsParams(
             n_cut=1, n_sector_max=6)))
 
+    def test_step_count_is_bounded(self):
+        # ramp 2: a run integrates at most 5 cycles of steps, 2^26 in all,
+        # whatever its plateau, which is composed
+        def steps(spc, plateau=4):
+            return validation_errors(make_config(
+                window=WindowParams(ramp_cycles=2, plateau_cycles=plateau),
+                numerics=NumericsParams(n_cut=2, steps_per_cycle=spc)))
+        assert not steps(2 ** 26 // 5) and not steps(64, plateau=2 ** 62)
+        assert steps(2 ** 26 // 5 + 2) == [
+            "numerics.steps_per_cycle: times 2 window.ramp_cycles + 1 must "
+            "be <= 2^26"]
+
     def test_violations_aggregate_with_paths(self):
         config = make_config(
             window=WindowParams(ramp_cycles=0, plateau_cycles=-1),

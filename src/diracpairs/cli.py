@@ -36,7 +36,7 @@ from .modebasis import ModeBasis, build_basis
 from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          HelicityRelation, config_from_dict, config_to_dict,
                          config_hash, field_from_si, validate, with_plateau,
-                         _MAX_STEPS, _parse, _plain)
+                         _parse, _plain)
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 CHUNK = 8       # sweep points composed and read out in one stacked call
@@ -224,7 +224,7 @@ def run_sweep(spec: SweepSpec) -> dict:
     """
     if not spec.values:
         raise ValidationError("spec.values: must be non-empty")
-    validate(spec.base)
+    validate(spec.base, "spec.base")
     configs = [_point_config(spec, i) for i in range(len(spec.values))]
     outdir = os.environ.get("DIRACPAIRS_OUTDIR", spec.outputs)
     points_dir = os.path.join(outdir, "points", _code_digest())
@@ -258,7 +258,7 @@ def run_sweep(spec: SweepSpec) -> dict:
             texts[i] = json.dumps(row_to_dict(rows[i]), sort_keys=True)
             continue
         try:
-            validate(config)
+            validate(config, f"spec.values[{i}]")
         except ValidationError as exc:
             finish(i, failed(i, exc))
         else:   # grouped with the points that differ in plateau length alone
@@ -441,11 +441,7 @@ def _cmd_oracle_check(args) -> int:
     _check_flag("--nmax", args.nmax >= 0, ">= 0")
     config = _load_config(args.config)
     basis = build_basis(config.numerics, config.field)
-    fockoracle.check_dimension(basis)   # before any propagation or output
-    # the oracle integrates every cycle of the window
-    if config.numerics.steps_per_cycle * config.window.total_cycles > _MAX_STEPS:
-        raise ValidationError("numerics.steps_per_cycle: times "
-                              "window.total_cycles must be <= 2^26 in oracle-check")
+    fockoracle.check_limits(config, basis)  # before any propagation or output
     with (open(args.dump_amplitudes, "w") if args.dump_amplitudes
           else contextlib.nullcontext()) as dump:
         worst, table = _oracle_difference(config, basis, args.nmax)

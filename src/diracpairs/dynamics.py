@@ -199,20 +199,22 @@ def _integrate(basis: ModeBasis, config: RunConfig, spans) -> list:
     s times on each group of ``coupled_blocks``; b = |dt| (max|H0| + ||K||_1
     + ||K^dag||_1) >= ||A||_1 (|c| <= 1) sets the least s with b / 2^s <=
     SUBSTEP_BOUND and the order ``taylor_order(b, 2^s, n)``, n the steps of
-    all the spans.  The polynomial is expanded in x = Re c and y = Im c once
-    per call (``_taylor_terms``).  The steps of a chunk of _CHUNK carriers
-    are then one real product of their monomials with the coefficients, plus
-    the 1, and after the squarings the chunk's steps are multiplied
-    pairwise, later on the left, down to one product, which is applied to
-    the span's U once; U is kept as its blocks.
+    all the spans; a b that an overflowed H0 or K leaves non-finite raises
+    UnitarityError.  The polynomial is expanded in x = Re c and y = Im c
+    once per call (``_taylor_terms``).  The steps of a chunk of _CHUNK
+    carriers are then one real product of their monomials with the
+    coefficients, plus the 1, and after the squarings the chunk's steps are
+    multiplied pairwise, later on the left, down to one product, which is
+    applied to the span's U once; U is kept as its blocks.
     """
     steps = [midpoint_steps(config, t0, t1) for t0, t1 in spans]
     dt = steps[0][1]
     coupling = field_coupling(basis, config.field)
     k = np.abs(coupling)
-    bound = abs(dt) * (max(abs(basis.energies)) + k.sum(0).max() + k.sum(1).max())
-    if not np.isfinite(bound):      # the unitarity gate reports the NaN
-        return [(np.full((basis.dim,) * 2, np.nan + 0j), 0)] * len(spans)
+    bound = abs(dt) * (abs(basis.energies).max() + k.sum(0).max() + k.sum(1).max())
+    if not np.isfinite(bound):
+        raise UnitarityError("field.omega, field.e_peak or numerics.k0_offset"
+                             " is out of range: the step bound is not finite")
     squarings = int(np.ceil(np.log2(max(bound / SUBSTEP_BOUND, 1.0))))
     order = taylor_order(bound, 2 ** squarings, sum(len(c) for c, _ in steps))
     scale = -1.0j * dt / 2 ** squarings
@@ -269,22 +271,19 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
     on that window and each midpoint step maps to its mirror as
     E -> D E^T D, so only [0, R] and the half cycle [R, R + 1/2] are
     integrated: u_off = D u_on^T D and u_cycle = D u_half^T D u_half.
-    Otherwise the three are, in one ``_integrate`` call either way.
-    ``steps`` counts the step exponentials evaluated; a mirror adds none.
+    Otherwise the three are, in one ``_integrate`` call either way (it
+    refuses an overflowed H).  ``steps`` counts the exponentials evaluated;
+    a mirror adds none.
     """
     ramp = config.window.ramp_cycles
     k = field_coupling(basis, config.field)
-    if not (np.isfinite(basis.energies).all() and np.isfinite(k).all()):
-        raise UnitarityError(
-            "the free energies H0 or the field coupling K are not finite; "
-            "field.omega, field.e_peak or numerics.k0_offset is out of range")
     d = (-1.0) ** basis.n
-    fold = (np.max(np.abs(d[:, None] * k.conj() * d - k))
-            <= FOLD_TOL * np.max(np.abs(k)))
-    spans = [(0, ramp), (ramp, ramp + 0.5)] if fold else [
-        (0, ramp), (ramp, ramp + 1), (ramp + 1, 2 * ramp + 1)]
-    # an out-of-range step overflows; the unitarity gate reports it
+    # an out-of-range input overflows H; ``_integrate`` refuses its step bound
     with np.errstate(over="ignore", invalid="ignore"):
+        fold = (np.max(np.abs(d[:, None] * k.conj() * d - k))
+                <= FOLD_TOL * np.max(np.abs(k)))
+        spans = [(0, ramp), (ramp, ramp + 0.5)] if fold else [
+            (0, ramp), (ramp, ramp + 1), (ramp + 1, 2 * ramp + 1)]
         products = _integrate(basis, with_plateau(config, 1), spans)
 
     def segment(part, t0, t1, m, steps=0):
@@ -296,7 +295,7 @@ def propagator_segments(config: RunConfig, basis: ModeBasis):
                 f"steps_per_cycle={config.numerics.steps_per_cycle}; a span is "
                 f"unitary to {TAYLOR_TOL:.0e} plus roundoff growing with |dt| ||H||, "
                 "so unless that is large more steps cannot restore it: H was "
-                "non-finite or non-Hermitian, or roundoff accumulated")
+                "non-Hermitian, or roundoff accumulated")
         return Propagator(matrix=m, t_span_cycles=(float(t0), float(t1)),
                           steps=steps, unitarity_defect=defect)
 

@@ -31,10 +31,10 @@ from itertools import combinations
 import numpy as np
 
 from .dynamics import SUBSTEP_BOUND, field_coupling, midpoint_steps, taylor_order
-from .errors import FockDimensionError, NormDriftError
+from .errors import FockDimensionError, NormDriftError, ValidationError
 from .modebasis import ModeBasis
 from .multipair import check_labels
-from .physconfig import RunConfig
+from .physconfig import MAX_STEPS, RunConfig
 
 MAX_SINGLE_PARTICLE_DIM = 16
 NORM_TOL = 1e-8
@@ -74,12 +74,15 @@ class ManyBodyState:
     norm_drift: float = 0.0
 
 
-def check_dimension(basis: ModeBasis):
-    """Refuse a basis too large for the exact Fock space (exit 2)."""
+def check_limits(config: RunConfig, basis: ModeBasis):
+    """Refuse an oracle run past the Fock dimension cap or MAX_STEPS steps."""
     if basis.dim > MAX_SINGLE_PARTICLE_DIM:
         raise FockDimensionError(
-            f"fockoracle: single-particle dimension {basis.dim} exceeds the "
-            f"hard cap {MAX_SINGLE_PARTICLE_DIM}; use n_cut=1 for oracle runs")
+            f"config.numerics.n_cut: single-particle dimension {basis.dim} "
+            f"exceeds the hard cap {MAX_SINGLE_PARTICLE_DIM}; use n_cut=1")
+    if config.numerics.steps_per_cycle * config.window.total_cycles > MAX_STEPS:
+        raise ValidationError("config.numerics.steps_per_cycle: times "
+                              "window.total_cycles must be <= 2^26")
 
 
 def second_quantize(h: np.ndarray, basis: ModeBasis,
@@ -91,7 +94,8 @@ def second_quantize(h: np.ndarray, basis: ModeBasis,
     nonzero couplings of h are materialized, and the diagonal only where
     it is nonzero.
     """
-    check_dimension(basis)
+    if basis.dim > MAX_SINGLE_PARTICLE_DIM:
+        raise FockDimensionError(f"fockoracle: dimension {basis.dim} > hard cap")
     if fock is None:
         fock = FockBasis(basis.plus_indices, basis.minus_indices)
     i, j = np.nonzero((h != 0) & ~np.eye(len(h), dtype=bool))
@@ -125,7 +129,7 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     the sea are stepped, their rows padded to one length (a gather and a
     row sum per product); every amplitude outside them is 0.
     """
-    check_dimension(basis)
+    check_limits(config, basis)
     fock = FockBasis(basis.plus_indices, basis.minus_indices)
     with np.errstate(invalid="ignore"):     # a non-finite H fails the bound
         h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)

@@ -125,7 +125,7 @@ def build_basis(numerics: NumericsParams, field: FieldParams) -> ModeBasis:
     """Basis over momenta n*k*e_z + k0 for n in [-n_cut, n_cut].
 
     An out-of-range wavenumber or k0 overflows to non-finite entries
-    without a warning; ``dynamics.propagator_segments`` reports them.
+    without a warning; ``dynamics`` refuses their non-finite step bound.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return ModeBasis(n_cut=numerics.n_cut, k=field.wavenumber,

@@ -26,9 +26,12 @@ E_SCHWINGER_V_PER_M = 1.3e18
 # that alpha_plus and the helicity relation fix.
 ANGLE_TOL = 1e-12
 
-# Most time steps one run may integrate: its carriers are complex arrays,
-# 1 GiB at this bound, and it would take about 10 minutes at 9 us a step.
-_MAX_STEPS = 2 ** 26
+# Most time steps a run or a Fock oracle window may integrate: the carriers
+# fill 1 GiB at this bound, and a run would take 10 minutes at 9 us a step.
+MAX_STEPS = 2 ** 26
+# Largest n_cut: d = 516 modes; a one-cycle fig2 ramp took 34 s and 1.25 GB on
+# 2 cores with one BLAS thread, and n_cut 100000 asked 9.3 TiB for K alone.
+_MAX_N_CUT = 64
 
 
 class HelicityRelation(Enum):
@@ -146,14 +149,14 @@ def validation_errors(config: RunConfig) -> list:
     if w.plateau_cycles < 0:
         bad.append("window.plateau_cycles: must be >= 0")
 
-    if n.n_cut < 1:
-        bad.append("numerics.n_cut: must be >= 1")
+    if not 1 <= n.n_cut <= _MAX_N_CUT:
+        bad.append(f"numerics.n_cut: must be in [1, {_MAX_N_CUT}]")
     if n.steps_per_cycle < 16:
         bad.append("numerics.steps_per_cycle: must be >= 16")
     if n.steps_per_cycle % 2:
         # the time-reversal fold of ``dynamics`` integrates half a cycle
         bad.append("numerics.steps_per_cycle: must be even")
-    if n.steps_per_cycle * (2 * w.ramp_cycles + 1) > _MAX_STEPS:
+    if n.steps_per_cycle * (2 * w.ramp_cycles + 1) > MAX_STEPS:
         # the steps integrated without the fold
         bad.append("numerics.steps_per_cycle: times 2 window.ramp_cycles + 1 "
                    "must be <= 2^26")
@@ -170,14 +173,14 @@ def validation_errors(config: RunConfig) -> list:
     return bad
 
 
-def validate(config: RunConfig) -> RunConfig:
+def validate(config: RunConfig, path: str = "config") -> RunConfig:
     """Return the config unchanged if all invariants hold, else raise.
 
-    The raised ValidationError carries the full list of violations.
+    The raised ValidationError lists every violation under ``path``.
     """
     bad = validation_errors(config)
     if bad:
-        raise ValidationError(bad)
+        raise ValidationError([f"{path}.{b}" for b in bad])
     return config
 
 

@@ -15,16 +15,16 @@ import pytest
 
 import diracpairs
 from diracpairs import (GBlocks, HelicityRelation, NumericsParams, Propagator,
-                        ResultRow, RunConfig,
-                        SweepSpec, UnitarityError, WindowParams, build_basis,
+                        ResultRow, RunConfig, SweepSpec, UnitarityError,
+                        ValidationError, WindowParams, build_basis,
                         config_from_dict, config_hash, config_to_dict,
                         cycle_compose, electric_field_at, field_from_si,
                         figure_configs, fockoracle, potential_vector_at,
                         propagator_segments, run_once, run_sweep,
                         with_plateau)
-from diracpairs.cli import (AXIS_ALIASES, CHUNK, _readout, build_parser,
-                            csv_header, csv_row, main, row_from_dict,
-                            row_to_dict, sweep_spec_to_dict)
+from diracpairs.cli import (AXIS_ALIASES, CHUNK, _readout, _write_whole,
+                            build_parser, csv_header, csv_row, main,
+                            row_from_dict, row_to_dict, sweep_spec_to_dict)
 from synthetic import cs_unitary_gblocks
 
 
@@ -214,6 +214,14 @@ class TestRunOnce:
             again = row_from_dict(json.loads(text))
             assert csv_row(again, 2) == csv_row(row, 2)
             assert json.dumps(row_to_dict(again)) == text
+
+    def test_row_with_a_non_integer_sector_key_is_refused(self):
+        data = row_to_dict(ResultRow(sweep_value=2.0, plateau_cycles=2,
+                                     total_cycles=4))
+        data["s_plus"] = {"1": 0.25, "one": 0.5}
+        with pytest.raises(ValidationError,
+                           match=r"^row\.s_plus: every key must be an integer"):
+            row_from_dict(data)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_filled_mode_reads_out(self, exact):
@@ -700,8 +708,17 @@ class TestSweep:
         with open(run_sweep(spec)["json"]) as fh:
             errors = [row["error"] for row in json.load(fh)["rows"]]
         assert errors[0] == ""
-        assert all(e.startswith("ValidationError: numerics.steps_per_cycle: ")
-                   for e in errors[1:])
+        assert all(e.startswith(f"ValidationError: spec.values[{i}].numerics."
+                                "steps_per_cycle: ")
+                   for i, e in enumerate(errors) if i)
+
+    def test_point_past_the_n_cut_bound_is_an_error_row(self, tmp_path):
+        spec = SweepSpec(base=desk_config(), sweep_axis="numerics.n_cut",
+                         values=[1, 100000, 1], outputs=str(tmp_path))
+        with open(run_sweep(spec)["json"]) as fh:
+            errors = [row["error"] for row in json.load(fh)["rows"]]
+        assert errors == ["", "ValidationError: spec.values[1].numerics.n_cut:"
+                          " must be in [1, 64]", ""]
 
     def test_failing_segment_set_is_integrated_once(self, tmp_path,
                                                      monkeypatch):
@@ -748,10 +765,10 @@ class TestSweep:
         first = {name: Path(path).read_bytes() for name, path in paths.items()}
         rows = json.loads(first["json"])["rows"]
         assert [row["sweep_value"] for row in rows] == [float(v) for v in values]
-        for j, row in zip(values, rows):
+        for i, (j, row) in enumerate(zip(values, rows)):
             if j < 0:
-                assert row["error"] == ("ValidationError: window.plateau_cycles:"
-                                        " must be >= 0")
+                assert row["error"] == (f"ValidationError: spec.values[{i}]."
+                                        "window.plateau_cycles: must be >= 0")
                 continue
             direct = row_to_dict(run_once(with_plateau(base, j)))
             assert {**row, "sweep_value": None} == direct
@@ -868,13 +885,26 @@ class TestSweep:
         validated = []
         validate = cli_mod.validate
 
-        def spy(config):
+        def spy(config, path="config"):
             validated.append(config.window.plateau_cycles)
-            return validate(config)
+            return validate(config, path)
 
         monkeypatch.setattr(cli_mod, "validate", spy)
         assert Path(run_sweep(spec)["json"]).read_bytes() == first
         assert validated == [1]      # the spec's base alone: no point redone
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a point file is written whole or not at all, and the temporary
+        # of a write that raised is removed
+        path = tmp_path / "point.json"
+
+        def cut_short(fh):
+            fh.write(b'{"plateau')
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_whole(str(path), cut_short)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("gdump", [False, True])
     def test_concurrent_sweeps_share_points(self, tmp_path, monkeypatch,
@@ -942,7 +972,22 @@ MALFORMED = {
     "k0_nan": ("run", lambda d: d["numerics"].update(
         k0_offset=[math.nan, 0, 0]), "numerics.k0_offset"),
     "steps_odd": ("run", lambda d: d["numerics"].update(steps_per_cycle=65),
-                  "numerics.steps_per_cycle: must be even"),
+                  "config.numerics.steps_per_cycle: must be even"),
+    "sweep_base_steps_odd": ("sweep", lambda s: s["base"]["numerics"].update(
+        steps_per_cycle=65), "spec.base.numerics.steps_per_cycle: must be even"),
+    "omega_negative": ("run", lambda d: d["field"].update(omega=-0.746),
+                       "config.field.omega: must be finite and > 0"),
+    "prune_threshold_one": ("run", lambda d: d["numerics"].update(
+        prune_threshold=1.0), "config.numerics.prune_threshold: must be in "
+        "[0, 1)"),
+    # the dense d x d matrices of n_cut 100000 would take 9.3 TiB
+    **{f"n_cut_100000_{command}": (command, lambda d, base=command == "sweep": (
+        d["base"] if base else d)["numerics"].update(n_cut=100000),
+        f"{path}.numerics.n_cut: must be in [1, 64]")
+       for command, path in [("run", "config"), ("dump-basis", "config"),
+                             ("sweep", "spec.base")]},
+    "values_empty": ("sweep", lambda s: s.update(values=[]),
+                     "spec.values: must be non-empty"),
     "emit_string": ("sweep", lambda s: s.update(emit="yes"), "spec.emit"),
     "value_string": ("sweep", lambda s: s.update(values=["a"]),
                      "spec.values[0]"),
@@ -980,13 +1025,13 @@ MALFORMED = {
                          "spec.values[1].window.plateau_cycles"),
     # int64 steps that no memory holds: the steps of a run are bounded
     **{f"steps_2_pow_{p}": ("run", lambda d, p=p: d["numerics"].update(
-        steps_per_cycle=2 ** p), "numerics.steps_per_cycle: times 2 "
+        steps_per_cycle=2 ** p), "config.numerics.steps_per_cycle: times 2 "
         "window.ramp_cycles + 1 must be <= 2^26") for p in (40, 62)},
     "sweep_base_steps_2_pow_40": ("sweep", lambda s: s["base"]["numerics"]
                                   .update(steps_per_cycle=2 ** 40),
-                                  "numerics.steps_per_cycle"),
+                                  "spec.base.numerics.steps_per_cycle"),
     "oracle_plateau_2_pow_40": ("oracle-check", lambda d: d["window"].update(
-        plateau_cycles=2 ** 40), "numerics.steps_per_cycle: times "
+        plateau_cycles=2 ** 40), "config.numerics.steps_per_cycle: times "
         "window.total_cycles must be <= 2^26"),
 }
 
@@ -1210,13 +1255,13 @@ class TestCommandLine:
         assert main(["run", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 3
 
-    @pytest.mark.parametrize("section, key, value, message", [
-        ("field", "omega", 1e-300, "unitarity defect nan exceeds"),
-        ("field", "omega", 1e300, "not finite"),
-        ("numerics", "k0_offset", [1e160, 0.0, 0.0], "not finite"),
+    @pytest.mark.parametrize("section, key, value", [
+        ("field", "omega", 1e-300),     # K finite, |dt| ||K|| infinite
+        ("field", "omega", 1e300),
+        ("numerics", "k0_offset", [1e160, 0.0, 0.0]),
     ], ids=["omega_tiny", "omega_huge", "k0_huge"])
     def test_non_finite_propagation_exit_3(self, tmp_path, capsys, monkeypatch,
-                                           section, key, value, message):
+                                           section, key, value):
         data = config_to_dict(desk_config())
         data[section][key] = value
         in_path = tmp_path / "config.json"
@@ -1224,11 +1269,13 @@ class TestCommandLine:
         monkeypatch.delenv("DIRACPAIRS_OUTDIR", raising=False)
         assert main(["run", "--config", str(in_path),
                      "--out", str(tmp_path / "out")]) == 3
-        # the one message line, with no numpy warning printed before it
+        # the one message line, with no numpy warning printed before it,
+        # the same for each input: the step bound is refused, not the steps
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("numerical tolerance failure: ")
-        assert message in lines[0]
+        assert lines == ["numerical tolerance failure: field.omega, "
+                         "field.e_peak or numerics.k0_offset is out of range: "
+                         "the step bound is not finite"]
+        assert "after 0 steps" not in lines[0]
 
     def test_oracle_check_passes_on_small_run(self, tmp_path):
         config = desk_config()
@@ -1248,6 +1295,16 @@ class TestCommandLine:
             fockoracle.propagate_vacuum(config, basis))
         assert read == [(n, list(es), list(ps), amp)
                         for n, es, ps, amp in expected]
+
+    def test_oracle_check_past_its_tolerance_exit_3(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, desk_config())
+        assert main(["oracle-check", "--config", cfg_path,
+                     "--tol", "1e-300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical tolerance failure: "
+                                       "oracle-check: amplitude difference ")
+        assert "exceeds 1.0e-300" in captured.err
+        assert "passed" not in captured.out
 
     def test_oracle_check_norm_drift_exit_3(self, tmp_path, capsys,
                                             monkeypatch):
@@ -1289,7 +1346,9 @@ class TestCommandLine:
         dump = tmp_path / "amp.csv"
         assert main(["oracle-check", "--config", str(cfg_path),
                      "--dump-amplitudes", str(dump)]) == 2
-        assert "dimension 36 exceeds the hard cap 16" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config.numerics.n_cut: single-particle dimension 36 exceeds " \
+            "the hard cap 16" in err
         assert not dump.exists()
 
     def test_dump_field_columns(self, tmp_path):

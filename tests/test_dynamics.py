@@ -140,6 +140,18 @@ class TestPropagate:
                            match="steps_per_cycle=128;.*cannot restore"):
             propagate(config, basis)
 
+    def test_unsteppable_hamiltonian_is_refused(self):
+        # omega 1e-300: K is finite, but the step bound |dt| ||K|| is not;
+        # the integrator raises rather than return a NaN matrix
+        config = make_config(n_cut=1, field=replace(FIG2_FIELD, omega=1e-300))
+        basis = build_basis(config.numerics, config.field)
+        assert np.isfinite(dynamics.field_coupling(basis, config.field)).all()
+        with np.errstate(over="ignore"):
+            with pytest.raises(UnitarityError,
+                               match="out of range: the step bound is not "
+                                     "finite$"):
+                _integrate(basis, config, [(0.0, 1.0)])
+
     def test_second_order_convergence(self):
         # Richardson: with a 2nd-order step, halving dt cuts the distance to
         # the extrapolated reference by ~4x

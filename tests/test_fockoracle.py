@@ -15,7 +15,7 @@ from diracpairs import (FieldParams, FockBasis, FockDimensionError,
                         NumericsParams, RunConfig, WindowParams, build_basis,
                         extract_g_blocks, field_from_si, multi_pair_amplitude,
                         propagate, propagate_vacuum,
-                        read_amplitude, second_quantize,
+                        read_amplitude, second_quantize, ValidationError,
                         sector_observables, sector_probabilities_exact,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
 from diracpairs.dynamics import field_coupling, midpoint_steps
@@ -398,6 +398,23 @@ class TestPropagateVacuum:
         basis = build_basis(config.numerics, config.field)
         with pytest.raises(NormDriftError, match="H0 or K is not finite"):
             propagate_vacuum(config, basis)
+
+    def test_window_past_the_step_limit_refused_before_allocating(
+            self, monkeypatch):
+        # the library call holds the oracle-check limit: 2^40 plateau
+        # cycles asked numpy for 8 PiB of carriers
+        config = bench_oracle_config()
+        config = replace(config, window=replace(config.window,
+                                                plateau_cycles=2 ** 40))
+        basis = build_basis(config.numerics, config.field)
+        calls = []
+        monkeypatch.setattr(fockoracle_mod, "midpoint_steps",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValidationError,
+                           match="^config.numerics.steps_per_cycle: times "
+                                 "window.total_cycles must be <= 2"):
+            propagate_vacuum(config, basis)
+        assert calls == []
 
     def test_zero_field_stays_vacuum_with_sea_phase(self):
         config = small_config()

@@ -188,6 +188,12 @@ class TestMultiPairAmplitude:
                            match=f"^{kind} label .* is not an integer$"):
             multi_pair_amplitude(g, electrons, positrons)
 
+    def test_unequal_label_counts_are_rejected(self):
+        g = synthetic_gblocks(np.ones((4, 4)) * 0.1)
+        with pytest.raises(ValueError, match="^need equally many electron and "
+                                             "positron labels$"):
+            multi_pair_amplitude(g, [0, 1], [2])
+
     def test_numpy_integer_labels_accepted(self):
         rng = np.random.default_rng(4)
         g = synthetic_gblocks(rng.normal(size=(4, 4)) + 0j)

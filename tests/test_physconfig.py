@@ -86,6 +86,10 @@ class TestFieldFromSi:
             field_from_si(0.0, 1.0, 0.1, HelicityRelation.SAME)
         with pytest.raises(ValidationError):
             field_from_si(-1e17, 1.0, 0.1, HelicityRelation.SAME)
+        for omega in (0.0, -0.746):
+            with pytest.raises(ValidationError,
+                               match="^field.omega: must be > 0$"):
+                field_from_si(4.9e17, omega, 0.1, HelicityRelation.SAME)
 
 
 class TestValidate:
@@ -147,6 +151,37 @@ class TestValidate:
         assert steps(2 ** 26 // 5 + 2) == [
             "numerics.steps_per_cycle: times 2 window.ramp_cycles + 1 must "
             "be <= 2^26"]
+
+    def test_n_cut_is_bounded(self):
+        # n_cut 64 is d = 516 modes; n_cut 100000 asked for 9.3 TiB
+        assert not validation_errors(make_config(numerics=NumericsParams(
+            n_cut=64)))
+        for n_cut in (0, 65, 100000):
+            assert validation_errors(make_config(numerics=NumericsParams(
+                n_cut=n_cut, n_sector_max=1))) == [
+                "numerics.n_cut: must be in [1, 64]"]
+
+    def test_k0_offset_built_in_python_is_a_3_vector(self):
+        # the JSON schema fixes its length; a NumericsParams built in Python
+        # does not
+        for k0 in ((0.0, 0.0), (0.0, 0.0, 0.0, 0.0)):
+            assert validation_errors(make_config(numerics=NumericsParams(
+                n_cut=2, k0_offset=k0))) == [
+                "numerics.k0_offset: must be a 3-vector"]
+
+    def test_validate_names_the_input_path(self):
+        # validation_errors keeps its paths relative; validate puts them
+        # under the config's place in the input
+        config = make_config(numerics=NumericsParams(n_cut=2,
+                                                     steps_per_cycle=65))
+        relative = "numerics.steps_per_cycle: must be even"
+        assert validation_errors(config) == [relative]
+        for path in ("config", "spec.base", "spec.values[3]"):
+            with pytest.raises(ValidationError) as info:
+                validate(config, path)
+            assert info.value.violations == [f"{path}.{relative}"]
+        with pytest.raises(ValidationError, match=f"^config.{relative}$"):
+            validate(config)
 
     def test_violations_aggregate_with_paths(self):
         config = make_config(

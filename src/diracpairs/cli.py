@@ -36,7 +36,7 @@ from .modebasis import ModeBasis, build_basis
 from .physconfig import (RunConfig, WindowParams, NumericsParams,
                          HelicityRelation, config_from_dict, config_to_dict,
                          config_hash, field_from_si, validate, with_plateau,
-                         _parse, _plain)
+                         MAX_STEPS, _parse, _plain)
 
 Pair = tuple[str, str, float]    # (electron label, positron label, probability)
 CHUNK = 8       # sweep points composed and read out in one stacked call
@@ -477,6 +477,8 @@ def _cmd_dump_field(args) -> int:
     _check_flag("--z", math.isfinite(args.z), "finite")
     config = _load_config(args.config)
     field, window = config.field, config.window
+    _check_flag("--per-cycle", args.per_cycle * window.total_cycles <= MAX_STEPS,
+                "<= 2^26 / config.window.total_cycles")    # before allocating
     t_cycles = np.arange(window.total_cycles * args.per_cycle + 1) / args.per_cycle
     t = t_cycles * field.cycle_duration
     samples = np.column_stack([t_cycles,

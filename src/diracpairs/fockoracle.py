@@ -16,10 +16,10 @@ list carries the permutation sign that the determinant path gives it.
 
 Gamma is linear in h and takes h^dag to Gamma(h)^dag.  With
 H(t) = H0 + c(t) K + h.c. (see ``dynamics``), Gamma(H0) and Gamma(K) are
-built once, and the vacuum is stepped with Gamma(H0) + c Gamma(K) +
-conj(c) Gamma(K)^dag along the chain integrator's midpoint carriers and dt
-over the full window, by a Taylor series of one order per run.  Only small
-bases are accepted: this is a test oracle, not a solver.
+built once per block of K's pattern, which H never couples, and the sea
+is stepped as one state per block with Gamma(H0) + c Gamma(K) + h.c.
+along the chain integrator's midpoint carriers, by a Taylor series of one
+order per run.  Only small bases are accepted: this is a test oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import SUBSTEP_BOUND, field_coupling, midpoint_steps, taylor_order
-from .errors import FockDimensionError, NormDriftError, ValidationError
+from .dynamics import (SUBSTEP_BOUND, coupled_blocks, field_coupling,
+                       midpoint_steps, taylor_order)
+from .errors import (FockDimensionError, NormDriftError,
+                     NumericalToleranceError, ValidationError)
 from .modebasis import ModeBasis
 from .multipair import check_labels
 from .physconfig import MAX_STEPS, RunConfig
@@ -118,25 +120,38 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
 
     The carriers c and the step dt are ``dynamics.midpoint_steps`` through
     every cycle, with no composition or fold: the oracle is an independent
-    reference.  A step sums the Taylor series of -i dt (Gamma(H0) + c
-    Gamma(K) + h.c.) to one order m for the run.  With the bound
-    b = |dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 +
-    ||Gamma(K)^dag||_1)), a step is s = ceil(b / SUBSTEP_BOUND) equal
-    sub-steps (exact for constant H) and m is ``dynamics.taylor_order(b, s,
-    n_steps)``.
-
-    Only the states that the three matrices' nonzero pattern reaches from
-    the sea are stepped, their rows padded to one length (a gather and a
-    row sum per product); every amplitude outside them is 0.
+    reference.  H couples no two of ``dynamics.coupled_blocks(K)`` (a K
+    entry between two is refused), so the sea evolves as one state per
+    block over the block's FockBasis, all of it reached by K's hops.  A
+    step sums the Taylor series of -i dt (Gamma(H0) + c Gamma(K) + h.c.)
+    over the blocks' stacked states to one order m, rows padded to one
+    length (a gather and a row sum per product).  With b = |dt|
+    (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 + ||Gamma(K)^dag||_1)), a
+    step is s = ceil(b / SUBSTEP_BOUND) sub-steps (exact for constant H)
+    and m is ``dynamics.taylor_order(b, s, n_steps)``.  An amplitude is
+    its blocks' product times the sign (-1)^(inv(mask) + inv(sea)) of
+    ordering the modes block by block, inv counting the occupied pairs
+    i < j with j in an earlier block.
     """
     check_limits(config, basis)
     fock = FockBasis(basis.plus_indices, basis.minus_indices)
+    coupling = field_coupling(basis, config.field)
+    blocks = [b for same_size in coupled_blocks(coupling) for b in same_size]
+    block_of = np.argmax([np.isin(np.arange(basis.dim), b) for b in blocks], 0)
+    if np.any(coupling[block_of[:, None] != block_of] != 0):
+        raise NumericalToleranceError("fockoracle: K couples two of its blocks")
+    focks = [FockBasis(np.flatnonzero(basis.band_plus[b]),
+                       np.flatnonzero(~basis.band_plus[b])) for b in blocks]
+    start = np.cumsum([0] + [f.dim for f in focks])     # in the stacked states
+    dim, seas = start[-1], start[:-1] + [f.index[f.sea] for f in focks]
     with np.errstate(invalid="ignore"):     # a non-finite H fails the bound
-        h0 = second_quantize(np.diag(basis.energies.astype(complex)), basis, fock)
-        k = second_quantize(field_coupling(basis, config.field), basis, fock)
+        h0, k = (tuple(map(np.concatenate, zip(*[   # block-diagonal
+            (r + s, c + s, v) for b, f, s in zip(blocks, focks, start)
+            for r, c, v in [second_quantize(h[np.ix_(b, b)], basis, f)]])))
+            for h in (np.diag(basis.energies.astype(complex)), coupling))
     terms = (h0, k, (k[1], k[0], k[2].conj()))
     carriers, dt = midpoint_steps(config, 0.0, float(config.window.total_cycles))
-    n_h0, n_k, n_kdag = (np.bincount(cols, np.abs(values), fock.dim).max()
+    n_h0, n_k, n_kdag = (np.bincount(cols, np.abs(values), dim).max()
                          for _, cols, values in terms)
     bound = abs(dt) * (n_h0 + np.abs(carriers).max() * (n_k + n_kdag))
     if not math.isfinite(bound):
@@ -144,36 +159,33 @@ def propagate_vacuum(config: RunConfig, basis: ModeBasis) -> ManyBodyState:
     splits = max(1, math.ceil(bound / SUBSTEP_BOUND))
     order = taylor_order(bound, splits, len(carriers))
 
-    rows, cols = np.concatenate([t[:2] for t in terms], axis=1)
-    live = np.zeros(fock.dim, dtype=bool)   # the states the sea reaches
-    live[fock.index[fock.sea]] = True
-    while not live[new := rows[live[cols]]].all():  # the pattern is symmetric
-        live[new] = True
-    # their entries, row-major: one slot per entry of any of the three
-    local = np.cumsum(live) - 1                 # sector index of each state
-    terms = [(local[r[live[r]]] * fock.dim + local[c[live[r]]], v[live[r]])
-             for r, c, v in terms]
+    # the entries, row-major: one slot per entry of any of the three
+    terms = [(r * dim + c, v) for r, c, v in terms]
     slots = np.sort(np.concatenate([key for key, _ in terms]))
     slots = slots[np.r_[True, slots[1:] != slots[:-1]]]
-    rows, cols = np.divmod(slots, fock.dim)
+    rows, cols = np.divmod(slots, dim)
     at = np.arange(len(slots)) - np.searchsorted(rows, rows)    # in its row
-    gather = np.zeros((np.count_nonzero(live), at.max() + 1), dtype=int)
+    gather = np.zeros((dim, at.max() + 1), dtype=int)
     gather[rows, at] = cols
     ell = np.zeros((3,) + gather.shape, dtype=complex)
     for coef, (key, values) in zip(ell, terms):
         slot = np.searchsorted(slots, key)
         coef[rows[slot], at[slot]] = values
 
-    psi = np.zeros(len(gather), dtype=complex)
-    psi[local[fock.index[fock.sea]]] = 1.0
+    psi = np.zeros(dim, dtype=complex)
+    psi[seas] = 1.0
     for c in carriers:
         op = (-1.0j * dt / splits) * (ell[0] + c * ell[1] + np.conj(c) * ell[2])
         for _ in range(splits):
             term = psi
             for j in range(1, order + 1):
                 psi = psi + (term := np.einsum("ij,ij->i", op, term[gather]) / j)
-    amplitudes = np.zeros(fock.dim, dtype=complex)
-    amplitudes[live] = psi
+    occ = fock.occupations
+    amplitudes = np.prod([np.where(  # 0 where the block holds another charge
+        (i := f.index[occ[:, b] @ (1 << np.arange(len(b)))]) < 0, 0,
+        psi[s + i]) for b, f, s in zip(blocks, focks, start)], axis=0)
+    inv = (occ @ np.triu(block_of[:, None] > block_of) * occ).sum(axis=1)
+    amplitudes[(inv - inv[fock.index[fock.sea]]) % 2 == 1] *= -1
 
     drift = abs(float(np.linalg.norm(amplitudes)) - 1.0)
     if not drift <= NORM_TOL:     # NaN fails too
@@ -228,10 +240,11 @@ def sector_probabilities_exact(state: ManyBodyState) -> np.ndarray:
 
 def amplitude_table(state: ManyBodyState):
     """(N, electrons, positrons, amplitude) over all canonical states."""
-    rows = []
-    m_e, m_p = len(state.fock.plus), len(state.fock.minus)
+    fock, amp, rows = state.fock, state.amplitudes, []
+    m_e, m_p = len(fock.plus), len(fock.minus)
     for n in range(1, min(m_e, m_p) + 1):
         for es in combinations(range(m_e), n):
-            for ps in combinations(range(m_p), n):
-                rows.append((n, es, ps, read_amplitude(state, es, ps)))
+            for ps in combinations(range(m_p), n):     # distinct labels
+                bits, sign = _ket_sign(fock, es, ps)
+                rows.append((n, es, ps, complex(sign * amp[fock.index[bits]])))
     return rows

@@ -18,7 +18,8 @@ from diracpairs import (FieldParams, FockBasis, FockDimensionError,
                         read_amplitude, second_quantize, ValidationError,
                         sector_observables, sector_probabilities_exact,
                         vacuum_amplitude, vacuum_overlap, amplitude_table)
-from diracpairs.dynamics import field_coupling, midpoint_steps
+from diracpairs.dynamics import coupled_blocks, field_coupling, midpoint_steps
+from diracpairs.errors import NumericalToleranceError
 from diracpairs.fockoracle import ManyBodyState, _ket_sign
 from diracpairs.physconfig import validate
 
@@ -232,6 +233,17 @@ class TestSecondQuantize:
             second_quantize(np.zeros((20, 20), dtype=complex), basis)
 
 
+def spy_taylor_order(monkeypatch):
+    """The (bound, parts, n_steps) of each of the oracle's Taylor orders."""
+    calls = []
+
+    def order(*args):
+        calls.append(args)
+        return dynamics_mod.taylor_order(*args)
+    monkeypatch.setattr(fockoracle_mod, "taylor_order", order)
+    return calls
+
+
 class TestTwoModeToy:
     """Constant single-particle H over one +/- mode pair, solved by hand.
 
@@ -297,20 +309,26 @@ class TestTwoModeToy:
     @pytest.mark.parametrize("n_steps", [1, 3])
     def test_oracle_stepping_reaches_closed_form(self, monkeypatch, n_steps):
         # the toy's constant h as the oracle's H0 + c K + conj(c) K^dag with
-        # c = v, stepped by propagate_vacuum: its Taylor order and sub-step
-        # rule (b = 13.6 for the single step, so 4 sub-steps) must reach
-        # the closed form; a looser truncation target drops terms, and the
-        # norm gate sees it
+        # c = v over twice the toy's time, stepped by propagate_vacuum: its
+        # Taylor order and sub-step rule (b = 7.6 on the coupled pair's
+        # block for the single step, so 2 sub-steps) must reach the closed
+        # form; a looser truncation target drops terms, and the norm gate
+        # sees it
+        self.t *= 2
         k = np.zeros_like(self.h)
         k[self.basis.plus_indices[self.m], self.basis.minus_indices[self.n]] = 1
         monkeypatch.setattr(fockoracle_mod, "field_coupling", lambda *_: k)
         monkeypatch.setattr(fockoracle_mod, "midpoint_steps", lambda *_: (
             np.full(n_steps, self.v, dtype=complex), self.t / n_steps))
+        orders = spy_taylor_order(monkeypatch)
         vacuum, pair = self.closed_form()
         state = propagate_vacuum(small_config(), self.basis)
         assert vacuum_overlap(state) == pytest.approx(vacuum, abs=1e-12)
         assert read_amplitude(state, [self.m], [self.n]) == pytest.approx(
             pair, abs=1e-12)
+        (bound, parts, _), = orders
+        assert bound == pytest.approx(7.6 / n_steps, abs=0.05)
+        assert parts == (2 if n_steps == 1 else 1)
         # the one Taylor rule lives in dynamics, shared with the dense steps
         monkeypatch.setattr(dynamics_mod, "TAYLOR_TOL", 1e-4)
         with pytest.raises(NormDriftError, match="norm drift"):
@@ -319,7 +337,8 @@ class TestTwoModeToy:
 
 def bench_oracle_config():
     """The benchmark's oracle_check input at seed 0: fig2 at n_cut 1 and 256
-    steps per cycle over ramp 1 and plateau 2, b = 0.366."""
+    steps per cycle over ramp 1 and plateau 2, b = 0.178 on each of K's two
+    blocks."""
     config = figure_configs()["fig2"][0]
     return validate(replace(
         config, window=WindowParams(ramp_cycles=1, plateau_cycles=2),
@@ -339,14 +358,6 @@ def stepping_terms(config, basis):
     return fock, h0, k, carriers, dt
 
 
-def step_bound(config, basis):
-    """|dt| (||Gamma(H0)||_1 + max|c| (||Gamma(K)||_1 + ||Gamma(K)^dag||_1))
-    over the midpoint steps of the whole window."""
-    _, h0, k, carriers, dt = stepping_terms(config, basis)
-    return abs(dt) * (abs(h0).sum(axis=0).max() + np.abs(carriers).max()
-                      * (abs(k).sum(axis=0).max() + abs(k).sum(axis=1).max()))
-
-
 def expm_multiply_state(config, basis):
     """The vacuum stepped by scipy's expm_multiply, one call per midpoint
     step: the stepping the fixed-order Taylor loop replaced."""
@@ -359,19 +370,73 @@ def expm_multiply_state(config, basis):
     return psi
 
 
+def transverse_config(steps_per_cycle, ramp_cycles):
+    """``oracle_config(11)``, whose k0 is transverse, so that K's pattern is
+    one block of all 12 modes, at a given grid over a given ramp and no
+    plateau."""
+    config = oracle_config(11)
+    return replace(config, window=WindowParams(ramp_cycles=ramp_cycles,
+                                               plateau_cycles=0),
+                   numerics=replace(config.numerics,
+                                    steps_per_cycle=steps_per_cycle))
+
+
 class TestPropagateVacuum:
-    @pytest.mark.parametrize("make_config, splits", [
-        (bench_oracle_config, False),
-        (lambda: oracle_config(1), True),       # b = 6.74 over 160 steps
-    ], ids=["bench-input", "past-substep-bound"])
-    def test_matches_expm_multiply_stepping(self, make_config, splits):
+    @pytest.mark.parametrize("make_config, blocks, splits", [
+        (bench_oracle_config, 2, False),
+        (lambda: transverse_config(24, 2), 1, True),    # b = 4.05, 96 steps
+        (lambda: transverse_config(32, 1), 1, False),   # 64 steps
+    ], ids=["bench-input", "past-substep-bound", "one-block"])
+    def test_matches_expm_multiply_stepping(self, monkeypatch, make_config,
+                                            blocks, splits):
+        # the blocks' product state against the whole Fock sector stepped
+        # by scipy, signs and the sea's phase included
         config = make_config()
         basis = build_basis(config.numerics, config.field)
-        bound = step_bound(config, basis)
-        assert (bound > dynamics_mod.SUBSTEP_BOUND) == splits
+        assert sum(map(len, coupled_blocks(
+            field_coupling(basis, config.field)))) == blocks
+        orders = spy_taylor_order(monkeypatch)
         state = propagate_vacuum(config, basis)
+        (_, parts, _), = orders
+        assert (parts > 1) == splits
         reference = expm_multiply_state(config, basis)
         assert np.max(np.abs(state.amplitudes - reference)) <= 1e-13
+
+    def test_bench_input_steps_two_blocks_of_20_states(self, monkeypatch):
+        # K's two parity blocks of 6 modes hold C(6, 3) = 20 states each:
+        # 40 stepped amplitudes instead of the 400 the sea reaches in the
+        # whole sector, and the smaller per-block bound b = 0.178 needs
+        # order 11 where the whole sector's b = 0.366 needed 13
+        dims = []
+
+        class Recorded(FockBasis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                dims.append(self.dim)
+        monkeypatch.setattr(fockoracle_mod, "FockBasis", Recorded)
+        orders = spy_taylor_order(monkeypatch)
+        config = bench_oracle_config()
+        propagate_vacuum(config, build_basis(config.numerics, config.field))
+        assert dims == [924, 20, 20]
+        (bound, parts, n_steps), = orders
+        assert bound == pytest.approx(0.178, abs=1e-3)
+        assert (parts, n_steps) == (1, 1024)
+        assert dynamics_mod.taylor_order(bound, parts, n_steps) == 11
+
+    def test_split_that_cuts_a_coupling_refused(self, monkeypatch):
+        # the oracle guards the dense path, which splits H by the same
+        # blocks: a split that drops a K entry is refused, not stepped
+        config = bench_oracle_config()
+        basis = build_basis(config.numerics, config.field)
+        monkeypatch.setattr(fockoracle_mod, "coupled_blocks", lambda k: (
+            np.arange(12).reshape(2, 6),))       # n = -1 and half of n = 0
+        calls = []
+        monkeypatch.setattr(fockoracle_mod, "midpoint_steps",
+                            lambda *args: calls.append(args))
+        with pytest.raises(NumericalToleranceError,
+                           match="K couples two of its blocks"):
+            propagate_vacuum(config, basis)
+        assert calls == []
 
     def test_amplitudes_outside_the_reachable_sector_are_zero(self):
         # the states that Gamma(H0), Gamma(K) and Gamma(K)^dag connect to
@@ -539,6 +604,9 @@ class TestReadAmplitude:
         counts = {}
         for n, es, ps, amp in rows:
             counts[n] = counts.get(n, 0) + 1
+            # read without re-checking the labels it made, the same number
+            assert type(amp) is complex
+            assert amp == read_amplitude(state, es, ps)
         assert counts == {1: 9, 2: 9, 3: 1}
 
 
